@@ -27,7 +27,7 @@ from .formats import (
     infer_format,
     parse_graph,
 )
-from .invariants import graph_parameters, is_nice, is_perfect
+from .invariants import graph_parameters, is_perfect
 from .iso import find_isomorphism
 from .pipeline import (
     PerfectnessFailure,
@@ -103,7 +103,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     p = graph_parameters(G)
     line = (
         f"alpha={p.alpha} omega={p.omega} chi={p.chi}"
-        f" nice={_bool_word(is_nice(G))} perfect={_bool_word(is_perfect(G))}\n"
+        f" nice={_bool_word(p.chi == p.omega)} perfect={_bool_word(is_perfect(G))}\n"
     )
     _write_text(args.out, line)
     return 0

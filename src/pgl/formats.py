@@ -156,6 +156,8 @@ def _graph6_decode(payload: str) -> Graph:
     for ch in body:
         val = ord(ch) - 63
         bits.extend(val >> k & 1 for k in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise ParseError("graph6 padding bits must be zero", column=len(s))
     edges = []
     at = 0
     for j in range(1, n):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .core import Cover, Graph, VertexSet, induced_subgraph, union_over, vertex_set
+from .core import Cover, Graph, VertexSet, union_over, vertex_set
 from .errors import InvalidColoringError, NotAStableCoverError
 
 Coloring = Mapping[int, int]
@@ -164,11 +164,13 @@ def _co_adjacency(adj: Sequence[int], n: int) -> tuple[int, ...]:
 def _try_color(adj: Sequence[int], order: Sequence[int], k: int) -> list[int] | None:
     """Backtracking proper coloring with at most k colors.
 
-    New colors are introduced in index order, which pins the first
-    vertex to color 0 and prunes color permutations.
+    Colors the subgraph induced by the indices in order; the result is
+    indexed by node position, with -1 off the order.  New colors are
+    introduced in index order, which pins the first vertex to color 0
+    and prunes color permutations.
     """
     n = len(order)
-    assign = [-1] * n
+    assign = [-1] * len(adj)
 
     def rec(pos: int, used: int) -> bool:
         if pos == n:
@@ -190,15 +192,23 @@ def _try_color(adj: Sequence[int], order: Sequence[int], k: int) -> list[int] | 
     return assign if rec(0, 0) else None
 
 
-def _color_order(adj: Sequence[int], n: int) -> list[int]:
-    return sorted(range(n), key=lambda i: (-adj[i].bit_count(), i))
+def _color_order(adj: Sequence[int], universe: int) -> list[int]:
+    """Indices in universe by decreasing degree inside universe, then index."""
+    members = [i for i in range(universe.bit_length()) if universe >> i & 1]
+    return sorted(members, key=lambda i: (-(adj[i] & universe).bit_count(), i))
+
+
+def _is_nice_mask(adj: Sequence[int], universe: int) -> bool:
+    """Does the subgraph induced by universe have chi equal to omega?"""
+    omega = _max_clique_size(adj, universe)
+    return _try_color(adj, _color_order(adj, universe), omega) is not None
 
 
 def _chromatic(adj: Sequence[int], n: int, lower: int) -> tuple[int, list[int]]:
     """Exact chi and a witness assignment by node index, deepening from lower."""
     if n == 0:
         return 0, []
-    order = _color_order(adj, n)
+    order = _color_order(adj, (1 << n) - 1)
     for k in range(max(lower, 1), n + 1):
         assign = _try_color(adj, order, k)
         if assign is not None:
@@ -271,20 +281,15 @@ def graph_parameters(G: Graph) -> GraphParameters:
     return params
 
 
-def max_stable_sets(G: Graph) -> Cover:
-    """Every maximum-size stable set, each sorted, in lexicographic order."""
-    n = G.n
-    if n == 0:
-        return ()
-    co = _co_adjacency(G.bit_adjacency, n)
+def _max_stable_masks(adj: Sequence[int], n: int) -> list[int]:
+    """Bitmask of every maximum-size stable set, in lexicographic order."""
+    co = _co_adjacency(adj, n)
     full = (1 << n) - 1
-    alpha = _max_clique_size(co, full)
-    out: list[VertexSet] = []
-    nodes = G.nodes
+    out: list[int] = []
 
-    def extend(chosen: list[int], cand: int, need: int) -> None:
+    def extend(chosen: int, cand: int, need: int) -> None:
         if need == 0:
-            out.append(tuple(nodes[i] for i in chosen))
+            out.append(chosen)
             return
         m = cand
         while m:
@@ -293,19 +298,22 @@ def max_stable_sets(G: Graph) -> Cover:
             v = m & -m
             i = v.bit_length() - 1
             m ^= v
-            extend(chosen + [i], m & co[i], need - 1)
+            extend(chosen | v, m & co[i], need - 1)
 
-    extend([], full, alpha)
-    return tuple(out)
+    extend(0, full, _max_clique_size(co, full))
+    return out
+
+
+def max_stable_sets(G: Graph) -> Cover:
+    """Every maximum-size stable set, each sorted, in lexicographic order."""
+    if G.n == 0:
+        return ()
+    return tuple(_mask_vertices(G, m) for m in _max_stable_masks(G.bit_adjacency, G.n))
 
 
 def is_nice(G: Graph) -> bool:
     """True when the chromatic number equals the clique number."""
-    if G.n == 0:
-        return True
-    adj = G.bit_adjacency
-    omega = _max_clique_size(adj, (1 << G.n) - 1)
-    return _try_color(adj, _color_order(adj, G.n), omega) is not None
+    return G.n == 0 or _is_nice_mask(G.bit_adjacency, (1 << G.n) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +374,23 @@ def imperfection_witness(G: Graph) -> VertexSet | None:
     n = G.n
     if n == 0:
         return None
+    adj = G.bit_adjacency
     if n <= _SUBSET_TABLE_MAX_N:
-        om, ch = _subset_tables(G.bit_adjacency, n)
+        om, ch = _subset_tables(adj, n)
         bad = [m for m in range(1 << n) if ch[m] != om[m]]
         if not bad:
             return None
         best = min(bad, key=lambda m: (m.bit_count(), m))
         return _mask_vertices(G, best)
     for r in range(1, n + 1):
-        for S in combinations(G.nodes, r):
-            H = induced_subgraph(G, S)
-            if chromatic_number(H) != clique_number(H):
-                return S
+        m = (1 << r) - 1
+        while m >> n == 0:
+            if not _is_nice_mask(adj, m):
+                return _mask_vertices(G, m)
+            # Gosper's hack: the next larger mask with the same popcount.
+            low = m & -m
+            ripple = m + low
+            m = (((ripple ^ m) >> 2) // low) | ripple
     return None
 
 

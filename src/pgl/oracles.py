@@ -131,6 +131,13 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     return make_graph(range(1, n + 1), (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
 
 
+def _check_stream_bounds(n: int, count: int) -> None:
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    if count < 0:
+        raise ValueError(f"graph count must be non-negative, got {count}")
+
+
 def enumerate_graphs(
     n: int,
     mode: str = "exhaustive",
@@ -145,7 +152,9 @@ def enumerate_graphs(
     unless allow_large or PGL_MAX_N raises the cap.  random: `count`
     draws of G(n, 1/2), each edge bitmask taken from the Mersenne
     Twister (random.Random(seed).getrandbits), reproducible bit for bit.
+    Raises ValueError for a negative n or count.
     """
+    _check_stream_bounds(n, count)
     bits = n * (n - 1) // 2
     if mode == "exhaustive":
         if n > size_cap(EXHAUSTIVE_MAX_N) and not allow_large:
@@ -164,6 +173,7 @@ def enumerate_graphs(
 
 def stream_size(n: int, mode: str, count: int = 1000) -> int:
     """Number of graphs enumerate_graphs will yield."""
+    _check_stream_bounds(n, count)
     if mode == "exhaustive":
         return 1 << (n * (n - 1) // 2)
     if mode == "random":

@@ -8,16 +8,24 @@ cover of that exact size, which re-reads as an optimal coloring of the
 complement.  The size test doubles as a perfectness probe, so
 non-perfect inputs yield structured, re-checkable negative evidence
 instead of an exception.
+
+The separated graph is reasoned about, not built: its maximum cliques
+are the copies of cliques of G, so the search runs on G's own bitmasks
+and the stable-set masks.  build_separated_graph remains the paper's
+construction for the CLI, the sweeps, and the re-check of failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .constructions import build_separated_graph
-from .core import Cover, Graph, VertexSet, complement, induced_subgraph, vertex_set
+from .core import Cover, Graph, VertexSet, complement, induced_subgraph
 from .errors import EmptyGraphError
 from .invariants import (
+    _mask_vertices,
+    _max_stable_masks,
     check_cover,
     chromatic_number,
     clique_number,
@@ -25,7 +33,6 @@ from .invariants import (
     cover_to_coloring,
     imperfection_witness,
     is_valid_coloring,
-    max_clique_witness,
     stable_number,
 )
 
@@ -61,18 +68,85 @@ class WpgtCertificate:
 def intersecting_clique(G: Graph) -> VertexSet | PerfectnessFailure:
     """A clique of G meeting every maximum stable set, or negative evidence.
 
-    Builds the separated graph, takes its lexicographically least
-    maximum clique, and requires one vertex per disjoint part; the
-    backward projection of that clique is returned.
+    Equals the backward projection of the lexicographically least
+    maximum clique of the separated graph, when that clique has one
+    vertex per disjoint part; otherwise the clique-gap failure carries
+    that clique's size.  The separated graph is not built: a clique of
+    it holds at most one copy per part, and its origins form a clique K
+    of G, so its maximum cliques are all copies of some K and their size
+    is the number of maximum stable sets K meets.
     """
     if G.n == 0:
         raise EmptyGraphError("intersecting clique requires a nonempty graph")
-    sep = build_separated_graph(G)
-    witness = max_clique_witness(sep.separated)
-    required = len(sep.disjoint_parts)
-    if len(witness) < required:
-        return PerfectnessFailure(CLIQUE_GAP, G.nodes, len(witness), required)
-    return vertex_set(sep.back[x] for x in witness)
+    adj = G.bit_adjacency
+    stables = _max_stable_masks(adj, G.n)
+    K = _least_clique_meeting_all(adj, stables)
+    if K is None:
+        return PerfectnessFailure(CLIQUE_GAP, G.nodes, _most_sets_met(adj, stables), len(stables))
+    return _mask_vertices(G, K)
+
+
+def _least_clique_meeting_all(adj: Sequence[int], stables: Sequence[int]) -> int | None:
+    """Mask of the least clique meeting every stable set, or None if none does.
+
+    Separated ids run in (part index, origin) order, so the least
+    separated clique picks, set by set, the smallest origin still
+    completable; a set K already meets is settled, since a stable set
+    meets a clique at most once.
+    """
+    count = len(stables)
+
+    def extend(at: int, K: int, cand: int) -> int | None:
+        while at < count and stables[at] & K:
+            at += 1
+        if at == count:
+            return K
+        m = stables[at] & cand
+        while m:
+            v = m & -m
+            m ^= v
+            K2 = K | v
+            cand2 = cand & adj[v.bit_length() - 1]
+            # Every later set must still meet K2 or a common neighbor.
+            reach = K2 | cand2
+            if all(stables[j] & reach for j in range(at + 1, count)):
+                found = extend(at + 1, K2, cand2)
+                if found is not None:
+                    return found
+        return None
+
+    return extend(0, 0, (1 << len(adj)) - 1)
+
+
+def _most_sets_met(adj: Sequence[int], stables: Sequence[int]) -> int:
+    """Largest number of the stable sets that one clique of the graph meets.
+
+    Branch and bound over cliques inside the union of the sets.  A
+    vertex adds the sets that contain it, none met yet since it is
+    adjacent to the whole clique; the bound adds every set that still
+    meets the candidates.
+    """
+    weight = [sum(1 for s in stables if s >> i & 1) for i in range(len(adj))]
+    union = 0
+    for s in stables:
+        union |= s
+    best = 0
+
+    def extend(met: int, cand: int) -> None:
+        nonlocal best
+        if met > best:
+            best = met
+        m = cand
+        while m:
+            if met + sum(1 for s in stables if s & m) <= best:
+                return
+            v = m & -m
+            m ^= v
+            i = v.bit_length() - 1
+            extend(met + weight[i], m & adj[i])
+
+    extend(0, union)
+    return best
 
 
 def clique_cover_alpha(G: Graph) -> Cover | PerfectnessFailure:
@@ -114,9 +188,8 @@ def verify_certificate(G: Graph, cert: WpgtCertificate) -> bool:
     comp = complement(G)
     if not is_valid_coloring(comp, cert.complement_coloring):
         return False
-    if len(colors_used(comp, cert.complement_coloring)) != cert.alpha:
-        return False
-    return clique_number(comp) == cert.alpha
+    # omega(comp) = alpha(G), checked above, so alpha colors are optimal.
+    return len(colors_used(comp, cert.complement_coloring)) == cert.alpha
 
 
 def imperfection_failure(G: Graph) -> PerfectnessFailure | None:

@@ -25,11 +25,19 @@ from .invariants import (
     is_nice,
     is_perfect,
     is_stable,
+    max_clique_witness,
     stable_number,
 )
 from .iso import find_isomorphism, verify_iso_witness
 from .oracles import confirms_imperfection, enumerate_graphs, is_berge, oracle_parameters, stream_size
-from .pipeline import PerfectnessFailure, recheck_failure, verify_certificate, wpgt_certificate
+from .pipeline import (
+    CLIQUE_GAP,
+    PerfectnessFailure,
+    intersecting_clique,
+    recheck_failure,
+    verify_certificate,
+    wpgt_certificate,
+)
 
 EXPANSION_MAX_MULTIPLICITY = 3
 
@@ -143,6 +151,16 @@ def _check_separation(G: Graph) -> str | None:
             return "a disjoint part is not stable in the separated graph"
         if len(part) != alpha:
             return "a disjoint part is not a maximum stable set of the separated graph"
+    # The pipeline searches G's bitmasks instead of this graph; the two
+    # must agree on the least maximum clique and on the gap size.
+    witness = max_clique_witness(sep.separated)
+    required = len(sep.disjoint_parts)
+    K = intersecting_clique(G)
+    if len(witness) < required:
+        if K != PerfectnessFailure(CLIQUE_GAP, G.nodes, len(witness), required):
+            return f"intersecting clique {K} disagrees with a separated clique of size {len(witness)}"
+    elif K != vertex_set(sep.back[x] for x in witness):
+        return f"intersecting clique {K} is not the projection of the least maximum separated clique"
     return None
 
 
@@ -151,8 +169,9 @@ def _check_pipeline(G: Graph) -> str | None:
     if is_perfect(G):
         if isinstance(result, PerfectnessFailure):
             return "pipeline reported failure on a perfect graph"
-        if result.alpha != stable_number(G):
-            return f"cover has {result.alpha} parts, alpha is {stable_number(G)}"
+        alpha = stable_number(G)
+        if result.alpha != alpha:
+            return f"cover has {result.alpha} parts, alpha is {alpha}"
         if not verify_certificate(G, result):
             return "certificate failed verification"
     else:

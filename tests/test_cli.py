@@ -130,6 +130,17 @@ def test_sweep_random_mode(capsys):
     assert capsys.readouterr().out == "10 graphs, 0 counterexamples\n"
 
 
+def test_sweep_rejects_negative_bounds(capsys):
+    assert run_command(["sweep", "--prop", "wpgt", "--n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vertex count must be non-negative, got -1\n"
+    assert run_command(
+        ["sweep", "--prop", "wpgt", "--n", "3", "--mode", "random", "--count", "-5"]
+    ) == 2
+    assert capsys.readouterr().err == "error: graph count must be non-negative, got -5\n"
+
+
 def test_sweep_json_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run_command(

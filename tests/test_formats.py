@@ -89,6 +89,9 @@ def test_graph6_rejects_bad_payloads():
         parse_graph(GraphDocument("graph6", "Dhcc"))
     with pytest.raises(ParseError):
         parse_graph(GraphDocument("graph6", "Dh"))
+    # K2 is "A_"; the five padding bits after its one edge bit must be zero.
+    with pytest.raises(ParseError, match="padding"):
+        parse_graph(GraphDocument("graph6", "A~"))
 
 
 def test_dimacs_round_trip():

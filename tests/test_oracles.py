@@ -139,6 +139,19 @@ def test_enumerate_rejects_unknown_mode():
         next(enumerate_graphs(3, "all"))
 
 
+def test_streams_reject_negative_bounds():
+    from pgl.oracles import stream_size
+
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        stream_size(-1, "exhaustive")
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        next(enumerate_graphs(-1))
+    with pytest.raises(ValueError, match="graph count must be non-negative"):
+        stream_size(3, "random", -5)
+    with pytest.raises(ValueError, match="graph count must be non-negative"):
+        next(enumerate_graphs(3, "random", count=-5))
+
+
 def test_nice_but_imperfect_exists_in_the_six_vertex_stream():
     # Niceness is not hereditary; the stream must contain a witness.
     for g in enumerate_graphs(6):

@@ -4,6 +4,9 @@ import pytest
 
 from pgl import (
     EmptyGraphError,
+    build_separated_graph,
+    clique_number,
+    enumerate_graphs,
     PerfectnessFailure,
     WpgtCertificate,
     check_cover,
@@ -19,9 +22,11 @@ from pgl import (
     is_perfect,
     is_valid_coloring,
     make_graph,
+    max_clique_witness,
     max_stable_sets,
     recheck_failure,
     stable_number,
+    vertex_set,
     verify_certificate,
     wpgt_certificate,
 )
@@ -46,6 +51,22 @@ def test_intersecting_clique_pentagon_fails():
     assert failure.kind == "clique-gap"
     assert (failure.found, failure.required) == (4, 5)
     assert recheck_failure(cycle(5), failure)
+
+
+def test_intersecting_clique_matches_the_separated_graph_exhaustively():
+    # The search never builds the separated graph; it must still return
+    # the projection of that graph's least maximum clique, or its gap.
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            sep = build_separated_graph(g)
+            result = intersecting_clique(g)
+            if isinstance(result, PerfectnessFailure):
+                assert result.found == clique_number(sep.separated)
+                assert result.required == len(sep.disjoint_parts)
+                assert result.found < result.required
+            else:
+                witness = max_clique_witness(sep.separated)
+                assert result == vertex_set(sep.back[x] for x in witness)
 
 
 def test_intersecting_clique_requires_nonempty():
@@ -148,6 +169,16 @@ def test_chromatic_number_of_separated_graph_matches_part_count():
         assert chromatic_number(sep.separated) == len(sep.disjoint_parts)
 
 
+def test_perfect_matchings_certify_past_the_separated_graph_reach():
+    # The separated graph of a k-edge matching has k * 2^k vertices.
+    for k in (10, 12):
+        g = make_graph(range(2 * k), [(2 * i, 2 * i + 1) for i in range(k)])
+        cert = wpgt_certificate(g)
+        assert isinstance(cert, WpgtCertificate)
+        assert cert.alpha == k
+        assert verify_certificate(g, cert)
+
+
 def test_imperfection_failure_round_trip():
     failure = imperfection_failure(cycle(5))
     assert failure is not None
@@ -156,6 +187,17 @@ def test_imperfection_failure_round_trip():
     assert (failure.found, failure.required) == (3, 2)
     assert recheck_failure(cycle(5), failure)
     assert imperfection_failure(house()) is None
+
+
+def test_imperfection_failure_breaks_ties_by_mask_past_the_subset_tables():
+    # Two disjoint five-cycles on 13 vertices: {0,1,2,3,12} comes first in
+    # combinations order, but {4,...,8} has the smaller mask.
+    first = [(0, 1), (1, 2), (2, 3), (3, 12), (12, 0)]
+    second = [(4, 5), (5, 6), (6, 7), (7, 8), (8, 4)]
+    g = make_graph(range(13), first + second)
+    failure = imperfection_failure(g)
+    assert failure == PerfectnessFailure("chromatic-gap", (4, 5, 6, 7, 8), 3, 2)
+    assert recheck_failure(g, failure)
 
 
 def test_recheck_failure_rejects_forged_evidence():
