@@ -100,10 +100,12 @@ def _graph_json(G: Graph) -> dict:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     G, _ = _load_graph(args)
+    # First, so that a graph past the perfection cap fails before any search.
+    perfect = is_perfect(G)
     p = graph_parameters(G)
     line = (
         f"alpha={p.alpha} omega={p.omega} chi={p.chi}"
-        f" nice={_bool_word(p.chi == p.omega)} perfect={_bool_word(is_perfect(G))}\n"
+        f" nice={_bool_word(p.chi == p.omega)} perfect={_bool_word(perfect)}\n"
     )
     _write_text(args.out, line)
     return 0
@@ -298,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--count", type=int, default=1000, help="graphs to draw in random mode")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sub.add_argument("--jobs", type=int, default=1, help="worker processes (at most the CPU count)")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     sub.add_argument("--json", default=None, help="also write a structured JSON report")
     sub.set_defaults(handler=_cmd_sweep)

@@ -3,10 +3,11 @@
 Clique and stable numbers come from a branch-and-bound over
 vertex-ordered subsets with a greedy coloring bound; the chromatic
 number from iterative deepening over a backtracking proper-coloring
-search with the first vertex pinned to color 0.  Perfection checks
-chi = omega on every one of the 2^n vertex subsets, sharing two bitmask
-dynamic programs across the subsets so exhaustive small-graph sweeps
-stay fast.
+search with the first vertex pinned to color 0.  Perfection uses
+Lovasz's criterion (1972): G is perfect iff |S| <= alpha(G[S]) *
+omega(G[S]) for every vertex set S.  Both numbers come from one O(2^n)
+subset recurrence, packed into a byte per subset, so no coloring is
+searched; graphs past PERFECTION_MAX_N vertices raise TooLargeError.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .core import Cover, Graph, VertexSet, union_over, vertex_set
-from .errors import InvalidColoringError, NotAStableCoverError
+from .errors import InvalidColoringError, NotAStableCoverError, TooLargeError
 
 Coloring = Mapping[int, int]
 
 COVER_KINDS = ("stable", "clique")
 
-# Dynamic programming over all subsets is quadratic-exponential in n;
-# beyond this cap perfection falls back to per-subset searches.
-_SUBSET_TABLE_MAX_N = 12
+# The perfection check keeps one byte per vertex subset: 1 MiB at the cap.
+# Not affected by PGL_MAX_N, which only moves the oracle caps.
+PERFECTION_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -198,12 +199,6 @@ def _color_order(adj: Sequence[int], universe: int) -> list[int]:
     return sorted(members, key=lambda i: (-(adj[i] & universe).bit_count(), i))
 
 
-def _is_nice_mask(adj: Sequence[int], universe: int) -> bool:
-    """Does the subgraph induced by universe have chi equal to omega?"""
-    omega = _max_clique_size(adj, universe)
-    return _try_color(adj, _color_order(adj, universe), omega) is not None
-
-
 def _chromatic(adj: Sequence[int], n: int, lower: int) -> tuple[int, list[int]]:
     """Exact chi and a witness assignment by node index, deepening from lower."""
     if n == 0:
@@ -313,89 +308,80 @@ def max_stable_sets(G: Graph) -> Cover:
 
 def is_nice(G: Graph) -> bool:
     """True when the chromatic number equals the clique number."""
-    return G.n == 0 or _is_nice_mask(G.bit_adjacency, (1 << G.n) - 1)
+    if G.n == 0:
+        return True
+    adj = G.bit_adjacency
+    full = (1 << G.n) - 1
+    omega = _max_clique_size(adj, full)
+    return _try_color(adj, _color_order(adj, full), omega) is not None
 
 
 # ---------------------------------------------------------------------------
-# Perfection: every vertex subset must induce a nice graph.
+# Perfection: Lovasz's criterion |S| <= alpha(G[S]) * omega(G[S]) on every S.
 
-
-def _independent_sets_by_min(adj: Sequence[int], n: int) -> list[list[int]]:
-    """All nonempty independent-set masks, grouped by lowest vertex index."""
-    by_min: list[list[int]] = [[] for _ in range(n)]
-
-    def rec(mask: int, low: int, cand: int) -> None:
-        while cand:
-            v = cand & -cand
-            i = v.bit_length() - 1
-            cand ^= v
-            s = mask | v
-            by_min[low if mask else i].append(s)
-            rec(s, low if mask else i, cand & ~adj[i])
-
-    rec(0, 0, (1 << n) - 1)
-    return by_min
-
-
-def _subset_tables(adj: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """omega and chi of the induced subgraph for every vertex-subset mask."""
-    size = 1 << n
-    om = [0] * size
-    for m in range(1, size):
-        v = m & -m
-        i = v.bit_length() - 1
-        a = om[m ^ v]
-        b = 1 + om[m & adj[i]]
-        om[m] = a if a > b else b
-    by_min = _independent_sets_by_min(adj, n)
-    ch = [0] * size
-    for m in range(1, size):
-        v = m & -m
-        i = v.bit_length() - 1
-        floor = om[m] - 1
-        best = n
-        for s in by_min[i]:
-            if s & m == s:
-                c = ch[m & ~s]
-                if c < best:
-                    best = c
-                    if best == floor:
-                        break
-        ch[m] = best + 1
-    return om, ch
+# A clique and a stable set share at most one vertex, so omega + alpha <=
+# |S| + 1 <= PERFECTION_MAX_N + 1.  Numbering the 253 pairs (omega, alpha)
+# with that bound row by row packs both numbers of a subset into one byte:
+# _PAIR_CODE[omega][alpha] encodes, _OMEGA[code] and _ALPHA[code] decode.
+_PAIRS = tuple(
+    (w, a) for w in range(PERFECTION_MAX_N + 2) for a in range(PERFECTION_MAX_N + 2 - w)
+)
+_OMEGA = tuple(w for w, _ in _PAIRS)
+_ALPHA = tuple(a for _, a in _PAIRS)
+_PAIR_CODE = tuple(
+    tuple(code for code, (w, _) in enumerate(_PAIRS) if w == omega)
+    for omega in range(PERFECTION_MAX_N + 2)
+)
 
 
 def imperfection_witness(G: Graph) -> VertexSet | None:
     """Node set of an induced subgraph with chi > omega, or None when perfect.
 
-    Among violating subsets the smallest is returned, ties broken by
-    subset mask, so the evidence is deterministic and re-checkable.
+    Walks the vertex subsets by size, then mask, filling omega and alpha
+    of each from smaller subsets, and returns the first S with
+    |S| > alpha(G[S]) * omega(G[S]).  By Lovasz (1972) such an S exists
+    iff G is imperfect, and every such S is imperfect.  The first one is
+    the smallest subset with chi > omega, ties broken by mask: a
+    smallest such subset is minimally imperfect, so it breaks the bound,
+    and no smaller subset can.  Raises TooLargeError past
+    PERFECTION_MAX_N vertices.
     """
     n = G.n
-    if n == 0:
-        return None
+    if n > PERFECTION_MAX_N:
+        raise TooLargeError(f"perfection check capped at {PERFECTION_MAX_N} vertices")
     adj = G.bit_adjacency
-    if n <= _SUBSET_TABLE_MAX_N:
-        om, ch = _subset_tables(adj, n)
-        bad = [m for m in range(1 << n) if ch[m] != om[m]]
-        if not bad:
-            return None
-        best = min(bad, key=lambda m: (m.bit_count(), m))
-        return _mask_vertices(G, best)
+    omega_of, alpha_of, code = _OMEGA, _ALPHA, _PAIR_CODE
+    top = 1 << n
+    table = bytearray(top)
     for r in range(1, n + 1):
         m = (1 << r) - 1
-        while m >> n == 0:
-            if not _is_nice_mask(adj, m):
+        while m < top:
+            v = m & -m
+            rest = m ^ v
+            inside = rest & adj[v.bit_length() - 1]
+            # v joins a clique of its neighbours in rest, or a stable set
+            # of its non-neighbours in rest, or neither.
+            c = table[rest]
+            w = omega_of[table[inside]] + 1
+            a = alpha_of[table[rest ^ inside]] + 1
+            if omega_of[c] > w:
+                w = omega_of[c]
+            if alpha_of[c] > a:
+                a = alpha_of[c]
+            if r > w * a:
                 return _mask_vertices(G, m)
+            table[m] = code[w][a]
             # Gosper's hack: the next larger mask with the same popcount.
-            low = m & -m
-            ripple = m + low
-            m = (((ripple ^ m) >> 2) // low) | ripple
+            ripple = m + v
+            m = (((ripple ^ m) >> 2) // v) | ripple
     return None
 
 
 def is_perfect(G: Graph) -> bool:
-    """True when every induced subgraph is nice, by enumerating all 2^n subsets."""
+    """True when every induced subgraph has chi == omega (Lovasz's criterion).
+
+    Raises TooLargeError past PERFECTION_MAX_N vertices.
+    """
     return imperfection_witness(G) is None
 
 

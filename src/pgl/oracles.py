@@ -4,9 +4,14 @@ Everything here is deliberately naive and shares nothing with the
 parameter module beyond the core graph type: alpha and omega come from
 full subset enumeration, chi from trying every assignment of k colors
 for growing k, and Berge recognition from enumerating odd vertex
-subsets and testing for induced chordless cycles.  Size caps keep the
-enumerations at desk scale; the PGL_MAX_N environment variable
-overrides them.
+subsets and testing for induced chordless cycles.  Perfection by
+definition computes chi and omega of every vertex subset with a bitmask
+dynamic program: chi of a subset is one plus the least chi left after
+removing a stable set through its lowest vertex, so it checks chi ==
+omega directly rather than through Lovasz's alpha * omega bound that
+invariants.is_perfect uses.  Size caps keep the enumerations at desk
+scale; the PGL_MAX_N environment variable overrides them, except
+DEFINITION_MAX_N, the cap of the perfection-by-definition table.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import os
 import random
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import Graph, complement, induced_subgraph, make_graph
 from .errors import TooLargeError
@@ -22,6 +27,9 @@ from .invariants import GraphParameters
 
 ORACLE_MAX_N = 20
 BERGE_MAX_N = 12
+# The chi table tries the stable sets of every subset, 3^n steps on the
+# edgeless graph: 1.2 s at n=14 on a 2-vCPU VM, about 4x per added vertex.
+DEFINITION_MAX_N = 14
 EXHAUSTIVE_MAX_N = 6
 DEFAULT_SEED = 42
 
@@ -118,6 +126,62 @@ def find_odd_hole_or_antihole(G: Graph) -> tuple[str, tuple[int, ...]] | None:
 def is_berge(G: Graph) -> bool:
     """True when neither G nor its complement has an odd hole."""
     return find_odd_hole_or_antihole(G) is None
+
+
+def _independent_sets_by_min(adj: Sequence[int], n: int) -> list[list[int]]:
+    """All nonempty independent-set masks, grouped by lowest vertex index."""
+    by_min: list[list[int]] = [[] for _ in range(n)]
+
+    def rec(mask: int, low: int, cand: int) -> None:
+        while cand:
+            v = cand & -cand
+            i = v.bit_length() - 1
+            cand ^= v
+            s = mask | v
+            by_min[low if mask else i].append(s)
+            rec(s, low if mask else i, cand & ~adj[i])
+
+    rec(0, 0, (1 << n) - 1)
+    return by_min
+
+
+def _subset_tables(adj: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """omega and chi of the induced subgraph for every vertex-subset mask."""
+    size = 1 << n
+    om = [0] * size
+    for m in range(1, size):
+        v = m & -m
+        i = v.bit_length() - 1
+        a = om[m ^ v]
+        b = 1 + om[m & adj[i]]
+        om[m] = a if a > b else b
+    by_min = _independent_sets_by_min(adj, n)
+    ch = [0] * size
+    for m in range(1, size):
+        v = m & -m
+        i = v.bit_length() - 1
+        floor = om[m] - 1
+        best = n
+        for s in by_min[i]:
+            if s & m == s:
+                c = ch[m & ~s]
+                if c < best:
+                    best = c
+                    if best == floor:
+                        break
+        ch[m] = best + 1
+    return om, ch
+
+
+def is_perfect_by_definition(G: Graph) -> bool:
+    """True when chi equals omega on every induced subgraph, both tabled per subset.
+
+    Raises TooLargeError past DEFINITION_MAX_N vertices.
+    """
+    if G.n > DEFINITION_MAX_N:
+        raise TooLargeError(f"perfection by definition capped at {DEFINITION_MAX_N} vertices")
+    om, ch = _subset_tables(G.bit_adjacency, G.n)
+    return om == ch
 
 
 def labeled_pairs(n: int) -> tuple[tuple[int, int], ...]:

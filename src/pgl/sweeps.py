@@ -10,6 +10,7 @@ index.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,7 +30,14 @@ from .invariants import (
     stable_number,
 )
 from .iso import find_isomorphism, verify_iso_witness
-from .oracles import confirms_imperfection, enumerate_graphs, is_berge, oracle_parameters, stream_size
+from .oracles import (
+    confirms_imperfection,
+    enumerate_graphs,
+    is_berge,
+    is_perfect_by_definition,
+    oracle_parameters,
+    stream_size,
+)
 from .pipeline import (
     CLIQUE_GAP,
     PerfectnessFailure,
@@ -65,14 +73,16 @@ class SweepReport:
 
 
 def _check_wpgt(G: Graph) -> str | None:
-    if is_perfect(G) != is_perfect(complement(G)):
+    # By definition, not by is_perfect: Lovasz's alpha * omega bound is
+    # symmetric under complement, which would make this check hold trivially.
+    if is_perfect_by_definition(G) != is_perfect_by_definition(complement(G)):
         return "perfection of graph and complement disagree"
     return None
 
 
 def _check_berge(G: Graph) -> str | None:
     if is_perfect(G) != is_berge(G):
-        return "definition-based perfection disagrees with Berge recognition"
+        return "perfection by the alpha * omega bound disagrees with Berge recognition"
     return None
 
 
@@ -249,6 +259,11 @@ def _run_slice(
     return out
 
 
+def _worker_count(jobs: int, cpus: int | None) -> int:
+    """Worker processes for a requested --jobs: at least 1, at most the CPU count."""
+    return max(1, min(jobs, cpus or 1))
+
+
 def sweep(
     properties: str | Sequence[str],
     n: int,
@@ -258,8 +273,12 @@ def sweep(
     count: int = 1000,
     jobs: int = 1,
 ) -> SweepReport:
-    """Run property checks over the graph stream and report counterexamples."""
+    """Run property checks over the graph stream and report counterexamples.
+
+    jobs is clamped to the machine's CPU count.
+    """
     names = _resolve(properties)
+    jobs = _worker_count(jobs, os.cpu_count())
     total = stream_size(n, mode, count)
     started = time.perf_counter()
     raw: list[tuple[int, int, tuple[tuple[int, int], ...], str, str]] = []

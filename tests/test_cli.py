@@ -170,6 +170,19 @@ def test_convert_round_trip_bytes(house_file, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_analyze_past_the_perfection_cap_fails_before_searching(tmp_path, monkeypatch, capsys):
+    def no_search(G):
+        raise AssertionError("graph_parameters ran past the perfection cap")
+
+    monkeypatch.setattr("pgl.cli.graph_parameters", no_search)
+    big = tmp_path / "bipartite24.el"
+    big.write_text("".join(f"{u} {v}\n" for u in range(1, 13) for v in range(13, 25)))
+    assert run_command(["analyze", "--in", str(big)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: perfection check capped at 20 vertices\n"
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.col"
     bad.write_text("p edge 2\n")

@@ -1,5 +1,7 @@
 """Parameters, covers, colorings, niceness and perfection."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,10 +9,13 @@ from hypothesis import strategies as st
 from pgl import (
     InvalidColoringError,
     NotAStableCoverError,
+    TooLargeError,
     check_cover,
     coloring_to_cover,
     colors_used,
+    complement,
     cover_to_coloring,
+    enumerate_graphs,
     graph_parameters,
     imperfection_witness,
     induced_subgraph,
@@ -108,6 +113,42 @@ def test_imperfection_witness_is_the_odd_hole():
     assert imperfection_witness(house()) is None
 
 
+def _least_subset_with_chi_above_omega(g):
+    from pgl.oracles import _subset_tables
+
+    om, ch = _subset_tables(g.bit_adjacency, g.n)
+    bad = [m for m in range(1 << g.n) if ch[m] != om[m]]
+    if not bad:
+        return None
+    least = min(bad, key=lambda m: (m.bit_count(), m))
+    return tuple(v for i, v in enumerate(g.nodes) if least >> i & 1)
+
+
+def test_imperfection_witness_is_the_least_subset_with_chi_above_omega():
+    # Lovasz's alpha * omega bound must pick the same subset as the chi
+    # table does, smallest first and then by mask.
+    graphs = [g for n in range(7) for g in enumerate_graphs(n)]
+    graphs += [cycle(7), cycle(9), complement(cycle(7)), complement(cycle(9))]
+    rng = random.Random(1972)
+    for n in range(7, 13):
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(8):
+                pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+                graphs.append(make_graph(range(1, n + 1), [e for e in pairs if rng.random() < density]))
+    for g in graphs:
+        assert imperfection_witness(g) == _least_subset_with_chi_above_omega(g)
+
+
+def test_perfection_cap():
+    from pgl.invariants import PERFECTION_MAX_N
+
+    halves = [(u, v) for u in range(10) for v in range(10, 20) if (u * v) % 3 != 1]
+    assert PERFECTION_MAX_N == 20
+    assert is_perfect(make_graph(range(20), halves))
+    with pytest.raises(TooLargeError):
+        is_perfect(edgeless(21))
+
+
 def test_perfection_is_hereditary():
     g = house()
     for r in range(g.n + 1):
@@ -176,12 +217,12 @@ def test_stable_cover_never_smaller_than_omega():
 
 
 def test_subset_tables_match_per_subgraph_parameters():
-    # The perfection fast path computes omega/chi for all subsets at once;
-    # it must agree with graph_parameters on each induced subgraph.
+    # The definitional perfection oracle computes omega/chi for all subsets
+    # at once; it must agree with graph_parameters on each induced subgraph.
     from itertools import combinations
 
     from pgl import enumerate_graphs
-    from pgl.invariants import _subset_tables
+    from pgl.oracles import _subset_tables
 
     for g in enumerate_graphs(4):
         om, ch = _subset_tables(g.bit_adjacency, g.n)

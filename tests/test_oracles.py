@@ -98,6 +98,17 @@ def test_nice_but_imperfect_graph_is_detected():
     assert kind == "hole" and len(cyc) == 5
 
 
+def test_perfection_by_definition():
+    from pgl.oracles import DEFINITION_MAX_N, is_perfect_by_definition
+
+    assert is_perfect_by_definition(house())
+    assert not is_perfect_by_definition(cycle(5))
+    assert not is_perfect_by_definition(nice_but_imperfect())
+    assert is_perfect_by_definition(make_graph([]))
+    with pytest.raises(TooLargeError):
+        is_perfect_by_definition(edgeless(DEFINITION_MAX_N + 1))
+
+
 def test_enumerate_exhaustive_counts():
     assert sum(1 for _ in enumerate_graphs(3)) == 8
     assert sum(1 for _ in enumerate_graphs(4)) == 64

@@ -70,6 +70,17 @@ def test_parallel_sweep_matches_sequential():
     assert [c.index for c in seq.counterexamples] == [c.index for c in par.counterexamples]
 
 
+def test_worker_count_is_clamped_to_the_cpus():
+    from pgl.sweeps import _worker_count
+
+    assert _worker_count(64, 2) == 2
+    assert _worker_count(2, 8) == 2
+    assert _worker_count(1, 8) == 1
+    assert _worker_count(0, 8) == 1
+    assert _worker_count(-3, 8) == 1
+    assert _worker_count(4, None) == 1
+
+
 def test_unknown_property_rejected():
     with pytest.raises(ValueError):
         sweep("spgt-proof", 3)
