@@ -77,10 +77,17 @@ def _certificate_json(cert: WpgtCertificate) -> str:
 def _certificate_from_json(text: str) -> WpgtCertificate:
     try:
         doc = json.loads(text)
+        alpha = int(doc["alpha"])
+        cover = doc["clique_cover"]
+        if not isinstance(cover, list) or not all(isinstance(part, list) for part in cover):
+            raise TypeError("clique_cover must be a list of vertex lists")
+        coloring = doc["complement_coloring"]
+        if not isinstance(coloring, dict):
+            raise TypeError("complement_coloring must be an object")
         return WpgtCertificate(
-            int(doc["alpha"]),
-            tuple(tuple(int(v) for v in part) for part in doc["clique_cover"]),
-            {int(v): int(c) for v, c in doc["complement_coloring"].items()},
+            alpha,
+            tuple(tuple(int(v) for v in part) for part in cover),
+            {int(v): int(c) for v, c in coloring.items()},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from None

@@ -75,8 +75,12 @@ def expand(G: Graph, mult: Mapping[int, int]) -> tuple[Graph, ExpansionWitness]:
 
     Copies of distinct origins are adjacent exactly when the origins are
     adjacent in G.  The witness's back map sends each fresh vertex to
-    its origin and always satisfies verify_expansion.
+    its origin and always satisfies verify_expansion.  A multiplicity
+    keyed by a vertex outside G raises VertexNotFoundError.
     """
+    for v in mult:
+        if not G.has_node(v):
+            raise VertexNotFoundError(f"multiplicity given for vertex {v}, which is not in graph")
     for v in G.nodes:
         if v not in mult:
             raise PartialMapError(f"multiplicity missing for vertex {v}")
@@ -108,21 +112,32 @@ def verify_expansion(G: Graph, H: Graph, back: Mapping[int, int]) -> bool:
 
     Requires back to be total on H's nodes, to map them onto G's nodes,
     to make equal-origin copies adjacent, and to transport adjacency
-    between distinct origins exactly.
+    between distinct origins exactly.  Works on bitmasks: each row of
+    H's adjacency must equal the other copies of its origin together
+    with every copy of the origin's neighbours in G.
     """
     for x in H.nodes:
         if x not in back:
             raise PartialMapError(f"backward map undefined on vertex {x}")
     if vertex_set(back[x] for x in H.nodes) != G.nodes:
         return False
-    for x, y in combinations(H.nodes, 2):
-        bx, by = back[x], back[y]
-        if bx == by:
-            if not H.adjacent(x, y):
-                return False
-        elif G.adjacent(bx, by) != H.adjacent(x, y):
-            return False
-    return True
+    origin = [G.index[back[x]] for x in H.nodes]
+    copies = [0] * G.n
+    for j, o in enumerate(origin):
+        copies[o] |= 1 << j
+    # closed[o]: every copy of origin o and of its neighbours in G.  Row j
+    # of H must be closed[origin of j] without bit j itself.
+    closed = []
+    for o, nbrs in enumerate(G.bit_adjacency):
+        row = copies[o]
+        while nbrs:
+            low = nbrs & -nbrs
+            row |= copies[low.bit_length() - 1]
+            nbrs ^= low
+        closed.append(row)
+    return all(
+        row == closed[o] & ~(1 << j) for j, (o, row) in enumerate(zip(origin, H.bit_adjacency))
+    )
 
 
 def mk_disj(C: Cover) -> tuple[Cover, dict[int, tuple[int, int]]]:

@@ -120,12 +120,25 @@ def _check_replication(G: Graph) -> str | None:
 def _check_expansion(G: Graph) -> str | None:
     if not is_perfect(G):
         return None
-    for values in product(range(1, EXPANSION_MAX_MULTIPLICITY + 1), repeat=G.n):
+    # Every expansion H below is a verified expansion of G with at most as
+    # many copies of each origin as the all-max host, so an origin-preserving
+    # injection maps H onto an induced subgraph of the host.  The host's
+    # alpha * omega walk covers every vertex set of the host, and with it
+    # every vertex set of every H; a perfect host therefore settles them all.
+    # This reuses subsets the walk has already checked and does not assume
+    # that expansion preserves perfection: the host is still decided from
+    # scratch.  When it is not verified or not perfect, each H is walked on
+    # its own exactly as before, so the first failing vector and its
+    # evidence are unchanged.
+    top = EXPANSION_MAX_MULTIPLICITY
+    host, hw = expand(G, {v: top for v in G.nodes})
+    host_perfect = verify_expansion(G, host, hw.back) and is_perfect(host)
+    for values in product(range(1, top + 1), repeat=G.n):
         mult = dict(zip(G.nodes, values))
         H, w = expand(G, mult)
         if not verify_expansion(G, H, w.back):
             return f"expansion checker rejected multiplicities {values}"
-        if not is_perfect(H):
+        if not host_perfect and not is_perfect(H):
             return f"expansion with multiplicities {values} broke perfection"
     return None
 
@@ -237,6 +250,8 @@ PROPERTIES: dict[str, Callable[[Graph], str | None]] = {
 
 def _resolve(properties: str | Sequence[str]) -> tuple[str, ...]:
     names = (properties,) if isinstance(properties, str) else tuple(properties)
+    if not names:
+        raise ValueError(f"no property given; known: {sorted(PROPERTIES)}")
     for name in names:
         if name not in PROPERTIES:
             raise ValueError(f"unknown property {name!r}; known: {sorted(PROPERTIES)}")

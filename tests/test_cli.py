@@ -202,3 +202,42 @@ def test_usage_error_exit_code():
 
 def test_missing_file_exit_code():
     assert run_command(["analyze", "--in", "/nonexistent/x.g6"]) == 2
+
+
+@pytest.mark.parametrize("props", ["", " , "])
+def test_sweep_rejects_an_empty_property_list(props, capsys):
+    assert run_command(["sweep", "--prop", props, "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no property given; known: ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"alpha": 1, "clique_cover": [[0]], "complement_coloring": []},
+        {"alpha": 1, "clique_cover": [[0]], "complement_coloring": "0"},
+        {"alpha": 1, "clique_cover": {"0": 0}, "complement_coloring": {"0": 0}},
+        {"alpha": 1, "clique_cover": ["0"], "complement_coloring": {"0": 0}},
+        {"alpha": 1, "clique_cover": "0", "complement_coloring": {"0": 0}},
+    ],
+)
+def test_verify_rejects_a_wrongly_typed_certificate(doc, tmp_path, capsys):
+    g = tmp_path / "k1.el"
+    g.write_text("n 1\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    assert run_command(["verify", "--in", str(g), "--cert", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: line 1, column 1: malformed certificate: ")
+
+
+def test_expand_rejects_multiplicities_for_unknown_vertices(tmp_path, capsys):
+    k2 = tmp_path / "k2.g6"
+    k2.write_text("A_\n")
+    assert run_command(["expand", "--in", str(k2), "--mult", "0:2,1:1,99:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: multiplicity given for vertex 99, which is not in graph\n"
+    assert run_command(["expand", "--in", str(k2), "--mult", "0:2,1:1"]) == 0

@@ -222,3 +222,84 @@ def test_expansion_preserves_perfection_spot_checks():
     for mult in ({1: 2, 2: 3, 3: 4, 4: 1}, {1: 3, 2: 3, 3: 3, 4: 3}, {1: 1, 2: 2, 3: 1, 4: 2}):
         h, _ = expand(g, mult)
         assert is_perfect(h)
+
+
+def test_expand_rejects_multiplicities_for_unknown_vertices():
+    with pytest.raises(VertexNotFoundError, match="vertex 99"):
+        expand(complete(2), {1: 2, 2: 1, 99: 3})
+    with pytest.raises(VertexNotFoundError):
+        expand(make_graph([]), {0: 1})
+
+
+def _pairwise_verify_expansion(g, h, back):
+    """verify_expansion by its definition: one adjacency test per pair of H's nodes."""
+    from itertools import combinations
+
+    from pgl import vertex_set
+
+    for x in h.nodes:
+        if x not in back:
+            raise PartialMapError(f"backward map undefined on vertex {x}")
+    if vertex_set(back[x] for x in h.nodes) != g.nodes:
+        return False
+    for x, y in combinations(h.nodes, 2):
+        bx, by = back[x], back[y]
+        if bx == by:
+            if not h.adjacent(x, y):
+                return False
+        elif g.adjacent(bx, by) != h.adjacent(x, y):
+            return False
+    return True
+
+
+def _expansion_cases(rng):
+    """(G, H, back) triples: constructor output, separated graphs, and tampered copies."""
+    from itertools import combinations
+
+    for _ in range(150):
+        n = rng.randint(0, 6)
+        pairs = list(combinations(range(1, n + 1), 2))
+        g = make_graph(range(1, n + 1), [p for p in pairs if rng.random() < rng.random()])
+        h, w = expand(g, {v: rng.randint(1, 3) for v in g.nodes})
+        yield g, h, dict(w.back)
+        if n:
+            sep = build_separated_graph(g)
+            yield sep.base, sep.separated, dict(sep.back)
+        if h.n >= 2:
+            x, y = rng.sample(h.nodes, 2)
+            flipped = set(h.edges) ^ {(min(x, y), max(x, y))}
+            yield g, make_graph(h.nodes, flipped), dict(w.back)
+        if n >= 2:
+            moved = dict(w.back)
+            x = rng.choice(h.nodes)
+            moved[x] = rng.choice([v for v in g.nodes if v != moved[x]])
+            yield g, h, moved
+            # Every copy of one origin renamed to another: back is not onto.
+            gone = rng.choice(g.nodes)
+            other = rng.choice([v for v in g.nodes if v != gone])
+            yield g, h, {x: other if o == gone else o for x, o in w.back.items()}
+        # An origin with no copies, and an origin outside G.
+        yield make_graph(g.nodes + (n + 1,), g.edges), h, dict(w.back)
+        if h.n:
+            yield g, h, {**w.back, h.nodes[-1]: n + 7}
+            # A missing key wins over every other defect.
+            partial = {x: n + 7 for x in h.nodes}
+            del partial[rng.choice(h.nodes)]
+            yield g, h, partial
+
+
+def test_bitmask_verify_expansion_matches_the_pairwise_definition():
+    import random
+
+    outcomes = []
+    for g, h, back in _expansion_cases(random.Random(2024)):
+        try:
+            expected = _pairwise_verify_expansion(g, h, back)
+        except PartialMapError:
+            with pytest.raises(PartialMapError):
+                verify_expansion(g, h, back)
+            outcomes.append("partial")
+            continue
+        assert verify_expansion(g, h, back) == expected, (g, h, back)
+        outcomes.append(expected)
+    assert {True, False, "partial"} <= set(outcomes)

@@ -1,9 +1,13 @@
 """Sweep harness: property registry, determinism, worker merging."""
 
+from itertools import islice, product
+
 import pytest
 
-from pgl import sweep
-from pgl.sweeps import PROPERTIES
+from pgl import enumerate_graphs, expand, is_induced_subgraph, is_perfect, make_graph, sweep, verify_expansion
+from pgl.sweeps import EXPANSION_MAX_MULTIPLICITY, PROPERTIES, _check_expansion
+
+from conftest import cycle
 
 
 def test_property_registry_names():
@@ -108,3 +112,72 @@ def test_counterexamples_refail_when_rerun(monkeypatch):
     assert cex.index == 7 and cex.prop == "no-triangle"
     # Re-running the property on the recorded graph reproduces the evidence.
     assert PROPERTIES["no-triangle"](cex.graph) == cex.evidence
+
+
+def test_an_empty_property_list_is_rejected():
+    from pgl.sweeps import _resolve
+
+    with pytest.raises(ValueError, match="no property given"):
+        _resolve(())
+    with pytest.raises(ValueError, match="no property given"):
+        sweep([], 3)
+
+
+def _host_embedding_graphs():
+    for n in range(4):
+        yield from enumerate_graphs(n)
+    yield from islice(enumerate_graphs(4), 0, 64, 9)
+    yield cycle(5)
+
+
+def test_every_bounded_expansion_is_an_induced_subgraph_of_the_host():
+    top = EXPANSION_MAX_MULTIPLICITY
+    for G in _host_embedding_graphs():
+        host, hw = expand(G, {v: top for v in G.nodes})
+        host_copy = {tag: x for x, tag in hw.origin_tags.items()}
+        for values in product(range(1, top + 1), repeat=G.n):
+            H, w = expand(G, dict(zip(G.nodes, values)))
+            to_host = {x: host_copy[w.origin_tags[x]] for x in H.nodes}
+            image = make_graph(to_host.values(), [(to_host[u], to_host[v]) for u, v in H.edges])
+            assert image.n == H.n and image.m == H.m
+            assert is_induced_subgraph(image, host), (G, values)
+
+
+def _expansion_evidence_per_vector(G, perfect, verify):
+    """The expansion check as it was before the host walk: one walk per vector."""
+    if not perfect(G):
+        return None
+    for values in product(range(1, EXPANSION_MAX_MULTIPLICITY + 1), repeat=G.n):
+        mult = dict(zip(G.nodes, values))
+        H, w = expand(G, mult)
+        if not verify(G, H, w.back):
+            return f"expansion checker rejected multiplicities {values}"
+        if not perfect(H):
+            return f"expansion with multiplicities {values} broke perfection"
+    return None
+
+
+@pytest.mark.parametrize("perfect_up_to", [5, 9, 13])
+def test_expansion_evidence_matches_the_per_vector_walk(monkeypatch, perfect_up_to):
+    def perfect(G):
+        return G.n <= perfect_up_to and is_perfect(G)
+
+    monkeypatch.setattr("pgl.sweeps.is_perfect", perfect)
+    found = set()
+    for G in enumerate_graphs(4):
+        expected = _expansion_evidence_per_vector(G, perfect, verify_expansion)
+        assert _check_expansion(G) == expected, G
+        found.add(expected)
+    # Past 12 vertices the all-3 host passes, so every graph holds.
+    assert (found == {None}) == (perfect_up_to >= 12)
+
+
+def test_expansion_evidence_matches_when_the_checker_rejects_large_expansions(monkeypatch):
+    def verify(G, H, back):
+        return H.n <= 9 and verify_expansion(G, H, back)
+
+    monkeypatch.setattr("pgl.sweeps.verify_expansion", verify)
+    for G in enumerate_graphs(4):
+        expected = _expansion_evidence_per_vector(G, is_perfect, verify)
+        assert expected is not None and "checker rejected" in expected
+        assert _check_expansion(G) == expected
