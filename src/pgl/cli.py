@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -74,10 +75,27 @@ def _certificate_json(cert: WpgtCertificate) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+# A coloring key is a vertex id written the way certify writes it.
+_VERTEX_KEY = re.compile(r"0|[1-9][0-9]*")
+
+
+def _json_int(value: object, what: str) -> int:
+    """value itself when it is a JSON integer; bools, floats and strings are refused."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _vertex_key(key: str) -> int:
+    if not _VERTEX_KEY.fullmatch(key):
+        raise ValueError(f"complement_coloring key must be a decimal vertex id, got {key!r}")
+    return int(key)
+
+
 def _certificate_from_json(text: str) -> WpgtCertificate:
     try:
         doc = json.loads(text)
-        alpha = int(doc["alpha"])
+        alpha = _json_int(doc["alpha"], "alpha")
         cover = doc["clique_cover"]
         if not isinstance(cover, list) or not all(isinstance(part, list) for part in cover):
             raise TypeError("clique_cover must be a list of vertex lists")
@@ -86,8 +104,8 @@ def _certificate_from_json(text: str) -> WpgtCertificate:
             raise TypeError("complement_coloring must be an object")
         return WpgtCertificate(
             alpha,
-            tuple(tuple(int(v) for v in part) for part in cover),
-            {int(v): int(c) for v, c in coloring.items()},
+            tuple(tuple(_json_int(v, "a cover vertex") for v in part) for part in cover),
+            {_vertex_key(v): _json_int(c, "a color") for v, c in coloring.items()},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from None

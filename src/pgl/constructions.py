@@ -13,10 +13,9 @@ every construction is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, NamedTuple
 
-from .core import Cover, Graph, induced_subgraph, make_graph, union_over, vertex_set
+from .core import Cover, Graph, _graph_from_rows, induced_subgraph, union_over, vertex_set
 from .errors import (
     EmptyGraphError,
     PartialMapError,
@@ -39,27 +38,48 @@ def replicate(G: Graph, a: int) -> tuple[Graph, ReplicationWitness]:
     if not G.has_node(a):
         raise VertexNotFoundError(f"vertex {a} not in graph")
     clone = G.nodes[-1] + 1
-    edges = list(G.edges)
-    edges.append((a, clone))
-    edges.extend((x, clone) for x in G.neighbors(a))
-    H = make_graph(G.nodes + (clone,), edges)
-    return H, ReplicationWitness(a, clone)
+    ia = G.index[a]
+    # The clone takes the last position, bit n: it joins the row of a and
+    # of each neighbour of a, and its own row is a's row plus a.
+    bit = 1 << G.n
+    rows = list(G.bit_adjacency)
+    nbrs = rows[ia]
+    rows[ia] |= bit
+    m = nbrs
+    while m:
+        low = m & -m
+        rows[low.bit_length() - 1] |= bit
+        m ^= low
+    rows.append(nbrs | (1 << ia))
+    return _graph_from_rows(G.nodes + (clone,), rows), ReplicationWitness(a, clone)
 
 
 def verify_replication(G: Graph, w: ReplicationWitness, H: Graph) -> bool:
-    """Check every clause of the replication relation between G and H."""
+    """Check every clause of the replication relation between G and H.
+
+    Works on bitmask rows: with H's clone bit removed, the row of each
+    source node must be its row in G, shifted past the clone's position;
+    the clone's row must be a's row in G plus a itself.
+    """
     a, clone = w.base, w.clone
     if not G.has_node(a) or G.has_node(clone):
         return False
     if H.nodes != vertex_set(G.nodes + (clone,)):
         return False
-    if not H.adjacent(a, clone):
+    c = H.index[clone]
+    below = (1 << c) - 1
+
+    def lift(row: int) -> int:
+        return (row & below) | (row >> c << (c + 1))
+
+    rows = H.bit_adjacency
+    # Rows of the source nodes sit at their G position, one further past c.
+    if any(
+        rows[i + (i >= c)] & ~(1 << c) != lift(row) for i, row in enumerate(G.bit_adjacency)
+    ):
         return False
-    if any(G.adjacent(u, v) != H.adjacent(u, v) for u, v in combinations(G.nodes, 2)):
-        return False
-    # Neighbor mirroring is quantified over the source nodes; edges are
-    # false off-nodes by the graph invariant, which closes the rest.
-    return all(x == a or G.adjacent(x, a) == H.adjacent(x, clone) for x in G.nodes)
+    # Symmetry of H makes the clone's column agree with this row.
+    return rows[c] == lift(G.bit_adjacency[G.index[a]]) | (1 << H.index[a])
 
 
 @dataclass(frozen=True)
@@ -88,23 +108,39 @@ def expand(G: Graph, mult: Mapping[int, int]) -> tuple[Graph, ExpansionWitness]:
             raise ZeroMultiplicityError(f"multiplicity for vertex {v} must be >= 1")
     nxt = G.nodes[-1] + 1 if G.nodes else 0
     tags: dict[int, tuple[int, int]] = {}
-    group: dict[int, list[int]] = {}
+    groups: dict[int, int] = {}
     for v in G.nodes:
-        ids = []
+        groups[v] = ((1 << mult[v]) - 1) << len(tags)
         for i in range(mult[v]):
             tags[nxt] = (v, i)
-            ids.append(nxt)
             nxt += 1
-        group[v] = ids
-    edges: list[tuple[int, int]] = []
-    for v in G.nodes:
-        edges.extend(combinations(group[v], 2))
-    for u, v in G.edges:
-        edges.extend((x, y) for x in group[u] for y in group[v])
-    H = make_graph(tags, edges)
+    H = _graph_from_rows(tuple(tags), _copy_rows(G, groups, len(tags)))
     back = {x: t[0] for x, t in tags.items()}
-    assert verify_expansion(G, H, back)
+    if not verify_expansion(G, H, back):
+        raise AssertionError("expand built a graph that is not an expansion")
     return H, ExpansionWitness(back, tags)
+
+
+def _copy_rows(G: Graph, groups: Mapping[int, int], size: int) -> list[int]:
+    """Adjacency rows of the expansion of G whose copies of v are the bits of groups[v].
+
+    Each copy is adjacent to the other copies of its origin and to every
+    copy of the origin's neighbours, read from G's edge list.  Deliberately
+    not shared with verify_expansion, which reads G's bitmask rows, so that
+    it checks an independent construction.
+    """
+    reach = dict(groups)
+    for u, v in G.edges:
+        reach[u] |= groups[v]
+        reach[v] |= groups[u]
+    rows = [0] * size
+    for v, copies in groups.items():
+        row = reach[v]
+        while copies:
+            low = copies & -copies
+            rows[low.bit_length() - 1] = row ^ low
+            copies ^= low
+    return rows
 
 
 def verify_expansion(G: Graph, H: Graph, back: Mapping[int, int]) -> bool:
@@ -184,16 +220,15 @@ def build_separated_graph(G: Graph) -> Separation:
     stables = max_stable_sets(G)
     base = induced_subgraph(G, union_over(stables))
     parts, tags = mk_disj(stables)
-    fresh = vertex_set(tags)
-    edges: list[tuple[int, int]] = []
-    for x, y in combinations(fresh, 2):
-        ox, ix = tags[x]
-        oy, iy = tags[y]
-        if ox == oy:
-            if ix != iy:
-                edges.append((x, y))
-        elif base.adjacent(ox, oy):
-            edges.append((x, y))
-    separated = make_graph(fresh, edges)
+    # mk_disj hands out consecutive ids, so fresh is in id order and a
+    # copy's position is its distance from the first id.  Copies of one
+    # origin sit in distinct parts, so the tag rule makes them a clique:
+    # separated is the expansion of base with these copy groups.
+    fresh = tuple(tags)
+    first = fresh[0]
+    groups = dict.fromkeys(base.nodes, 0)
+    for x, (origin, _) in tags.items():
+        groups[origin] |= 1 << (x - first)
+    separated = _graph_from_rows(fresh, _copy_rows(base, groups, len(fresh)))
     back = {x: t[0] for x, t in tags.items()}
     return Separation(base, separated, back, stables, parts)

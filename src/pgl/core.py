@@ -116,6 +116,28 @@ def make_graph(nodes: Iterable[int], edges: Iterable[Sequence[int]] = ()) -> Gra
     return Graph(ns, tuple(sorted(canon)))
 
 
+def _graph_from_rows(nodes: VertexSet, rows: Sequence[int]) -> Graph:
+    """Graph on sorted duplicate-free nodes from symmetric adjacency rows.
+
+    Bit j of rows[i] means nodes[i] ~ nodes[j]; the rows must be
+    symmetric with an empty diagonal.  The canonical edge tuple is read
+    off the upper triangle row by row, and the rows are kept as the
+    graph's bit_adjacency.  Nothing is validated: this is for
+    constructions that derive both arguments themselves.
+    """
+    edges: list[tuple[int, int]] = []
+    for i, row in enumerate(rows):
+        u = nodes[i]
+        upper = row >> (i + 1)
+        while upper:
+            low = upper & -upper
+            edges.append((u, nodes[i + low.bit_length()]))
+            upper ^= low
+    G = Graph(nodes, tuple(edges))
+    G.__dict__["bit_adjacency"] = tuple(rows)
+    return G
+
+
 def induced_subgraph(G: Graph, S: Iterable[int]) -> Graph:
     """Restrict G to the vertex set S, keeping exactly the edges inside S."""
     sub = vertex_set(S)

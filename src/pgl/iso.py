@@ -93,7 +93,8 @@ def find_isomorphism(G: Graph, H: Graph) -> IsoWitness | None:
     forward = {v: mapping[v] for v in G.nodes}
     backward = {w: v for v, w in forward.items()}
     witness = IsoWitness(forward, backward)
-    assert verify_iso_witness(witness, G, H)
+    if not verify_iso_witness(witness, G, H):
+        raise AssertionError("find_isomorphism built a witness that does not verify")
     return witness
 
 

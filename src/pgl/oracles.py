@@ -98,11 +98,19 @@ def _cycle_order(G: Graph, S: tuple[int, ...]) -> tuple[int, ...] | None:
 
 
 def _find_odd_induced_cycle(G: Graph) -> tuple[int, ...] | None:
+    # Subsets come in combinations order; one with a member that does not
+    # have exactly two neighbours inside it (a popcount of its masked
+    # row) cannot be a cycle, so _cycle_order walks only the others.
+    nodes, adj = G.nodes, G.bit_adjacency
     for length in range(5, G.n + 1, 2):
-        for S in combinations(G.nodes, length):
-            cycle = _cycle_order(G, S)
-            if cycle is not None:
-                return cycle
+        for S in combinations(range(G.n), length):
+            mask = 0
+            for i in S:
+                mask |= 1 << i
+            if all((adj[i] & mask).bit_count() == 2 for i in S):
+                cycle = _cycle_order(G, tuple(nodes[i] for i in S))
+                if cycle is not None:
+                    return cycle
     return None
 
 

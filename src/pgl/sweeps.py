@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 from .constructions import build_separated_graph, expand, replicate, verify_expansion, verify_replication
 from .core import Graph, complement, make_graph, union_over, vertex_set
 from .invariants import (
+    clique_number,
     graph_parameters,
     imperfection_witness,
     is_clique,
@@ -87,9 +88,8 @@ def _check_berge(G: Graph) -> str | None:
 
 
 def _check_duality(G: Graph) -> str | None:
-    comp = complement(G)
-    a = graph_parameters(G).alpha
-    w = graph_parameters(comp).omega
+    a = stable_number(G)
+    w = clique_number(complement(G))
     if a != w:
         return f"alpha={a} but complement omega={w}"
     return None
@@ -249,7 +249,8 @@ PROPERTIES: dict[str, Callable[[Graph], str | None]] = {
 
 
 def _resolve(properties: str | Sequence[str]) -> tuple[str, ...]:
-    names = (properties,) if isinstance(properties, str) else tuple(properties)
+    # Repeats are dropped, keeping first-seen order.
+    names = (properties,) if isinstance(properties, str) else tuple(dict.fromkeys(properties))
     if not names:
         raise ValueError(f"no property given; known: {sorted(PROPERTIES)}")
     for name in names:

@@ -220,6 +220,23 @@ def test_sweep_rejects_an_empty_property_list(props, capsys):
         {"alpha": 1, "clique_cover": {"0": 0}, "complement_coloring": {"0": 0}},
         {"alpha": 1, "clique_cover": ["0"], "complement_coloring": {"0": 0}},
         {"alpha": 1, "clique_cover": "0", "complement_coloring": {"0": 0}},
+        # Each case below differs from a valid K1 certificate only in the
+        # type of one value, which int() used to coerce.
+        {"alpha": 1.9, "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": 1.0, "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": True, "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": "1", "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "clique_cover": [["1"]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "clique_cover": [[1.0]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "clique_cover": [[True]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"1": True}},
+        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"1": 0.0}},
+        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"1": "0"}},
+        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"01": 0}},
+        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"+1": 0}},
+        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {" 1": 0}},
+        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"1_0": 0}},
+        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"\u0661": 0}},
     ],
 )
 def test_verify_rejects_a_wrongly_typed_certificate(doc, tmp_path, capsys):
@@ -241,3 +258,35 @@ def test_expand_rejects_multiplicities_for_unknown_vertices(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: multiplicity given for vertex 99, which is not in graph\n"
     assert run_command(["expand", "--in", str(k2), "--mult", "0:2,1:1"]) == 0
+
+
+def test_verify_accepts_the_well_typed_k1_certificate(tmp_path, capsys):
+    g = tmp_path / "k1.el"
+    g.write_text("n 1\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"1": 0}}))
+    assert run_command(["verify", "--in", str(g), "--cert", str(cert)]) == 0
+    assert capsys.readouterr().out == "certificate ok\n"
+
+
+def test_sweep_checks_a_repeated_property_once(monkeypatch, tmp_path, capsys):
+    from pgl.sweeps import PROPERTIES
+
+    calls = []
+
+    def no_triangle(G):
+        calls.append(G)
+        return "triangle present" if G.m == 3 else None
+
+    monkeypatch.setitem(PROPERTIES, "no-triangle", no_triangle)
+    report = tmp_path / "sweep.json"
+    argv = ["sweep", "--prop", "no-triangle,wpgt,no-triangle", "--n", "3", "--json", str(report)]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().out == (
+        "8 graphs, 1 counterexamples\n"
+        "counterexample index=7 property=no-triangle graph6=Bw evidence=triangle present\n"
+    )
+    assert len(calls) == 8
+    doc = json.loads(report.read_text())
+    assert doc["properties"] == ["no-triangle", "wpgt"]
+    assert len(doc["counterexamples"]) == 1

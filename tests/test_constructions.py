@@ -28,7 +28,7 @@ from pgl import (
     verify_replication,
 )
 
-from conftest import complete, cycle, edgeless, house
+from conftest import complete, cycle, edgeless, house, run_optimized
 
 
 def test_replicate_pentagon_vertex():
@@ -303,3 +303,209 @@ def test_bitmask_verify_expansion_matches_the_pairwise_definition():
         assert verify_expansion(g, h, back) == expected, (g, h, back)
         outcomes.append(expected)
     assert {True, False, "partial"} <= set(outcomes)
+
+
+# Reference copies of the pair-list constructions that the row builders
+# replaced: each lists its edges as pairs and canonicalizes them through
+# make_graph.
+
+
+def _pairwise_replicate(g, a):
+    from pgl.constructions import ReplicationWitness
+
+    clone = g.nodes[-1] + 1
+    edges = list(g.edges)
+    edges.append((a, clone))
+    edges.extend((x, clone) for x in g.neighbors(a))
+    return make_graph(g.nodes + (clone,), edges), ReplicationWitness(a, clone)
+
+
+def _pairwise_expand(g, mult):
+    from itertools import combinations
+
+    from pgl.constructions import ExpansionWitness
+
+    nxt = g.nodes[-1] + 1 if g.nodes else 0
+    tags = {}
+    group = {}
+    for v in g.nodes:
+        ids = []
+        for i in range(mult[v]):
+            tags[nxt] = (v, i)
+            ids.append(nxt)
+            nxt += 1
+        group[v] = ids
+    edges = []
+    for v in g.nodes:
+        edges.extend(combinations(group[v], 2))
+    for u, v in g.edges:
+        edges.extend((x, y) for x in group[u] for y in group[v])
+    return make_graph(tags, edges), ExpansionWitness({x: t[0] for x, t in tags.items()}, tags)
+
+
+def _pairwise_separated_graph(g):
+    from itertools import combinations
+
+    from pgl import max_stable_sets, vertex_set
+    from pgl.constructions import Separation
+
+    stables = max_stable_sets(g)
+    base = induced_subgraph(g, union_over(stables))
+    parts, tags = mk_disj(stables)
+    fresh = vertex_set(tags)
+    edges = []
+    for x, y in combinations(fresh, 2):
+        ox, ix = tags[x]
+        oy, iy = tags[y]
+        if ox == oy:
+            if ix != iy:
+                edges.append((x, y))
+        elif base.adjacent(ox, oy):
+            edges.append((x, y))
+    back = {x: t[0] for x, t in tags.items()}
+    return Separation(base, make_graph(fresh, edges), back, stables, parts)
+
+
+def _assert_constructions_match(g, vectors):
+    # Each reference graph comes from make_graph, so equal node and edge
+    # tuples make the row-built graph canonical, and its kept rows must be
+    # the ones the reference computes from its edges.
+    for mult in vectors:
+        h, w = expand(g, mult)
+        ref, rw = _pairwise_expand(g, mult)
+        assert (h, w, h.bit_adjacency) == (ref, rw, ref.bit_adjacency), (g, mult)
+    for a in g.nodes:
+        h, w = replicate(g, a)
+        ref, rw = _pairwise_replicate(g, a)
+        assert (h, w, h.bit_adjacency) == (ref, rw, ref.bit_adjacency), (g, a)
+    if g.n:
+        sep = build_separated_graph(g)
+        ref = _pairwise_separated_graph(g)
+        assert sep == ref, g
+        assert sep.separated.bit_adjacency == ref.separated.bit_adjacency, g
+
+
+def test_row_built_constructions_match_the_pair_lists_exhaustively():
+    from itertools import product
+
+    from pgl import enumerate_graphs
+
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            vectors = [dict(zip(g.nodes, v)) for v in product(range(1, 4), repeat=n)] if n <= 4 else []
+            _assert_constructions_match(g, vectors)
+
+
+def test_row_built_constructions_match_the_pair_lists_on_sparse_ids():
+    import random
+    from itertools import combinations
+
+    rng = random.Random(31)
+    for _ in range(1500):
+        ids = sorted(rng.sample(range(60), rng.randint(1, 11)))
+        p = rng.random()
+        g = make_graph(ids, [e for e in combinations(ids, 2) if rng.random() < p])
+        vectors = [{v: rng.randint(1, 3) for v in ids} for _ in range(2)]
+        _assert_constructions_match(g, vectors)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_expand_rejects_rows_with_a_flipped_bit(monkeypatch, symmetric):
+    import random
+
+    from pgl import Graph, enumerate_graphs
+    from pgl import constructions
+
+    rng = random.Random(7)
+    honest = constructions._copy_rows
+    built = []
+
+    def tampered(g, groups, size):
+        rows = honest(g, groups, size)
+        i, j = rng.sample(range(size), 2)
+        rows[i] ^= 1 << j
+        if symmetric:
+            rows[j] ^= 1 << i
+        built.append(rows)
+        return rows
+
+    monkeypatch.setattr(constructions, "_copy_rows", tampered)
+    for n in range(1, 5):
+        for g in enumerate_graphs(n):
+            mult = {v: rng.randint(1, 3) for v in g.nodes}
+            if sum(mult.values()) < 2:
+                continue
+            with pytest.raises(AssertionError, match="not an expansion"):
+                expand(g, mult)
+            # The same rows, handed to the checker directly.
+            h, w = _pairwise_expand(g, mult)
+            bad = Graph(h.nodes, h.edges)
+            bad.__dict__["bit_adjacency"] = tuple(built[-1])
+            assert not verify_expansion(g, bad, w.back)
+
+
+def _pairwise_verify_replication(g, w, h):
+    """verify_replication by its definition: one adjacency test per pair."""
+    from itertools import combinations
+
+    from pgl import vertex_set
+
+    a, clone = w.base, w.clone
+    if not g.has_node(a) or g.has_node(clone):
+        return False
+    if h.nodes != vertex_set(g.nodes + (clone,)):
+        return False
+    if not h.adjacent(a, clone):
+        return False
+    if any(g.adjacent(u, v) != h.adjacent(u, v) for u, v in combinations(g.nodes, 2)):
+        return False
+    return all(x == a or g.adjacent(x, a) == h.adjacent(x, clone) for x in g.nodes)
+
+
+def test_bitmask_verify_replication_matches_the_pairwise_definition():
+    import random
+    from itertools import combinations
+
+    from pgl.constructions import ReplicationWitness
+
+    rng = random.Random(2025)
+    outcomes = []
+    for _ in range(400):
+        ids = sorted(rng.sample(range(12), rng.randint(1, 7)))
+        g = make_graph(ids, [e for e in combinations(ids, 2) if rng.random() < 0.5])
+        a = rng.choice(ids)
+        h, w = replicate(g, a)
+        # The clone at a free id below the largest, then one pair flipped.
+        clone = rng.choice([v for v in range(ids[-1] + 2) if v not in ids])
+        moved = make_graph(ids + [clone], list(g.edges) + [(a, clone)] + [(x, clone) for x in g.neighbors(a)])
+        x, y = rng.sample(moved.nodes, 2)
+        flipped = make_graph(moved.nodes, set(moved.edges) ^ {(min(x, y), max(x, y))})
+        other = rng.choice(ids)
+        cases = [
+            (w, h),
+            (ReplicationWitness(a, clone), moved),
+            (ReplicationWitness(a, clone), flipped),
+            (ReplicationWitness(other, clone), moved),
+            (ReplicationWitness(a, ids[0]), h),
+            (ReplicationWitness(ids[-1] + 5, clone), moved),
+            (ReplicationWitness(a, clone), h),
+        ]
+        for cw, ch in cases:
+            expected = _pairwise_verify_replication(g, cw, ch)
+            assert verify_replication(g, cw, ch) == expected, (g, cw, ch)
+            outcomes.append(expected)
+    assert outcomes.count(True) > 400 and outcomes.count(False) > 400
+
+
+def test_expand_checks_itself_under_python_O():
+    out = run_optimized(
+        "import sys\n"
+        "from pgl import constructions, make_graph\n"
+        "assert False\n"
+        "constructions.verify_expansion = lambda G, H, back: False\n"
+        "try:\n"
+        "    constructions.expand(make_graph([1, 2], [(1, 2)]), {1: 2, 2: 1})\n"
+        "except AssertionError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    assert out == "1 expand built a graph that is not an expansion\n"

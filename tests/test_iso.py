@@ -19,7 +19,7 @@ from pgl import (
     verify_morph,
 )
 
-from conftest import complete, cycle, edgeless, house, path
+from conftest import complete, cycle, edgeless, house, path, run_optimized
 
 
 def relabel(g, offset):
@@ -124,3 +124,18 @@ def test_parameters_transport():
         pg, ph = graph_parameters(g), graph_parameters(h)
         assert (pg.alpha, pg.omega, pg.chi) == (ph.alpha, ph.omega, ph.chi)
         assert is_perfect(g) == is_perfect(h)
+
+
+def test_find_isomorphism_checks_itself_under_python_O():
+    out = run_optimized(
+        "import sys\n"
+        "from pgl import iso, make_graph\n"
+        "assert False\n"
+        "iso.verify_iso_witness = lambda w, G, H: False\n"
+        "G = make_graph([1, 2, 3], [(1, 2)])\n"
+        "try:\n"
+        "    iso.find_isomorphism(G, G)\n"
+        "except AssertionError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    assert out == "1 find_isomorphism built a witness that does not verify\n"

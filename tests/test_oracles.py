@@ -171,3 +171,50 @@ def test_nice_but_imperfect_exists_in_the_six_vertex_stream():
         if is_nice(g) and not is_perfect(g):
             return
     raise AssertionError("no nice-but-imperfect graph found on six vertices")
+
+
+def _reference_odd_induced_cycle(g):
+    """The hole search before the popcount filter: every subset goes to _cycle_order."""
+    from itertools import combinations
+
+    from pgl.oracles import _cycle_order
+
+    for length in range(5, g.n + 1, 2):
+        for S in combinations(g.nodes, length):
+            cycle = _cycle_order(g, S)
+            if cycle is not None:
+                return cycle
+    return None
+
+
+def _assert_same_cycles(g):
+    from pgl.oracles import _find_odd_induced_cycle
+
+    comp = complement(g)
+    hole = _reference_odd_induced_cycle(g)
+    antihole = _reference_odd_induced_cycle(comp)
+    assert _find_odd_induced_cycle(g) == hole, g
+    assert _find_odd_induced_cycle(comp) == antihole, g
+    expected = ("hole", hole) if hole else ("antihole", antihole) if antihole else None
+    assert find_odd_hole_or_antihole(g) == expected, g
+    return expected
+
+
+def test_filtered_hole_search_returns_the_reference_cycles():
+    import random
+    from itertools import combinations
+
+    kinds = set()
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            found = _assert_same_cycles(g)
+            kinds.add(found and found[0])
+    assert kinds == {None, "hole"}
+    rng = random.Random(47)
+    for _ in range(1500):
+        ids = sorted(rng.sample(range(60), rng.randint(1, 11)))
+        p = rng.random()
+        g = make_graph(ids, [e for e in combinations(ids, 2) if rng.random() < p])
+        found = _assert_same_cycles(g)
+        kinds.add(found and found[0])
+    assert kinds == {None, "hole", "antihole"}

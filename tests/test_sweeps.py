@@ -181,3 +181,14 @@ def test_expansion_evidence_matches_when_the_checker_rejects_large_expansions(mo
         expected = _expansion_evidence_per_vector(G, is_perfect, verify)
         assert expected is not None and "checker rejected" in expected
         assert _check_expansion(G) == expected
+
+
+def test_repeated_properties_are_checked_once_in_first_seen_order(monkeypatch):
+    from pgl.sweeps import _resolve
+
+    assert _resolve(("duality", "wpgt", "duality", "wpgt", "berge")) == ("duality", "wpgt", "berge")
+    seen = []
+    monkeypatch.setitem(PROPERTIES, "count", lambda G: seen.append(G.edges))
+    report = sweep(("count", "wpgt", "count"), 3)
+    assert report.properties == ("count", "wpgt")
+    assert len(seen) == report.graphs_checked == 8
