@@ -6,11 +6,19 @@ DIMACS, or edge-list format; exit status 0 means success or the checked
 property holds, 1 means the property fails or the pipeline produced
 negative evidence, 2 means a usage or parse error.  Output is
 deterministic: identical inputs and flags give byte-identical output.
+
+run_command may be called any number of times in one process.  The
+argument parser is built on the first call and reused after it; argparse
+makes a fresh namespace and help formatter on every parse, so reuse
+changes no output.  Importing this module builds nothing, and `sweep
+--jobs N` loads the process pool only when it actually splits the
+stream across workers.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -275,7 +283,9 @@ def _add_io_arguments(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The pgl argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="pgl",
         description="exact perfect-graph toolkit: parameters, constructions, certificates, sweeps",

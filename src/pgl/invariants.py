@@ -272,12 +272,17 @@ def graph_parameters(G: Graph) -> GraphParameters:
         _mask_vertices(G, _lex_min_clique(co, full, alpha)),
         {G.nodes[i]: assign[i] for i in range(n)},
     )
-    assert params.omega <= params.chi
+    if params.omega > params.chi:
+        raise AssertionError(f"graph_parameters found chi={chi} below omega={omega}")
     return params
 
 
-def _max_stable_masks(adj: Sequence[int], n: int) -> list[int]:
-    """Bitmask of every maximum-size stable set, in lexicographic order."""
+def _max_stable_masks(adj: Sequence[int], n: int, alpha: int | None = None) -> list[int]:
+    """Bitmask of every maximum-size stable set, in lexicographic order.
+
+    alpha is the stable number when the caller already knows it;
+    otherwise it is searched here.
+    """
     co = _co_adjacency(adj, n)
     full = (1 << n) - 1
     out: list[int] = []
@@ -295,7 +300,7 @@ def _max_stable_masks(adj: Sequence[int], n: int) -> list[int]:
             m ^= v
             extend(chosen | v, m & co[i], need - 1)
 
-    extend(0, full, _max_clique_size(co, full))
+    extend(0, full, _max_clique_size(co, full) if alpha is None else alpha)
     return out
 
 

@@ -65,7 +65,7 @@ class WpgtCertificate:
     complement_coloring: dict[int, int]
 
 
-def intersecting_clique(G: Graph) -> VertexSet | PerfectnessFailure:
+def intersecting_clique(G: Graph, *, _alpha: int | None = None) -> VertexSet | PerfectnessFailure:
     """A clique of G meeting every maximum stable set, or negative evidence.
 
     Equals the backward projection of the lexicographically least
@@ -75,11 +75,14 @@ def intersecting_clique(G: Graph) -> VertexSet | PerfectnessFailure:
     it holds at most one copy per part, and its origins form a clique K
     of G, so its maximum cliques are all copies of some K and their size
     is the number of maximum stable sets K meets.
+
+    The stable number is searched here unless _alpha gives it; only
+    clique_cover_alpha does, handing it down from round to round.
     """
     if G.n == 0:
         raise EmptyGraphError("intersecting clique requires a nonempty graph")
     adj = G.bit_adjacency
-    stables = _max_stable_masks(adj, G.n)
+    stables = _max_stable_masks(adj, G.n, _alpha)
     K = _least_clique_meeting_all(adj, stables)
     if K is None:
         return PerfectnessFailure(CLIQUE_GAP, G.nodes, _most_sets_met(adj, stables), len(stables))
@@ -152,18 +155,24 @@ def _most_sets_met(adj: Sequence[int], stables: Sequence[int]) -> int:
 def clique_cover_alpha(G: Graph) -> Cover | PerfectnessFailure:
     """Clique cover with exactly one part per unit of the stable number.
 
-    Each round removes an intersecting clique, which lowers the stable
-    number by one; failures from any round propagate unchanged.
+    Each round removes an intersecting clique K, which lowers the stable
+    number by exactly one, so it is searched once and handed down: a
+    maximum stable set of H minus its one vertex in K is stable in
+    H - K, and no maximum stable set of H survives in H - K.  This holds
+    whether or not G is perfect.  Failures from any round propagate
+    unchanged.
     """
     parts: list[VertexSet] = []
     H = G
+    alpha = stable_number(G)
     while H.n:
-        K = intersecting_clique(H)
+        K = intersecting_clique(H, _alpha=alpha)
         if isinstance(K, PerfectnessFailure):
             return K
         parts.append(K)
         removed = set(K)
         H = induced_subgraph(H, (v for v in H.nodes if v not in removed))
+        alpha -= 1
     return tuple(parts)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Callable, Sequence
@@ -301,6 +300,10 @@ def sweep(
     if jobs <= 1 or total < 2 * jobs:
         raw = _run_slice(names, n, mode, seed, count, 0, total)
     else:
+        # Imported here so that single-process sweeps and every other
+        # command never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = [(total * k // jobs, total * (k + 1) // jobs) for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [

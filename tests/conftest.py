@@ -43,8 +43,8 @@ def nice_but_imperfect() -> Graph:
     return make_graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (2, 6), (3, 6), (4, 6)])
 
 
-def run_optimized(source: str) -> str:
-    """Run source under `python -O` with this checkout's pgl importable; return stdout."""
+def run_fresh(source: str, *options: str) -> str:
+    """Run source in a fresh interpreter with this checkout's pgl importable; return stdout."""
     import os
     import subprocess
     import sys
@@ -54,7 +54,12 @@ def run_optimized(source: str) -> str:
     src = os.path.dirname(os.path.dirname(os.path.abspath(pgl.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
-        [sys.executable, "-O", "-c", source], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *options, "-c", source], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def run_optimized(source: str) -> str:
+    """Run source under `python -O` with this checkout's pgl importable; return stdout."""
+    return run_fresh(source, "-O")

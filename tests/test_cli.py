@@ -1,11 +1,15 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import random
+import sys
 
 import pytest
 
-from pgl import parse_graph, GraphDocument
+from pgl import cli, parse_graph, GraphDocument
 from pgl.cli import run_command
+
+from conftest import run_fresh
 
 
 @pytest.fixture()
@@ -290,3 +294,92 @@ def test_sweep_checks_a_repeated_property_once(monkeypatch, tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert doc["properties"] == ["no-triangle", "wpgt"]
     assert len(doc["counterexamples"]) == 1
+
+
+def _outcome(argv, capsys):
+    code = run_command(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_parser_is_built_once_and_answers_like_a_fresh_one(tmp_path, capsys):
+    house = tmp_path / "house.el"
+    house.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n2 4\n")
+    c5 = tmp_path / "c5.g6"
+    c5.write_text("Dhc\n")
+    bad = tmp_path / "bad.col"
+    bad.write_text("p edge 2\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"alpha": 2, "clique_cover": [[1, 5], [2, 3, 4]],
+                                "complement_coloring": {"1": 0, "2": 1, "3": 1, "4": 1, "5": 0}}))
+    cases = [
+        ["analyze", "--in", str(house)],
+        ["analyze", "--bogus"],
+        ["analyze", "--in", str(bad)],
+        ["analyze", "--help"],
+        ["certify", "--in", str(house)],
+        ["certify", "--in", str(c5)],
+        ["certify", "--in", str(bad)],
+        ["certify", "--help"],
+        ["verify", "--in", str(house), "--cert", str(cert)],
+        ["verify", "--in", str(house)],
+        ["verify", "--in", str(c5), "--cert", str(cert)],
+        ["verify", "--help"],
+        ["sweep", "--prop", "wpgt,pipeline", "--n", "4"],
+        ["sweep", "--prop", "wpgt", "--n", "3", "--bogus"],
+        ["sweep", "--prop", "nope", "--n", "3"],
+        ["sweep", "--help"],
+        ["convert", "--in", str(house), "--to", "graph6"],
+        ["convert", "--in", str(house), "--to", "nope"],
+        ["convert", "--in", str(bad), "--to", "dimacs"],
+        ["convert", "--help"],
+        ["expand", "--in", str(house), "--mult", "1:2"],
+        ["expand", "--in", str(house), "--mult", "nope"],
+        ["--help"],
+        [],
+    ]
+    fresh = []
+    for argv in cases:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    # Each case twice, in a fixed shuffled order, on one cached parser.
+    cli._build_parser.cache_clear()
+    order = list(range(len(cases))) * 2
+    random.Random(6).shuffle(order)
+    for i in order:
+        assert _outcome(cases[i], capsys) == fresh[i], cases[i]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(order) - 1)
+    assert {code for code, _, _ in fresh} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("built", [False, True])
+def test_handlers_see_patched_names_whether_or_not_the_parser_was_built(built, tmp_path, monkeypatch, capsys):
+    cli._build_parser.cache_clear()
+    if built:
+        cli._build_parser()
+
+    def no_search(G):
+        raise AssertionError("graph_parameters ran past the perfection cap")
+
+    monkeypatch.setattr("pgl.cli.graph_parameters", no_search)
+    big = tmp_path / "bipartite24.el"
+    big.write_text("".join(f"{u} {v}\n" for u in range(1, 13) for v in range(13, 25)))
+    assert _outcome(["analyze", "--in", str(big)], capsys) == (
+        2, "", "error: perfection check capped at 20 vertices\n"
+    )
+
+
+def test_importing_the_cli_loads_only_the_standard_library_and_no_process_pool():
+    out = run_fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import pgl.cli\n"
+        "pool = [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]\n"
+        "print(json.dumps([sorted(set(sys.modules) - before), pool]))\n"
+    )
+    loaded, pool = json.loads(out)
+    assert "pgl.cli" in loaded
+    outside = [m for m in loaded if m.partition(".")[0] not in sys.stdlib_module_names | {"pgl"}]
+    assert outside == []
+    assert pool == []

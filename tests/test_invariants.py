@@ -29,7 +29,7 @@ from pgl import (
     replicate,
 )
 
-from conftest import complete, cycle, edgeless, house, joined_double_pentagon, path
+from conftest import complete, cycle, edgeless, house, joined_double_pentagon, path, run_optimized
 
 
 def test_is_stable():
@@ -78,6 +78,20 @@ def test_parameter_witnesses_validate():
         assert is_valid_coloring(g, p.chi_witness)
         assert len(colors_used(g, p.chi_witness)) == p.chi
         assert p.omega <= p.chi
+
+
+def test_graph_parameters_checks_itself_under_python_O():
+    out = run_optimized(
+        "import sys\n"
+        "from pgl import invariants, make_graph\n"
+        "assert False\n"
+        "invariants._chromatic = lambda adj, n, lower: (lower - 1, [0] * n)\n"
+        "try:\n"
+        "    invariants.graph_parameters(make_graph([1, 2], [(1, 2)]))\n"
+        "except AssertionError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    assert out == "1 graph_parameters found chi=1 below omega=2\n"
 
 
 def test_max_stable_sets_pentagon():

@@ -1,5 +1,7 @@
 """Intersecting cliques, size-alpha clique covers and certificates."""
 
+import random
+
 import pytest
 
 from pgl import (
@@ -110,6 +112,53 @@ def test_clique_cover_alpha_propagates_failure():
     failure = clique_cover_alpha(cycle(5))
     assert isinstance(failure, PerfectnessFailure)
     assert recheck_failure(cycle(5), failure)
+
+
+def _cover_searching_alpha_every_round(G):
+    """clique_cover_alpha as it was before the stable number was handed down."""
+    parts = []
+    H = G
+    while H.n:
+        K = intersecting_clique(H)
+        if isinstance(K, PerfectnessFailure):
+            return K
+        parts.append(K)
+        H = induced_subgraph(H, tuple(v for v in H.nodes if v not in set(K)))
+    return tuple(parts)
+
+
+def test_handing_alpha_down_keeps_every_cover_and_failure():
+    # Removing a clique that meets every maximum stable set lowers alpha
+    # by exactly one, perfect or not, so the covers and failures agree.
+    graphs = [g for n in range(7) for g in enumerate_graphs(n)]
+    rng = random.Random(12)
+    for n in range(7, 13):
+        for p in (0.15, 0.3, 0.5, 0.7, 0.85):
+            for _ in range(8):
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+                graphs.append(make_graph(range(n), edges))
+    failures = 0
+    for g in graphs:
+        cover = clique_cover_alpha(g)
+        assert cover == _cover_searching_alpha_every_round(g)
+        failures += isinstance(cover, PerfectnessFailure)
+    assert failures > 0
+
+
+def test_clique_cover_alpha_searches_alpha_once(monkeypatch):
+    from pgl import pipeline
+
+    handed = []
+    masks = pipeline._max_stable_masks
+
+    def recording(adj, n, alpha=None):
+        handed.append(alpha)
+        return masks(adj, n, alpha)
+
+    monkeypatch.setattr(pipeline, "_max_stable_masks", recording)
+    g = cycle(8)
+    assert len(clique_cover_alpha(g)) == 4
+    assert handed == [4, 3, 2, 1]
 
 
 def test_certificate_house():
