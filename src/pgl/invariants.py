@@ -6,8 +6,10 @@ number from iterative deepening over a backtracking proper-coloring
 search with the first vertex pinned to color 0.  Perfection uses
 Lovasz's criterion (1972): G is perfect iff |S| <= alpha(G[S]) *
 omega(G[S]) for every vertex set S.  Both numbers come from one O(2^n)
-subset recurrence, packed into a byte per subset, so no coloring is
-searched; graphs past PERFECTION_MAX_N vertices raise TooLargeError.
+subset recurrence, held as level tables (one int per value, one bit
+per subset) and grown a vertex at a time, so no coloring is searched
+and is_perfect stops at the first vertex that completes a violating
+set; graphs past PERFECTION_MAX_N vertices raise TooLargeError.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ Coloring = Mapping[int, int]
 
 COVER_KINDS = ("stable", "clique")
 
-# The perfection check keeps one byte per vertex subset: 1 MiB at the cap.
-# Not affected by PGL_MAX_N, which only moves the oracle caps.
+# The perfection check keeps one bit per vertex subset and level: at the
+# cap a call peaks at 4.9-6.1 MiB above its starting ru_maxrss on
+# bipartite, split and interval graphs.  Not affected by PGL_MAX_N, which
+# only moves the oracle caps.
 PERFECTION_MAX_N = 20
 
 
@@ -323,71 +327,155 @@ def is_nice(G: Graph) -> bool:
 
 # ---------------------------------------------------------------------------
 # Perfection: Lovasz's criterion |S| <= alpha(G[S]) * omega(G[S]) on every S.
+#
+# A level table is an int with one bit per vertex set S.  Over the subsets
+# of the first t vertices, level k of W marks the S with omega(G[S]) >= k,
+# level k of A those with alpha(G[S]) >= k, and level r of P those with
+# |S| >= r (the levels of the complete graph).  Vertex t adds the half of
+# sets S | {t}.  As omega(S | {t}) = max(omega(S), 1 + omega(S & N(t))),
+# the new half of W[k] is W[k] | W[k-1] gathered at S & N(t); A gathers
+# at the non-neighbours of t instead.
 
-# A clique and a stable set share at most one vertex, so omega + alpha <=
-# |S| + 1 <= PERFECTION_MAX_N + 1.  Numbering the 253 pairs (omega, alpha)
-# with that bound row by row packs both numbers of a subset into one byte:
-# _PAIR_CODE[omega][alpha] encodes, _OMEGA[code] and _ALPHA[code] decode.
-_PAIRS = tuple(
-    (w, a) for w in range(PERFECTION_MAX_N + 2) for a in range(PERFECTION_MAX_N + 2 - w)
-)
-_OMEGA = tuple(w for w, _ in _PAIRS)
-_ALPHA = tuple(a for _, a in _PAIRS)
-_PAIR_CODE = tuple(
-    tuple(code for code, (w, _) in enumerate(_PAIRS) if w == omega)
-    for omega in range(PERFECTION_MAX_N + 2)
-)
+
+_Shape = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
+
+
+def _next_shape(P: tuple[int, ...], drops: tuple[tuple[int, int], ...], t: int) -> _Shape:
+    """P and the gather steps over the first t + 1 vertices, from those over t.
+
+    A gather step (clear, 1 << i) drops vertex i: clear marks the table
+    positions whose bit i is clear.
+    """
+    half = 1 << t
+    grown = ((1 << 2 * half) - 1, *(P[r] | P[r - 1] << half for r in range(1, t + 1)), P[t] << half)
+    return grown, (*((c | c << half, i) for c, i in drops), (P[0], half))
+
+
+# P and the gather steps depend on t alone.  _SHAPES[t] holds them over
+# the first t vertices for t <= _SHARED_T (28 KB in all); past that they
+# are grown per call.
+_SHARED_T = 12
+_SHAPES: list[_Shape] = [((1,), ())]
+for _t in range(_SHARED_T):
+    _SHAPES.append(_next_shape(*_SHAPES[-1], _t))
+
+
+def _grown(levels: list[int], drops: list[tuple[int, int]], ones: int) -> list[int]:
+    """Levels of S | {t}, from the levels over S and the vertices to drop."""
+    new = [ones, ones]
+    top = len(levels)
+    for k in range(1, top):
+        z = levels[k]
+        # Bit S of z becomes bit S - i of z for each dropped vertex i.
+        for clear, shift in drops:
+            z &= clear
+            z |= z << shift
+        if k + 1 < top:
+            z |= levels[k + 1]
+        elif not z:
+            break
+        new.append(z)
+    return new
+
+
+def _merge(levels: list[int], new: list[int], half: int) -> None:
+    for k, z in enumerate(new):
+        if k < len(levels):
+            levels[k] |= z << half
+        else:
+            levels.append(z << half)
+
+
+def _violations(W: list[int], A: list[int], size: tuple[int, ...], t: int) -> int:
+    """The S whose S | {t} has more than alpha * omega vertices.
+
+    W and A are the levels of the sets S | {t}, and size[r] marks the S
+    with |S| + 1 >= r.  omega = 1 or alpha = 1 makes S | {t} a stable set
+    or a clique, which never breaks the bound.
+    """
+    bad = 0
+    top_w, top_a = len(W) - 1, len(A) - 1
+    for w in range(2, top_w + 1):
+        exact_w = W[w] ^ W[w + 1] if w < top_w else W[w]
+        for a in range(2, top_a + 1):
+            if w * a > t:
+                break
+            exact_a = A[a] ^ A[a + 1] if a < top_a else A[a]
+            bad |= exact_w & exact_a & size[w * a + 1]
+    return bad
+
+
+def _lovasz_walk(G: Graph, early: bool) -> VertexSet | None:
+    """The least S by (size, mask) with |S| > alpha(G[S]) * omega(G[S]), or None.
+
+    Adds the vertices one at a time and checks each new half of the
+    level tables as it is built.  With early set, returns the least
+    violating set of the first half that has one.
+    """
+    n = G.n
+    if n > PERFECTION_MAX_N:
+        raise TooLargeError(f"perfection check capped at {PERFECTION_MAX_N} vertices")
+    if n < 5:
+        return None  # the smallest imperfect graph is the 5-cycle
+    adj = G.bit_adjacency
+    W, A = [1], [1]
+    P, drops = _SHAPES[0]
+    best_size, best_mask = n + 1, 0
+    for t in range(n):
+        half = 1 << t
+        ones = P[0]
+        row = adj[t]
+        to_clique = []
+        to_stable = []
+        for i, step in enumerate(drops):
+            (to_stable if row >> i & 1 else to_clique).append(step)
+        # Bit S of level k of the new half: S | {t} reaches k.
+        new_w = _grown(W, to_clique, ones)
+        new_a = _grown(A, to_stable, ones)
+        if t >= 4:
+            size = (ones, *P, 0)
+            bad = _violations(new_w, new_a, size, t)
+            # Halves come in increasing mask order: a later half wins only
+            # with a strictly smaller set.
+            r = 5
+            while bad and r < best_size:
+                found = bad & (size[r] ^ size[r + 1])
+                if found:
+                    best_size, best_mask = r, half | ((found & -found).bit_length() - 1)
+                    break
+                r += 1
+            if early and best_mask:
+                break
+        if t + 1 == n:
+            break
+        _merge(W, new_w, half)
+        _merge(A, new_a, half)
+        P, drops = _SHAPES[t + 1] if t < _SHARED_T else _next_shape(P, drops, t)
+    return _mask_vertices(G, best_mask) if best_mask else None
 
 
 def imperfection_witness(G: Graph) -> VertexSet | None:
     """Node set of an induced subgraph with chi > omega, or None when perfect.
 
-    Walks the vertex subsets by size, then mask, filling omega and alpha
-    of each from smaller subsets, and returns the first S with
+    Builds omega and alpha of every vertex subset as level tables (one
+    bit per subset) and returns the least S, by size and then mask, with
     |S| > alpha(G[S]) * omega(G[S]).  By Lovasz (1972) such an S exists
-    iff G is imperfect, and every such S is imperfect.  The first one is
-    the smallest subset with chi > omega, ties broken by mask: a
-    smallest such subset is minimally imperfect, so it breaks the bound,
-    and no smaller subset can.  Raises TooLargeError past
-    PERFECTION_MAX_N vertices.
+    iff G is imperfect, and every such S is imperfect.  It is the
+    smallest subset with chi > omega, ties broken by mask: a smallest
+    such subset is minimally imperfect, so it breaks the bound, and no
+    smaller subset can.  Raises TooLargeError past PERFECTION_MAX_N
+    vertices.
     """
-    n = G.n
-    if n > PERFECTION_MAX_N:
-        raise TooLargeError(f"perfection check capped at {PERFECTION_MAX_N} vertices")
-    adj = G.bit_adjacency
-    omega_of, alpha_of, code = _OMEGA, _ALPHA, _PAIR_CODE
-    top = 1 << n
-    table = bytearray(top)
-    for r in range(1, n + 1):
-        m = (1 << r) - 1
-        while m < top:
-            v = m & -m
-            rest = m ^ v
-            inside = rest & adj[v.bit_length() - 1]
-            # v joins a clique of its neighbours in rest, or a stable set
-            # of its non-neighbours in rest, or neither.
-            c = table[rest]
-            w = omega_of[table[inside]] + 1
-            a = alpha_of[table[rest ^ inside]] + 1
-            if omega_of[c] > w:
-                w = omega_of[c]
-            if alpha_of[c] > a:
-                a = alpha_of[c]
-            if r > w * a:
-                return _mask_vertices(G, m)
-            table[m] = code[w][a]
-            # Gosper's hack: the next larger mask with the same popcount.
-            ripple = m + v
-            m = (((ripple ^ m) >> 2) // v) | ripple
-    return None
+    return _lovasz_walk(G, early=False)
 
 
 def is_perfect(G: Graph) -> bool:
     """True when every induced subgraph has chi == omega (Lovasz's criterion).
 
-    Raises TooLargeError past PERFECTION_MAX_N vertices.
+    Stops at the first vertex whose new sets break the bound.  Raises
+    TooLargeError past PERFECTION_MAX_N vertices.
     """
-    return imperfection_witness(G) is None
+    return _lovasz_walk(G, early=True) is None
 
 
 # ---------------------------------------------------------------------------

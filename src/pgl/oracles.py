@@ -35,9 +35,17 @@ DEFAULT_SEED = 42
 
 
 def size_cap(default: int) -> int:
-    """Default cap, unless PGL_MAX_N overrides it."""
+    """Default cap, unless PGL_MAX_N overrides it.
+
+    PGL_MAX_N must be a plain non-negative decimal integer; anything else
+    raises ValueError naming the variable.
+    """
     env = os.environ.get("PGL_MAX_N")
-    return int(env) if env else default
+    if not env:
+        return default
+    if not (env.isascii() and env.isdigit()):
+        raise ValueError(f"PGL_MAX_N must be a non-negative decimal integer, got {env!r}")
+    return int(env)
 
 
 def oracle_parameters(G: Graph) -> GraphParameters:

@@ -121,14 +121,15 @@ def _check_expansion(G: Graph) -> str | None:
         return None
     # Every expansion H below is a verified expansion of G with at most as
     # many copies of each origin as the all-max host, so an origin-preserving
-    # injection maps H onto an induced subgraph of the host.  The host's
-    # alpha * omega walk covers every vertex set of the host, and with it
-    # every vertex set of every H; a perfect host therefore settles them all.
-    # This reuses subsets the walk has already checked and does not assume
-    # that expansion preserves perfection: the host is still decided from
-    # scratch.  When it is not verified or not perfect, each H is walked on
-    # its own exactly as before, so the first failing vector and its
-    # evidence are unchanged.
+    # injection maps H onto an induced subgraph of the host.  is_perfect
+    # answers True only after its alpha * omega tables have checked every
+    # vertex set of the host (it stops early only on a violation), and with
+    # it every vertex set of every H; a perfect host therefore settles them
+    # all.  This reuses subsets the host's check has covered and does not
+    # assume that expansion preserves perfection: the host is still decided
+    # from scratch.  When it is not verified or not perfect, each H is
+    # checked on its own exactly as before, so the first failing vector and
+    # its evidence are unchanged.
     top = EXPANSION_MAX_MULTIPLICITY
     host, hw = expand(G, {v: top for v in G.nodes})
     host_perfect = verify_expansion(G, host, hw.back) and is_perfect(host)

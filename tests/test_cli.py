@@ -145,6 +145,15 @@ def test_sweep_rejects_negative_bounds(capsys):
     assert capsys.readouterr().err == "error: graph count must be non-negative, got -5\n"
 
 
+@pytest.mark.parametrize("value, n", [("abc", "5"), ("-4", "2")])
+def test_sweep_rejects_a_malformed_size_cap(monkeypatch, capsys, value, n):
+    monkeypatch.setenv("PGL_MAX_N", value)
+    assert run_command(["sweep", "--prop", "berge", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: PGL_MAX_N must be a non-negative decimal integer, got {value!r}\n"
+
+
 def test_sweep_json_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run_command(

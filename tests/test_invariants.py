@@ -153,14 +153,175 @@ def test_imperfection_witness_is_the_least_subset_with_chi_above_omega():
         assert imperfection_witness(g) == _least_subset_with_chi_above_omega(g)
 
 
-def test_perfection_cap():
+# The pairs (omega, alpha) with omega + alpha <= 21, one byte code each.
+_PAIRS = [(w, a) for w in range(22) for a in range(22 - w)]
+_OMEGA = [w for w, _ in _PAIRS]
+_ALPHA = [a for _, a in _PAIRS]
+_PAIR_CODE = [[c for c, (w, _) in enumerate(_PAIRS) if w == omega] for omega in range(22)]
+
+
+def _reference_witness(g):
+    """The byte-per-subset Gosper walk that the level tables replaced.
+
+    Walks the subsets by size, then mask, filling omega and alpha of each
+    from smaller subsets, and returns the first S with |S| > alpha * omega.
+    """
+    omega_of, alpha_of, code = _OMEGA, _ALPHA, _PAIR_CODE
+    n, adj = g.n, g.bit_adjacency
+    top = 1 << n
+    table = bytearray(top)
+    for r in range(1, n + 1):
+        m = (1 << r) - 1
+        while m < top:
+            v = m & -m
+            rest = m ^ v
+            inside = rest & adj[v.bit_length() - 1]
+            c = table[rest]
+            w = max(omega_of[c], omega_of[table[inside]] + 1)
+            a = max(alpha_of[c], alpha_of[table[rest ^ inside]] + 1)
+            if r > w * a:
+                return tuple(x for i, x in enumerate(g.nodes) if m >> i & 1)
+            table[m] = code[w][a]
+            ripple = m + v
+            m = (((ripple ^ m) >> 2) // v) | ripple
+    return None
+
+
+def _random_graph(rng, n, density):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return make_graph(range(n), [e for e in pairs if rng.random() < density])
+
+
+def _cross_pairs(rng, n):
+    """Each pair of an even and an odd vertex, with probability 1/2."""
+    return [(u, v) for u in range(0, n, 2) for v in range(1, n, 2) if rng.random() < 0.5]
+
+
+def _bipartite(rng, n):
+    return make_graph(range(n), _cross_pairs(rng, n))
+
+
+def _split(rng, n):
+    clique = [(u, v) for u in range(0, n, 2) for v in range(u + 2, n, 2)]
+    return make_graph(range(n), clique + _cross_pairs(rng, n))
+
+
+def _interval(rng, n):
+    spans = [(a, a + rng.uniform(0, 4)) for a in (rng.uniform(0, n) for _ in range(n))]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    meet = [(u, v) for u, v in pairs if spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]]
+    return make_graph(range(n), meet)
+
+
+def _with_hole(g, hole):
+    """g with the vertices of hole inducing the cycle through them in order."""
+    inside = set(hole)
+    edges = [(u, v) for u, v in g.edges if not (u in inside and v in inside)]
+    return make_graph(g.nodes, edges + [(hole[i - 1], hole[i]) for i in range(len(hole))])
+
+
+def _top_vertex_hole(rng, n):
+    """A bipartite graph on 0..n-2 plus vertex n-1 closing an induced P4 into a 5-cycle."""
+    base = _bipartite(rng, n - 1)
+    a, b, c, d = 0, 1, 2, 3
+    inside = {a, b, c, d}
+    edges = [(u, v) for u, v in base.edges if not (u in inside and v in inside)]
+    edges += [(a, b), (b, c), (c, d), (a, n - 1), (d, n - 1)]
+    return make_graph(range(n), edges)
+
+
+def _assert_like_reference(graphs):
+    for g in graphs:
+        expected = _reference_witness(g)
+        assert imperfection_witness(g) == expected, g.edges
+        assert is_perfect(g) == (expected is None), g.edges
+
+
+def test_level_tables_match_the_gosper_walk_on_all_small_graphs():
+    _assert_like_reference(g for n in range(7) for g in enumerate_graphs(n))
+
+
+def test_level_tables_match_the_gosper_walk_on_random_graphs():
+    rng = random.Random(20)
+    densities = (0.2, 0.5, 0.8)
+    _assert_like_reference(
+        _random_graph(rng, n, d) for n in range(7, 17) for d in densities for _ in range(10)
+    )
+
+
+def test_level_tables_match_the_gosper_walk_on_perfect_families():
+    rng = random.Random(21)
+    families = [_bipartite, _split, _interval]
+    graphs = [family(rng, n) for n in range(5, 17) for family in families for _ in range(2)]
+    graphs += [complement(_bipartite(rng, n)) for n in range(5, 17) for _ in range(2)]
+    assert all(is_perfect(g) for g in graphs)
+    _assert_like_reference(graphs)
+
+
+def test_level_tables_match_the_gosper_walk_on_planted_holes():
+    rng = random.Random(22)
+    graphs = []
+    for n in range(7, 21):
+        for k in (5, 7):
+            graphs.append(_with_hole(_random_graph(rng, n, 0.3), rng.sample(range(n), k)))
+            graphs.append(_with_hole(_bipartite(rng, n), rng.sample(range(n), k)))
+            graphs.append(complement(_with_hole(_bipartite(rng, n), rng.sample(range(n), k))))
+        graphs.append(_with_hole(_bipartite(rng, n), range(5)))
+        graphs.append(_top_vertex_hole(rng, n))
+    _assert_like_reference(graphs)
+
+
+def test_level_tables_match_the_gosper_walk_at_zero_and_one_vertex():
+    _assert_like_reference([make_graph([]), make_graph([7])])
+
+
+def test_is_perfect_stops_at_the_first_violating_vertex_prefix(monkeypatch):
+    from pgl import invariants
+
+    checked = []
+    real = invariants._violations
+
+    def violations(W, A, size, t):
+        checked.append(t)
+        return real(W, A, size, t)
+
+    monkeypatch.setattr(invariants, "_violations", violations)
+    rng = random.Random(23)
+    early = _with_hole(_bipartite(rng, 20), range(5))
+    assert not is_perfect(early)
+    assert checked == [4]
+    checked.clear()
+    assert imperfection_witness(early) == (0, 1, 2, 3, 4)
+    assert checked == list(range(4, 20))
+    late = _top_vertex_hole(rng, 20)
+    assert is_perfect(induced_subgraph(late, range(19)))
+    checked.clear()
+    assert not is_perfect(late)
+    assert checked == list(range(4, 20))
+
+
+def test_perfection_cap(monkeypatch):
+    from pgl import invariants
     from pgl.invariants import PERFECTION_MAX_N
 
     halves = [(u, v) for u in range(10) for v in range(10, 20) if (u * v) % 3 != 1]
+    rng = random.Random(24)
     assert PERFECTION_MAX_N == 20
     assert is_perfect(make_graph(range(20), halves))
-    with pytest.raises(TooLargeError):
-        is_perfect(edgeless(21))
+    assert is_perfect(complement(make_graph(range(20), halves)))
+    assert is_perfect(_split(rng, 20))
+    only_hole = _top_vertex_hole(rng, 20)
+    assert is_perfect(induced_subgraph(only_hole, range(19)))
+    assert not is_perfect(only_hole)
+    assert imperfection_witness(only_hole) == (0, 1, 2, 3, 19)
+
+    def no_table(*args):
+        raise AssertionError("a level table was built past the cap")
+
+    monkeypatch.setattr(invariants, "_grown", no_table)
+    for check in (is_perfect, imperfection_witness):
+        with pytest.raises(TooLargeError, match="^perfection check capped at 20 vertices$"):
+            check(edgeless(21))
 
 
 def test_perfection_is_hereditary():

@@ -136,6 +136,26 @@ def test_enumerate_cap_env_override(monkeypatch):
     assert next(enumerate_graphs(7)).n == 7
 
 
+@pytest.mark.parametrize("value", ["abc", "-4", "+5", " 5", "5 ", "1e3", "0x10", "\u0663"])
+def test_size_cap_rejects_a_malformed_override(monkeypatch, value):
+    from pgl.oracles import size_cap
+
+    monkeypatch.setenv("PGL_MAX_N", value)
+    with pytest.raises(ValueError) as exc:
+        size_cap(12)
+    assert str(exc.value) == f"PGL_MAX_N must be a non-negative decimal integer, got {value!r}"
+
+
+def test_size_cap_reads_a_decimal_override(monkeypatch):
+    from pgl.oracles import size_cap
+
+    for value, cap in (("", 12), ("0", 0), ("7", 7), ("030", 30)):
+        monkeypatch.setenv("PGL_MAX_N", value)
+        assert size_cap(12) == cap
+    monkeypatch.delenv("PGL_MAX_N")
+    assert size_cap(12) == 12
+
+
 def test_enumerate_random_is_reproducible():
     a = [g.edges for g in enumerate_graphs(7, "random", seed=42, count=50)]
     b = [g.edges for g in enumerate_graphs(7, "random", seed=42, count=50)]
