@@ -4,7 +4,8 @@ Subcommands: analyze, certify, verify, replicate, expand, separate,
 iso, sweep, convert.  Graphs are read from --in (or stdin) in graph6,
 DIMACS, or edge-list format; exit status 0 means success or the checked
 property holds, 1 means the property fails or the pipeline produced
-negative evidence, 2 means a usage or parse error.  Output is
+negative evidence, 2 means a usage or parse error, an input past a
+size cap, or one too deep for a recursive search.  Output is
 deterministic: identical inputs and flags give byte-identical output.
 
 run_command may be called any number of times in one process.  The
@@ -365,6 +366,11 @@ def run_command(argv: Sequence[str]) -> int:
         return 2
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
+        return 2
+    except RecursionError:
+        # The searches recurse once per vertex of a path or clique, so a
+        # deep enough input outgrows the interpreter's stack.
+        sys.stderr.write("error: input too deep for the recursive search (Python recursion limit)\n")
         return 2
 
 

@@ -201,7 +201,7 @@ def _dimacs_decode(payload: str) -> Graph:
                 raise ParseError("duplicate problem line", line=lineno)
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError("problem line must be 'p edge <n> <m>'", line=lineno)
-            n, declared = _int_token(tokens[2], lineno), _int_token(tokens[3], lineno)
+            n, declared = _count_token(tokens[2], lineno), _int_token(tokens[3], lineno)
         elif tokens[0] == "e":
             if n is None:
                 raise ParseError("edge line before problem line", line=lineno)
@@ -222,6 +222,13 @@ def _int_token(token: str, lineno: int) -> int:
         return int(token)
     except ValueError:
         raise ParseError(f"expected an integer, got {token!r}", line=lineno) from None
+
+
+def _count_token(token: str, lineno: int) -> int:
+    count = _int_token(token, lineno)
+    if count < 0:
+        raise ParseError(f"vertex count must be non-negative, got {count}", line=lineno)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +259,7 @@ def _edgelist_decode(payload: str) -> Graph:
         if not seen_any and tokens[0] == "n":
             if len(tokens) != 2:
                 raise ParseError("header must be 'n <count>'", line=lineno)
-            declared = _int_token(tokens[1], lineno)
+            declared = _count_token(tokens[1], lineno)
             seen_any = True
             continue
         seen_any = True

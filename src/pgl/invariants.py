@@ -1,6 +1,7 @@
 """Exact graph parameters and the decidable predicates built on them.
 
-Clique and stable numbers come from a branch-and-bound over
+Clique and stable numbers, together with the lexicographically least
+maximum clique and stable set, come from one branch-and-bound over
 vertex-ordered subsets with a greedy coloring bound; the chromatic
 number from iterative deepening over a backtracking proper-coloring
 search with the first vertex pinned to color 0.  Perfection uses
@@ -26,7 +27,7 @@ Coloring = Mapping[int, int]
 COVER_KINDS = ("stable", "clique")
 
 # The perfection check keeps one bit per vertex subset and level: at the
-# cap a call peaks at 4.9-6.1 MiB above its starting ru_maxrss on
+# cap a call peaks at 4.4-5.3 MiB above its starting ru_maxrss on
 # bipartite, split and interval graphs.  Not affected by PGL_MAX_N, which
 # only moves the oracle caps.
 PERFECTION_MAX_N = 20
@@ -96,13 +97,22 @@ def _greedy_color_classes(adj: Sequence[int], cand: int) -> int:
     return len(classes)
 
 
-def _max_clique_size(adj: Sequence[int], universe: int) -> int:
-    best = 0
+def _max_clique(adj: Sequence[int], universe: int) -> tuple[int, int]:
+    """Size and bitmask of the lexicographically least maximum clique in universe.
 
-    def extend(size: int, cand: int) -> None:
-        nonlocal best
+    The search meets cliques in lexicographic order of their sorted
+    indices, and the mask is recorded only when the size strictly grows.
+    Both prunes, on candidate count and on greedy color classes, cut
+    only branches that cannot beat the best size so far, so while it is
+    below omega no branch holding an omega-clique is cut: the first
+    omega-clique met is the least one.
+    """
+    best, best_mask = 0, 0
+
+    def extend(size: int, chosen: int, cand: int) -> None:
+        nonlocal best, best_mask
         if size > best:
-            best = size
+            best, best_mask = size, chosen
         if not cand or size + cand.bit_count() <= best:
             return
         if size + _greedy_color_classes(adj, cand) <= best:
@@ -114,51 +124,10 @@ def _max_clique_size(adj: Sequence[int], universe: int) -> int:
             v = m & -m
             i = v.bit_length() - 1
             m ^= v
-            extend(size + 1, m & adj[i])
+            extend(size + 1, chosen | v, m & adj[i])
 
-    extend(0, universe)
-    return best
-
-
-def _exists_clique(adj: Sequence[int], cand: int, k: int) -> bool:
-    """Is there a clique of size at least k inside cand?"""
-    if k <= 0:
-        return True
-    if cand.bit_count() < k or _greedy_color_classes(adj, cand) < k:
-        return False
-    m = cand
-    while m:
-        if m.bit_count() < k:
-            return False
-        v = m & -m
-        i = v.bit_length() - 1
-        m ^= v
-        if _exists_clique(adj, m & adj[i], k - 1):
-            return True
-    return False
-
-
-def _lex_min_clique(adj: Sequence[int], universe: int, k: int) -> int:
-    """Bitmask of the lexicographically least clique of size k (one must exist)."""
-    chosen = 0
-    cand = universe
-    need = k
-    while need:
-        m = cand
-        committed = False
-        while m:
-            v = m & -m
-            i = v.bit_length() - 1
-            m ^= v
-            if _exists_clique(adj, cand & adj[i], need - 1):
-                chosen |= v
-                cand &= adj[i]
-                need -= 1
-                committed = True
-                break
-        if not committed:
-            raise AssertionError("no clique of the requested size exists")
-    return chosen
+    extend(0, 0, universe)
+    return best, best_mask
 
 
 def _co_adjacency(adj: Sequence[int], n: int) -> tuple[int, ...]:
@@ -216,41 +185,25 @@ def _chromatic(adj: Sequence[int], n: int, lower: int) -> tuple[int, list[int]]:
 
 
 def clique_number(G: Graph) -> int:
-    if G.n == 0:
-        return 0
-    return _max_clique_size(G.bit_adjacency, (1 << G.n) - 1)
+    return _max_clique(G.bit_adjacency, (1 << G.n) - 1)[0]
 
 
 def stable_number(G: Graph) -> int:
-    if G.n == 0:
-        return 0
-    return _max_clique_size(_co_adjacency(G.bit_adjacency, G.n), (1 << G.n) - 1)
+    return _max_clique(_co_adjacency(G.bit_adjacency, G.n), (1 << G.n) - 1)[0]
 
 
 def chromatic_number(G: Graph) -> int:
-    if G.n == 0:
-        return 0
     return _chromatic(G.bit_adjacency, G.n, clique_number(G))[0]
 
 
 def max_clique_witness(G: Graph) -> VertexSet:
     """Lexicographically least clique of maximum size."""
-    if G.n == 0:
-        return ()
-    adj = G.bit_adjacency
-    full = (1 << G.n) - 1
-    mask = _lex_min_clique(adj, full, _max_clique_size(adj, full))
-    return _mask_vertices(G, mask)
+    return _mask_vertices(G, _max_clique(G.bit_adjacency, (1 << G.n) - 1)[1])
 
 
 def max_stable_witness(G: Graph) -> VertexSet:
     """Lexicographically least stable set of maximum size."""
-    if G.n == 0:
-        return ()
-    co = _co_adjacency(G.bit_adjacency, G.n)
-    full = (1 << G.n) - 1
-    mask = _lex_min_clique(co, full, _max_clique_size(co, full))
-    return _mask_vertices(G, mask)
+    return _mask_vertices(G, _max_clique(_co_adjacency(G.bit_adjacency, G.n), (1 << G.n) - 1)[1])
 
 
 def _mask_vertices(G: Graph, mask: int) -> VertexSet:
@@ -259,21 +212,18 @@ def _mask_vertices(G: Graph, mask: int) -> VertexSet:
 
 def graph_parameters(G: Graph) -> GraphParameters:
     """Exact alpha, omega, chi for G with validating witnesses."""
-    if G.n == 0:
-        return GraphParameters(0, 0, 0, (), (), {})
     n = G.n
     adj = G.bit_adjacency
-    co = _co_adjacency(adj, n)
     full = (1 << n) - 1
-    omega = _max_clique_size(adj, full)
-    alpha = _max_clique_size(co, full)
+    omega, clique = _max_clique(adj, full)
+    alpha, stable = _max_clique(_co_adjacency(adj, n), full)
     chi, assign = _chromatic(adj, n, omega)
     params = GraphParameters(
         alpha,
         omega,
         chi,
-        _mask_vertices(G, _lex_min_clique(adj, full, omega)),
-        _mask_vertices(G, _lex_min_clique(co, full, alpha)),
+        _mask_vertices(G, clique),
+        _mask_vertices(G, stable),
         {G.nodes[i]: assign[i] for i in range(n)},
     )
     if params.omega > params.chi:
@@ -304,7 +254,7 @@ def _max_stable_masks(adj: Sequence[int], n: int, alpha: int | None = None) -> l
             m ^= v
             extend(chosen | v, m & co[i], need - 1)
 
-    extend(0, full, _max_clique_size(co, full) if alpha is None else alpha)
+    extend(0, full, _max_clique(co, full)[0] if alpha is None else alpha)
     return out
 
 
@@ -317,11 +267,9 @@ def max_stable_sets(G: Graph) -> Cover:
 
 def is_nice(G: Graph) -> bool:
     """True when the chromatic number equals the clique number."""
-    if G.n == 0:
-        return True
     adj = G.bit_adjacency
     full = (1 << G.n) - 1
-    omega = _max_clique_size(adj, full)
+    omega = _max_clique(adj, full)[0]
     return _try_color(adj, _color_order(adj, full), omega) is not None
 
 
@@ -450,6 +398,9 @@ def _lovasz_walk(G: Graph, early: bool) -> VertexSet | None:
             break
         _merge(W, new_w, half)
         _merge(A, new_a, half)
+        # This half is merged; drop it (size holds the old P) before the
+        # next vertex builds twice as much.
+        new_w = new_a = size = bad = None
         P, drops = _SHAPES[t + 1] if t < _SHARED_T else _next_shape(P, drops, t)
     return _mask_vertices(G, best_mask) if best_mask else None
 

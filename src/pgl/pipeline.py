@@ -187,10 +187,18 @@ def wpgt_certificate(G: Graph) -> WpgtCertificate | PerfectnessFailure:
 
 
 def verify_certificate(G: Graph, cert: WpgtCertificate) -> bool:
-    """Re-check every certificate invariant from scratch."""
+    """Re-check every certificate invariant from scratch.
+
+    The cover's parts must each list distinct vertices, and the coloring
+    must color exactly the graph's nodes.
+    """
     if len(cert.clique_cover) != cert.alpha:
         return False
+    if any(len(set(part)) != len(part) for part in cert.clique_cover):
+        return False
     if not check_cover(G, cert.clique_cover, "clique"):
+        return False
+    if cert.complement_coloring.keys() != set(G.nodes):
         return False
     if stable_number(G) != cert.alpha:
         return False

@@ -73,6 +73,24 @@ def test_verify_rejects_tampered_certificate(house_file, tmp_path, capsys):
     assert "certificate invalid" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "cover, coloring",
+    [
+        # A coloring of a vertex the graph does not have.
+        ([[1], [2, 3]], {"1": 0, "2": 1, "3": 1, "99": 7}),
+        # A part that lists a vertex twice.
+        ([[1, 1], [2, 3]], {"1": 0, "2": 1, "3": 1}),
+    ],
+)
+def test_verify_rejects_a_certificate_for_another_vertex_set(cover, coloring, tmp_path, capsys):
+    p3 = tmp_path / "p3.el"
+    p3.write_text("n 3\n1 2\n2 3\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"alpha": 2, "clique_cover": cover, "complement_coloring": coloring}))
+    assert run_command(["verify", "--in", str(p3), "--cert", str(cert)]) == 1
+    assert capsys.readouterr().out == "certificate invalid\n"
+
+
 def test_replicate_command(c5_file, tmp_path, capsys):
     out_path = str(tmp_path / "out.el")
     assert run_command(
@@ -206,6 +224,33 @@ def test_self_loop_input_exit_code(tmp_path):
     bad = tmp_path / "bad2.col"
     bad.write_text("p edge 2 1\ne 1 1\n")
     assert run_command(["analyze", "--in", str(bad)]) == 2
+
+
+def test_iso_past_the_recursion_limit_is_an_error_not_a_verdict(tmp_path, capsys):
+    path = tmp_path / "path.el"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 1200)))
+    assert run_command(["iso", "--in", str(path), "--other", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input too deep for the recursive search (Python recursion limit)\n"
+
+
+def test_certify_past_the_recursion_limit_is_an_error_not_evidence(tmp_path, capsys):
+    # The stable-set search recurses once per vertex of an edgeless
+    # graph; a lowered limit makes a 300-vertex graph hit it in well
+    # under a second, where 1200 vertices at the default limit take 20 s.
+    edgeless = tmp_path / "edgeless.el"
+    edgeless.write_text("n 300\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        status = run_command(["certify", "--in", str(edgeless)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert status == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input too deep for the recursive search (Python recursion limit)\n"
 
 
 def test_usage_error_exit_code():

@@ -120,7 +120,14 @@ def test_dimacs_dangling_edge_propagates():
 
 
 def test_dimacs_rejects_malformed_documents():
-    for text in ("e 1 2\n", "p edge 2\n", "p edge 2 1\ne 1 2\ne 1 2\n", "p edge 2 0\nx\n", "p edge a 0\n"):
+    for text in (
+        "e 1 2\n",
+        "p edge 2\n",
+        "p edge 2 1\ne 1 2\ne 1 2\n",
+        "p edge 2 0\nx\n",
+        "p edge a 0\n",
+        "p edge -3 0\n",
+    ):
         with pytest.raises(ParseError):
             parse_graph(GraphDocument("dimacs", text))
 
@@ -168,6 +175,8 @@ def test_edgelist_rejects_malformed_lines():
         parse_graph(GraphDocument("edgelist", "1 2 3\n"))
     with pytest.raises(ParseError):
         parse_graph(GraphDocument("edgelist", "n x\n"))
+    with pytest.raises(ParseError, match="^line 2, column 1: vertex count must be non-negative, got -4$"):
+        parse_graph(GraphDocument("edgelist", "# header\nn -4\n"))
 
 
 def test_dot_export():

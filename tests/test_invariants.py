@@ -1,6 +1,7 @@
 """Parameters, covers, colorings, niceness and perfection."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -25,7 +26,9 @@ from pgl import (
     is_stable,
     is_valid_coloring,
     make_graph,
+    max_clique_witness,
     max_stable_sets,
+    max_stable_witness,
     replicate,
 )
 
@@ -78,6 +81,82 @@ def test_parameter_witnesses_validate():
         assert is_valid_coloring(g, p.chi_witness)
         assert len(colors_used(g, p.chi_witness)) == p.chi
         assert p.omega <= p.chi
+
+
+def _least_largest_clique(g):
+    """The first clique by combinations, largest size first."""
+    adj = g.bit_adjacency
+    for r in range(g.n, -1, -1):
+        for S in combinations(range(g.n), r):
+            if all(adj[i] >> j & 1 for i, j in combinations(S, 2)):
+                return tuple(g.nodes[i] for i in S)
+
+
+def _reference_lex_min(adj, universe):
+    """Mask of the least maximum clique, by the two-engine search that the
+    one clique search replaced (without its coloring bound).
+
+    Finds the clique number by asking for ever larger cliques, then
+    commits vertices in index order while a clique of the remaining size
+    still completes.
+    """
+
+    def exists(cand, k):
+        if k <= 0:
+            return True
+        m = cand
+        while m:
+            if m.bit_count() < k:
+                return False
+            v = m & -m
+            m ^= v
+            if exists(m & adj[v.bit_length() - 1], k - 1):
+                return True
+        return False
+
+    need = 0
+    while exists(universe, need + 1):
+        need += 1
+    chosen, cand = 0, universe
+    while need:
+        m = cand
+        while m:
+            v = m & -m
+            m ^= v
+            i = v.bit_length() - 1
+            if exists(cand & adj[i], need - 1):
+                chosen |= v
+                cand &= adj[i]
+                need -= 1
+                break
+    return chosen
+
+
+def _assert_witnesses(g, clique, stable):
+    p = graph_parameters(g)
+    assert (p.max_clique_witness, p.max_stable_witness) == (clique, stable), g.edges
+    assert (p.omega, p.alpha) == (len(clique), len(stable)), g.edges
+    assert max_clique_witness(g) == clique, g.edges
+    assert max_stable_witness(g) == stable, g.edges
+
+
+def test_witnesses_are_the_lex_least_maximum_sets_on_all_small_graphs():
+    for g in (g for n in range(7) for g in enumerate_graphs(n)):
+        _assert_witnesses(g, _least_largest_clique(g), _least_largest_clique(complement(g)))
+
+
+def test_witnesses_match_the_two_engine_search_on_random_graphs():
+    rng = random.Random(1975)
+    graphs = [_random_graph(rng, n, d) for n in range(7, 17) for d in (0.2, 0.5, 0.8) for _ in range(34)]
+    for g in graphs + [complement(g) for g in graphs]:
+        full = (1 << g.n) - 1
+        clique = _reference_lex_min(g.bit_adjacency, full)
+        stable = _reference_lex_min(complement(g).bit_adjacency, full)
+        _assert_witnesses(
+            g,
+            tuple(v for i, v in enumerate(g.nodes) if clique >> i & 1),
+            tuple(v for i, v in enumerate(g.nodes) if stable >> i & 1),
+        )
 
 
 def test_graph_parameters_checks_itself_under_python_O():
