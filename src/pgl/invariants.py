@@ -115,7 +115,8 @@ def _max_clique(adj: Sequence[int], universe: int) -> tuple[int, int]:
             best, best_mask = size, chosen
         if not cand or size + cand.bit_count() <= best:
             return
-        if size + _greedy_color_classes(adj, cand) <= best:
+        # At best == size the bound prunes only an empty cand, handled above.
+        if best > size and size + _greedy_color_classes(adj, cand) <= best:
             return
         m = cand
         while m:

@@ -1,9 +1,13 @@
 """Independent brute-force oracles and small-graph streams.
 
 Everything here is deliberately naive and shares nothing with the
-parameter module beyond the core graph type: alpha and omega come from
-full subset enumeration, chi from trying every assignment of k colors
-for growing k, and Berge recognition from enumerating odd vertex
+parameter module beyond the core graph type and its result record:
+alpha and omega come from subset enumeration in combinations order,
+each subset tested with one mask AND per member against the bitmask
+rows; chi from walking the assignments of k colors, for growing k, in
+product order, vertex 0 first, cutting a prefix as soon as it gives two
+ends of an edge the same color (no vertex order, no symmetry breaking,
+no lower bound).  Berge recognition comes from enumerating odd vertex
 subsets and testing for induced chordless cycles.  Perfection by
 definition computes chi and omega of every vertex subset with a bitmask
 dynamic program: chi of a subset is one plus the least chi left after
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import os
 import random
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .core import Graph, complement, induced_subgraph, make_graph
@@ -48,38 +52,79 @@ def size_cap(default: int) -> int:
     return int(env)
 
 
+def _first_proper_coloring(adj: Sequence[int]) -> tuple[int, list[int]]:
+    """Least k with a proper k-coloring, and the first one in
+    product(range(k), repeat=n) order.
+
+    Tries k = 0, 1, ... in turn.  Each try walks the product order depth
+    first, vertex 0 first and colors in increasing order, and cuts a
+    prefix once it gives two ends of an edge the same color: every
+    assignment below such a prefix is improper, so the first assignment
+    the walk completes is the first proper one of the product.
+    """
+    n = len(adj)
+    earlier = [[j for j in range(i) if adj[i] >> j & 1] for i in range(n)]
+    assign = [0] * n
+
+    def place(i: int, k: int) -> bool:
+        if i == n:
+            return True
+        taken = {assign[j] for j in earlier[i]}
+        for c in range(k):
+            if c not in taken:
+                assign[i] = c
+                if place(i + 1, k):
+                    return True
+        return False
+
+    k = 0
+    while not place(0, k):
+        k += 1
+    return k, assign
+
+
 def oracle_parameters(G: Graph) -> GraphParameters:
-    """alpha, omega by full subset enumeration; chi by trying all colorings
-    with k colors for k = 0, 1, ... in increasing order."""
+    """alpha, omega by subset enumeration; chi by trying the colorings with
+    k colors for k = 0, 1, ... in increasing order.
+
+    Subsets come in combinations order, smallest first, and the first
+    stable set and the first clique of the largest size are the
+    witnesses.  Both properties are hereditary, so a size is searched
+    only while the size below it had one, and the scan stops at the
+    first size that has neither.  The chi witness is the first proper
+    assignment in product order.
+    """
     n = G.n
-    if n > size_cap(ORACLE_MAX_N):
-        raise TooLargeError(f"subset enumeration capped at {size_cap(ORACLE_MAX_N)} vertices")
-    nodes = G.nodes
+    cap = size_cap(ORACLE_MAX_N)
+    if n > cap:
+        raise TooLargeError(f"subset enumeration capped at {cap} vertices")
+    nodes, adj = G.nodes, G.bit_adjacency
+    closed = [a | 1 << i for i, a in enumerate(adj)]
     best_stable: tuple[int, ...] = ()
     best_clique: tuple[int, ...] = ()
     for r in range(1, n + 1):
-        for S in combinations(nodes, r):
-            pairs = list(combinations(S, 2))
-            if len(S) > len(best_stable) and all(not G.adjacent(u, v) for u, v in pairs):
-                best_stable = S
-            if len(S) > len(best_clique) and all(G.adjacent(u, v) for u, v in pairs):
-                best_clique = S
-    index = G.index
-    epairs = [(index[u], index[v]) for u, v in G.edges]
-    chi = 0
-    chi_witness: dict[int, int] = {}
-    for k in range(0, n + 1):
-        done = False
-        for assign in product(range(k), repeat=n):
-            if all(assign[i] != assign[j] for i, j in epairs):
-                chi = k
-                chi_witness = {nodes[i]: assign[i] for i in range(n)}
-                done = True
-                break
-        if done or n == 0:
+        want_stable = len(best_stable) == r - 1
+        want_clique = len(best_clique) == r - 1
+        if not (want_stable or want_clique):
             break
+        for S in combinations(range(n), r):
+            mask = 0
+            for i in S:
+                mask |= 1 << i
+            if want_stable and all(not adj[i] & mask for i in S):
+                best_stable, want_stable = S, False
+            if want_clique and all(closed[i] & mask == mask for i in S):
+                best_clique, want_clique = S, False
+            if not (want_stable or want_clique):
+                break
+    chi, assign = _first_proper_coloring(adj)
     return GraphParameters(
-        len(best_stable), len(best_clique), chi, best_clique, best_stable, chi_witness
+        len(best_stable),
+        len(best_clique),
+        chi,
+        tuple(nodes[i] for i in best_clique),
+        tuple(nodes[i] for i in best_stable),
+        {nodes[i]: assign[i] for i in range(n)},
     )
 
 

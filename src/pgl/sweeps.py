@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 from .constructions import build_separated_graph, expand, replicate, verify_expansion, verify_replication
 from .core import Graph, complement, make_graph, union_over, vertex_set
+from .errors import TooLargeError
 from .invariants import (
     clique_number,
     graph_parameters,
@@ -31,11 +32,13 @@ from .invariants import (
 )
 from .iso import find_isomorphism, verify_iso_witness
 from .oracles import (
+    EXHAUSTIVE_MAX_N,
     confirms_imperfection,
     enumerate_graphs,
     is_berge,
     is_perfect_by_definition,
     oracle_parameters,
+    size_cap,
     stream_size,
 )
 from .pipeline import (
@@ -262,7 +265,10 @@ def _resolve(properties: str | Sequence[str]) -> tuple[str, ...]:
 def _run_slice(
     names: tuple[str, ...], n: int, mode: str, seed: int, count: int, start: int, stop: int
 ) -> list[tuple[int, int, tuple[tuple[int, int], ...], str, str]]:
-    """Check one slice of the stream; returns raw counterexample tuples."""
+    """Check one slice of the stream; returns raw counterexample tuples.
+
+    sweep() has already checked the exhaustive size cap.
+    """
     out = []
     stream = islice(
         enumerate_graphs(n, mode, seed=seed, count=count, allow_large=True), start, stop
@@ -291,11 +297,17 @@ def sweep(
 ) -> SweepReport:
     """Run property checks over the graph stream and report counterexamples.
 
-    jobs is clamped to the machine's CPU count.
+    jobs is clamped to the machine's CPU count.  An exhaustive stream past
+    the EXHAUSTIVE_MAX_N cap (or PGL_MAX_N) raises TooLargeError before
+    any graph is checked or any worker starts.
     """
     names = _resolve(properties)
     jobs = _worker_count(jobs, os.cpu_count())
     total = stream_size(n, mode, count)
+    if mode == "exhaustive":
+        cap = size_cap(EXHAUSTIVE_MAX_N)
+        if n > cap:
+            raise TooLargeError(f"exhaustive enumeration capped at {cap} vertices")
     started = time.perf_counter()
     raw: list[tuple[int, int, tuple[tuple[int, int], ...], str, str]] = []
     if jobs <= 1 or total < 2 * jobs:

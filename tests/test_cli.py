@@ -163,6 +163,29 @@ def test_sweep_rejects_negative_bounds(capsys):
     assert capsys.readouterr().err == "error: graph count must be non-negative, got -5\n"
 
 
+def test_sweep_past_the_exhaustive_cap_fails_fast(monkeypatch, capsys):
+    # 2^36 graphs at n = 9: without the cap check this never returns.
+    monkeypatch.delenv("PGL_MAX_N", raising=False)
+    for jobs in ("1", "2"):
+        assert run_command(["sweep", "--prop", "duality", "--n", "9", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: exhaustive enumeration capped at 6 vertices\n"
+    # The cap bounds exhaustive streams only.
+    assert run_command(["sweep", "--prop", "duality", "--n", "9", "--mode", "random", "--count", "2"]) == 0
+    assert capsys.readouterr().out == "2 graphs, 0 counterexamples\n"
+
+
+def test_sweep_cap_follows_the_size_override(monkeypatch, capsys):
+    monkeypatch.setenv("PGL_MAX_N", "3")
+    assert run_command(["sweep", "--prop", "duality", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exhaustive enumeration capped at 3 vertices\n"
+    assert run_command(["sweep", "--prop", "duality", "--n", "3"]) == 0
+    assert capsys.readouterr().out == "8 graphs, 0 counterexamples\n"
+
+
 @pytest.mark.parametrize("value, n", [("abc", "5"), ("-4", "2")])
 def test_sweep_rejects_a_malformed_size_cap(monkeypatch, capsys, value, n):
     monkeypatch.setenv("PGL_MAX_N", value)

@@ -12,6 +12,7 @@ from pgl import (
     NotAStableCoverError,
     TooLargeError,
     check_cover,
+    clique_number,
     coloring_to_cover,
     colors_used,
     complement,
@@ -30,6 +31,7 @@ from pgl import (
     max_stable_sets,
     max_stable_witness,
     replicate,
+    stable_number,
 )
 
 from conftest import complete, cycle, edgeless, house, joined_double_pentagon, path, run_optimized
@@ -157,6 +159,65 @@ def test_witnesses_match_the_two_engine_search_on_random_graphs():
             tuple(v for i, v in enumerate(g.nodes) if clique >> i & 1),
             tuple(v for i, v in enumerate(g.nodes) if stable >> i & 1),
         )
+
+
+def _unguarded_max_clique(adj, universe):
+    """The clique search as it was when it ran the color bound at every node."""
+    from pgl.invariants import _greedy_color_classes
+
+    best, best_mask = 0, 0
+
+    def extend(size, chosen, cand):
+        nonlocal best, best_mask
+        if size > best:
+            best, best_mask = size, chosen
+        if not cand or size + cand.bit_count() <= best:
+            return
+        if size + _greedy_color_classes(adj, cand) <= best:
+            return
+        m = cand
+        while m:
+            if size + m.bit_count() <= best:
+                return
+            v = m & -m
+            i = v.bit_length() - 1
+            m ^= v
+            extend(size + 1, chosen | v, m & adj[i])
+
+    extend(0, 0, universe)
+    return best, best_mask
+
+
+def test_guarded_color_bound_keeps_every_clique_result():
+    from pgl.invariants import _co_adjacency, _max_clique
+
+    rng = random.Random(1789)
+    small = [g for n in range(7) for g in enumerate_graphs(n)]
+    randoms = [_random_graph(rng, n, d) for n in range(7, 17) for d in (0.2, 0.5, 0.8) for _ in range(10)]
+    for g in small + randoms:
+        full = (1 << g.n) - 1
+        for adj in (g.bit_adjacency, _co_adjacency(g.bit_adjacency, g.n)):
+            assert _max_clique(adj, full) == _unguarded_max_clique(adj, full), g.edges
+
+
+def test_clique_search_skips_the_color_bound_while_it_cannot_prune(monkeypatch):
+    from pgl import invariants
+
+    calls = []
+    greedy = invariants._greedy_color_classes
+
+    def counted(adj, cand):
+        calls.append(cand)
+        return greedy(adj, cand)
+
+    monkeypatch.setattr(invariants, "_greedy_color_classes", counted)
+    # Every node of the one descent through the 300-clique of the
+    # complement has best == size, where the bound cannot cut.
+    assert stable_number(edgeless(300)) == 300
+    assert calls == []
+    # Past the first maximal clique the bound runs again.
+    assert clique_number(joined_double_pentagon()) == 4
+    assert calls
 
 
 def test_graph_parameters_checks_itself_under_python_O():

@@ -4,6 +4,7 @@ graph streams."""
 import pytest
 
 from pgl import (
+    GraphParameters,
     TooLargeError,
     complement,
     enumerate_graphs,
@@ -33,8 +34,68 @@ def test_oracle_parameters_trivial():
 
 
 def test_oracle_parameters_joined_double_pentagon():
-    p = oracle_parameters(joined_double_pentagon())
-    assert (p.alpha, p.omega, p.chi) == (2, 4, 6)
+    # The answer of _product_oracle_parameters below, which spends about
+    # 16 s on this graph: 11 million assignments fail before chi = 6.
+    assert oracle_parameters(joined_double_pentagon()) == GraphParameters(
+        alpha=2,
+        omega=4,
+        chi=6,
+        max_clique_witness=(1, 2, 6, 7),
+        max_stable_witness=(1, 3),
+        chi_witness={1: 0, 2: 1, 3: 0, 4: 1, 5: 2, 6: 3, 7: 4, 8: 3, 9: 4, 10: 5},
+    )
+
+
+def _product_oracle_parameters(g):
+    """oracle_parameters as it was before it moved to bitmask rows: every
+    vertex pair through G.adjacent, and chi from every assignment in
+    product order."""
+    from itertools import combinations, product
+
+    n = g.n
+    nodes = g.nodes
+    best_stable = ()
+    best_clique = ()
+    for r in range(1, n + 1):
+        for S in combinations(nodes, r):
+            pairs = list(combinations(S, 2))
+            if len(S) > len(best_stable) and all(not g.adjacent(u, v) for u, v in pairs):
+                best_stable = S
+            if len(S) > len(best_clique) and all(g.adjacent(u, v) for u, v in pairs):
+                best_clique = S
+    index = g.index
+    epairs = [(index[u], index[v]) for u, v in g.edges]
+    chi = 0
+    chi_witness = {}
+    for k in range(0, n + 1):
+        done = False
+        for assign in product(range(k), repeat=n):
+            if all(assign[i] != assign[j] for i, j in epairs):
+                chi = k
+                chi_witness = {nodes[i]: assign[i] for i in range(n)}
+                done = True
+                break
+        if done or n == 0:
+            break
+    return GraphParameters(
+        len(best_stable), len(best_clique), chi, best_clique, best_stable, chi_witness
+    )
+
+
+def test_oracle_parameters_match_the_product_enumeration():
+    import random
+    from itertools import combinations
+
+    graphs = [g for n in range(6) for g in enumerate_graphs(n)]
+    graphs += list(enumerate_graphs(6))[::8]
+    rng = random.Random(1961)
+    for n, count in ((7, 20), (8, 20), (9, 10)):
+        for _ in range(count):
+            ids = sorted(rng.sample(range(40), n))
+            graphs.append(make_graph(ids, [e for e in combinations(ids, 2) if rng.random() < 0.5]))
+    graphs += [cycle(5), cycle(7), complement(cycle(7)), complement(cycle(9))]
+    for g in graphs:
+        assert oracle_parameters(g) == _product_oracle_parameters(g), (g.nodes, g.edges)
 
 
 def test_oracle_witnesses_validate():

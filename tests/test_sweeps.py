@@ -85,6 +85,16 @@ def test_worker_count_is_clamped_to_the_cpus():
     assert _worker_count(4, None) == 1
 
 
+def test_exhaustive_sweep_past_the_cap_raises_before_any_work(monkeypatch):
+    from pgl import TooLargeError
+
+    monkeypatch.delenv("PGL_MAX_N", raising=False)
+    for jobs in (1, 2):
+        with pytest.raises(TooLargeError, match="exhaustive enumeration capped at 6 vertices"):
+            sweep("duality", 7, jobs=jobs)
+    assert sweep("duality", 7, "random", count=3).graphs_checked == 3
+
+
 def test_unknown_property_rejected():
     with pytest.raises(ValueError):
         sweep("spgt-proof", 3)
