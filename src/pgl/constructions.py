@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .core import Cover, Graph, _graph_from_rows, induced_subgraph, union_over, vertex_set
+from .core import Cover, Graph, induced_subgraph, union_over, vertex_set
 from .errors import (
     EmptyGraphError,
     PartialMapError,
@@ -51,7 +51,7 @@ def replicate(G: Graph, a: int) -> tuple[Graph, ReplicationWitness]:
         rows[low.bit_length() - 1] |= bit
         m ^= low
     rows.append(nbrs | (1 << ia))
-    return _graph_from_rows(G.nodes + (clone,), rows), ReplicationWitness(a, clone)
+    return Graph(G.nodes + (clone,), tuple(rows)), ReplicationWitness(a, clone)
 
 
 def verify_replication(G: Graph, w: ReplicationWitness, H: Graph) -> bool:
@@ -96,7 +96,8 @@ def expand(G: Graph, mult: Mapping[int, int]) -> tuple[Graph, ExpansionWitness]:
     Copies of distinct origins are adjacent exactly when the origins are
     adjacent in G.  The witness's back map sends each fresh vertex to
     its origin and always satisfies verify_expansion.  A multiplicity
-    keyed by a vertex outside G raises VertexNotFoundError.
+    keyed by a vertex outside G raises VertexNotFoundError, and one that
+    is not an int (bool included) raises ValueError.
     """
     for v in mult:
         if not G.has_node(v):
@@ -104,6 +105,8 @@ def expand(G: Graph, mult: Mapping[int, int]) -> tuple[Graph, ExpansionWitness]:
     for v in G.nodes:
         if v not in mult:
             raise PartialMapError(f"multiplicity missing for vertex {v}")
+        if type(mult[v]) is not int:
+            raise ValueError(f"multiplicity for vertex {v} must be an int, got {mult[v]!r}")
         if mult[v] < 1:
             raise ZeroMultiplicityError(f"multiplicity for vertex {v} must be >= 1")
     nxt = G.nodes[-1] + 1 if G.nodes else 0
@@ -114,7 +117,7 @@ def expand(G: Graph, mult: Mapping[int, int]) -> tuple[Graph, ExpansionWitness]:
         for i in range(mult[v]):
             tags[nxt] = (v, i)
             nxt += 1
-    H = _graph_from_rows(tuple(tags), _copy_rows(G, groups, len(tags)))
+    H = Graph(tuple(tags), tuple(_copy_rows(G, groups, len(tags))))
     back = {x: t[0] for x, t in tags.items()}
     if not verify_expansion(G, H, back):
         raise AssertionError("expand built a graph that is not an expansion")
@@ -229,6 +232,6 @@ def build_separated_graph(G: Graph) -> Separation:
     groups = dict.fromkeys(base.nodes, 0)
     for x, (origin, _) in tags.items():
         groups[origin] |= 1 << (x - first)
-    separated = _graph_from_rows(fresh, _copy_rows(base, groups, len(fresh)))
+    separated = Graph(fresh, tuple(_copy_rows(base, groups, len(fresh))))
     back = {x: t[0] for x, t in tags.items()}
     return Separation(base, separated, back, stables, parts)

@@ -1,17 +1,16 @@
 """Canonical finite simple graphs over non-negative integer vertices.
 
-A graph is a sorted duplicate-free node tuple plus a sorted tuple of
-(low, high) edge pairs confined to the nodes; the symmetric twin of each
-pair is implied and self-loops are rejected.  Graphs are immutable
-values, so they are safe to share between concurrent workers, and every
-operation here is pure.
+A graph is a sorted duplicate-free node tuple plus one adjacency bitmask
+row per node, symmetric with an empty diagonal; its (low, high) edge
+list is read off the rows' upper triangle on demand.  Graphs are
+immutable values, so they are safe to share between concurrent
+workers, and every operation here is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DanglingEdgeError, NotSubsetError, SelfLoopError
@@ -22,11 +21,16 @@ Cover = tuple[VertexSet, ...]
 
 
 def vertex_set(vertices: Iterable[int]) -> VertexSet:
-    """Sort and deduplicate vertices into a canonical vertex set."""
-    out = tuple(sorted(set(vertices)))
-    for v in out:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+    """Sort and deduplicate vertices; ValueError on an id that is not a non-negative int."""
+    members: set[int] = set()
+    for v in vertices:
+        # Types before the sort, which would raise TypeError on mixed ids.
+        if isinstance(v, bool) or not isinstance(v, int):
             raise ValueError(f"vertex ids must be non-negative integers, got {v!r}")
+        members.add(v)
+    out = tuple(sorted(members))
+    if out and out[0] < 0:
+        raise ValueError(f"vertex ids must be non-negative integers, got {out[0]!r}")
     return out
 
 
@@ -34,13 +38,17 @@ def vertex_set(vertices: Iterable[int]) -> VertexSet:
 class Graph:
     """A finite simple undirected graph in canonical form.
 
-    Build instances through :func:`make_graph`, which canonicalizes
-    permissive input; two graphs compare equal exactly when their node
-    and edge tuples match.
+    Bit j of bit_adjacency[i] means nodes[i] ~ nodes[j].  Two graphs
+    compare equal exactly when their node tuples and rows match.  The
+    constructor validates nothing: build graphs from input through
+    :func:`make_graph`, which checks it.
     """
 
     nodes: VertexSet
-    edges: tuple[tuple[int, int], ...]
+    bit_adjacency: tuple[int, ...]
+
+    def __repr__(self) -> str:
+        return f"Graph(nodes={self.nodes!r}, edges={self.edges!r})"
 
     @property
     def n(self) -> int:
@@ -48,118 +56,123 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.bit_adjacency) // 2
 
     @cached_property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    @cached_property
-    def _adjacency(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in self.nodes}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (low, high) edge pairs, read off the upper triangle row by row."""
+        nodes = self.nodes
+        out: list[tuple[int, int]] = []
+        for i, row in enumerate(self.bit_adjacency):
+            u = nodes[i]
+            upper = row >> (i + 1)
+            while upper:
+                low = upper & -upper
+                out.append((u, nodes[i + low.bit_length()]))
+                upper ^= low
+        return tuple(out)
 
     @cached_property
     def index(self) -> dict[int, int]:
         """Position of each vertex in the sorted node tuple."""
         return {v: i for i, v in enumerate(self.nodes)}
 
-    @cached_property
-    def bit_adjacency(self) -> tuple[int, ...]:
-        """Adjacency bitmask per node position; bit j of entry i means nodes[i] ~ nodes[j]."""
-        masks = [0] * self.n
-        idx = self.index
-        for u, v in self.edges:
-            iu, iv = idx[u], idx[v]
-            masks[iu] |= 1 << iv
-            masks[iv] |= 1 << iu
-        return tuple(masks)
-
     def has_node(self, v: int) -> bool:
         return v in self.index
 
     def adjacent(self, u: int, v: int) -> bool:
         """Edge test; False on the diagonal and for pairs outside the node set."""
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set
+        idx = self.index
+        try:
+            return self.bit_adjacency[idx[u]] >> idx[v] & 1 == 1
+        except KeyError:
+            return False
 
     def neighbors(self, v: int) -> VertexSet:
-        return tuple(sorted(self._adjacency.get(v, ())))
+        i = self.index.get(v)
+        return () if i is None else _mask_vertices(self, self.bit_adjacency[i])
 
     def degree(self, v: int) -> int:
-        return len(self._adjacency.get(v, ()))
+        i = self.index.get(v)
+        return 0 if i is None else self.bit_adjacency[i].bit_count()
+
+
+def _mask_vertices(G: Graph, mask: int) -> VertexSet:
+    """The nodes of G at the set bit positions of mask, in order."""
+    nodes = G.nodes
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(nodes[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
+def _complement_rows(rows: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows of the complement: each row flipped inside the node set, diagonal kept empty."""
+    full = (1 << len(rows)) - 1
+    return tuple(full ^ row ^ (1 << i) for i, row in enumerate(rows))
 
 
 def make_graph(nodes: Iterable[int], edges: Iterable[Sequence[int]] = ()) -> Graph:
     """Build a canonical graph from permissive input.
 
-    Nodes and edges are sorted and deduplicated; each edge is stored once
-    in (low, high) order.  Raises SelfLoopError for a pair (v, v) and
-    DanglingEdgeError when an endpoint is missing from the node set.
+    Nodes are sorted and deduplicated, and repeated or reversed edges
+    collapse into one.  Raises ValueError for an edge that is not a pair
+    of integers, SelfLoopError for a pair (v, v) and DanglingEdgeError
+    when an endpoint is missing from the node set.
     """
     ns = vertex_set(nodes)
-    members = set(ns)
-    canon: set[tuple[int, int]] = set()
-    for u, v in edges:
+    idx = {v: i for i, v in enumerate(ns)}
+    rows = [0] * len(ns)
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise ValueError(f"edge must be a pair of vertex ids, got {e!r}") from None
         if isinstance(u, bool) or isinstance(v, bool) or not isinstance(u, int) or not isinstance(v, int):
             raise ValueError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        if u not in members or v not in members:
-            missing = u if u not in members else v
+        if u not in idx or v not in idx:
+            missing = u if u not in idx else v
             raise DanglingEdgeError(f"edge ({u}, {v}) endpoint {missing} not in nodes")
-        canon.add((u, v) if u < v else (v, u))
-    return Graph(ns, tuple(sorted(canon)))
-
-
-def _graph_from_rows(nodes: VertexSet, rows: Sequence[int]) -> Graph:
-    """Graph on sorted duplicate-free nodes from symmetric adjacency rows.
-
-    Bit j of rows[i] means nodes[i] ~ nodes[j]; the rows must be
-    symmetric with an empty diagonal.  The canonical edge tuple is read
-    off the upper triangle row by row, and the rows are kept as the
-    graph's bit_adjacency.  Nothing is validated: this is for
-    constructions that derive both arguments themselves.
-    """
-    edges: list[tuple[int, int]] = []
-    for i, row in enumerate(rows):
-        u = nodes[i]
-        upper = row >> (i + 1)
-        while upper:
-            low = upper & -upper
-            edges.append((u, nodes[i + low.bit_length()]))
-            upper ^= low
-    G = Graph(nodes, tuple(edges))
-    G.__dict__["bit_adjacency"] = tuple(rows)
-    return G
+        i, j = idx[u], idx[v]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph(ns, tuple(rows))
 
 
 def induced_subgraph(G: Graph, S: Iterable[int]) -> Graph:
     """Restrict G to the vertex set S, keeping exactly the edges inside S."""
     sub = vertex_set(S)
-    members = set(sub)
-    if not members <= set(G.nodes):
-        missing = sorted(members - set(G.nodes))
+    idx = G.index
+    missing = [v for v in sub if v not in idx]
+    if missing:
         raise NotSubsetError(f"vertices {missing} not in graph")
-    return Graph(sub, tuple(e for e in G.edges if e[0] in members and e[1] in members))
+    # Bit idx[v] of a row of G moves to bit k, the position of v in sub.
+    moved = {1 << idx[v]: 1 << k for k, v in enumerate(sub)}
+    keep = sum(moved)
+    rows = []
+    for bit in moved:
+        old = G.bit_adjacency[bit.bit_length() - 1] & keep
+        row = 0
+        while old:
+            low = old & -old
+            row |= moved[low]
+            old ^= low
+        rows.append(row)
+    return Graph(sub, tuple(rows))
 
 
 def complement(G: Graph) -> Graph:
     """Same nodes; distinct u, v adjacent exactly when they are not adjacent in G."""
-    present = G._edge_set
-    return Graph(G.nodes, tuple(p for p in combinations(G.nodes, 2) if p not in present))
+    return Graph(G.nodes, _complement_rows(G.bit_adjacency))
 
 
 def union_over(C: Sequence[Iterable[int]]) -> VertexSet:
     """Sorted duplicate-free union of all parts of a cover."""
-    out: set[int] = set()
-    for part in C:
-        out.update(part)
-    return vertex_set(out)
+    return vertex_set(v for part in C for v in part)
 
 
 def is_induced_subgraph(H: Graph, G: Graph) -> bool:

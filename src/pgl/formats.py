@@ -102,8 +102,6 @@ def _graph6_encode(G: Graph) -> tuple[str, dict[int, int] | None]:
     relabel = None
     if G.nodes != tuple(range(n)):
         relabel = {v: i for i, v in enumerate(G.nodes)}
-    to = relabel if relabel is not None else {v: v for v in G.nodes}
-    eset = {(to[u], to[v]) for u, v in G.edges}
     if n <= _G6_MAX_SHORT:
         head = chr(63 + n)
     else:
@@ -112,8 +110,9 @@ def _graph6_encode(G: Graph) -> tuple[str, dict[int, int] | None]:
     group = 0
     filled = 0
     for j in range(1, n):
+        row = G.bit_adjacency[j]
         for i in range(j):
-            group = group << 1 | (1 if (i, j) in eset else 0)
+            group = group << 1 | (row >> i & 1)
             filled += 1
             if filled == 6:
                 chars.append(chr(63 + group))

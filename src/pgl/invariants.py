@@ -16,10 +16,9 @@ set; graphs past PERFECTION_MAX_N vertices raise TooLargeError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .core import Cover, Graph, VertexSet, union_over, vertex_set
+from .core import Cover, Graph, VertexSet, _complement_rows, _mask_vertices, union_over, vertex_set
 from .errors import InvalidColoringError, NotAStableCoverError, TooLargeError
 
 Coloring = Mapping[int, int]
@@ -47,18 +46,16 @@ class GraphParameters:
 
 def is_stable(G: Graph, I: Iterable[int]) -> bool:
     """True when I is a subset of the nodes with no two members adjacent."""
-    vs = vertex_set(I)
-    if not set(vs) <= set(G.nodes):
-        return False
-    return all(not G.adjacent(u, v) for u, v in combinations(vs, 2))
+    vs, idx = vertex_set(I), G.index
+    mask = sum(1 << idx[v] for v in vs if v in idx)
+    return mask.bit_count() == len(vs) and not any(G.bit_adjacency[idx[v]] & mask for v in vs)
 
 
 def is_clique(G: Graph, K: Iterable[int]) -> bool:
     """True when K is a subset of the nodes with every distinct pair adjacent."""
-    vs = vertex_set(K)
-    if not set(vs) <= set(G.nodes):
-        return False
-    return all(G.adjacent(u, v) for u, v in combinations(vs, 2))
+    vs, idx = vertex_set(K), G.index
+    mask = sum(1 << idx[v] for v in vs if v in idx)
+    return mask.bit_count() == len(vs) and all(mask & ~G.bit_adjacency[idx[v]] == 1 << idx[v] for v in vs)
 
 
 def is_valid_coloring(G: Graph, f: Coloring) -> bool:
@@ -131,11 +128,6 @@ def _max_clique(adj: Sequence[int], universe: int) -> tuple[int, int]:
     return best, best_mask
 
 
-def _co_adjacency(adj: Sequence[int], n: int) -> tuple[int, ...]:
-    full = (1 << n) - 1
-    return tuple((full & ~a) & ~(1 << i) for i, a in enumerate(adj))
-
-
 def _try_color(adj: Sequence[int], order: Sequence[int], k: int) -> list[int] | None:
     """Backtracking proper coloring with at most k colors.
 
@@ -190,7 +182,7 @@ def clique_number(G: Graph) -> int:
 
 
 def stable_number(G: Graph) -> int:
-    return _max_clique(_co_adjacency(G.bit_adjacency, G.n), (1 << G.n) - 1)[0]
+    return _max_clique(_complement_rows(G.bit_adjacency), (1 << G.n) - 1)[0]
 
 
 def chromatic_number(G: Graph) -> int:
@@ -204,11 +196,7 @@ def max_clique_witness(G: Graph) -> VertexSet:
 
 def max_stable_witness(G: Graph) -> VertexSet:
     """Lexicographically least stable set of maximum size."""
-    return _mask_vertices(G, _max_clique(_co_adjacency(G.bit_adjacency, G.n), (1 << G.n) - 1)[1])
-
-
-def _mask_vertices(G: Graph, mask: int) -> VertexSet:
-    return tuple(G.nodes[i] for i in range(G.n) if mask >> i & 1)
+    return _mask_vertices(G, _max_clique(_complement_rows(G.bit_adjacency), (1 << G.n) - 1)[1])
 
 
 def graph_parameters(G: Graph) -> GraphParameters:
@@ -217,7 +205,7 @@ def graph_parameters(G: Graph) -> GraphParameters:
     adj = G.bit_adjacency
     full = (1 << n) - 1
     omega, clique = _max_clique(adj, full)
-    alpha, stable = _max_clique(_co_adjacency(adj, n), full)
+    alpha, stable = _max_clique(_complement_rows(adj), full)
     chi, assign = _chromatic(adj, n, omega)
     params = GraphParameters(
         alpha,
@@ -238,7 +226,7 @@ def _max_stable_masks(adj: Sequence[int], n: int, alpha: int | None = None) -> l
     alpha is the stable number when the caller already knows it;
     otherwise it is searched here.
     """
-    co = _co_adjacency(adj, n)
+    co = _complement_rows(adj)
     full = (1 << n) - 1
     out: list[int] = []
 

@@ -173,8 +173,9 @@ def find_odd_hole_or_antihole(G: Graph) -> tuple[str, tuple[int, ...]] | None:
     Returns ("hole", cycle) or ("antihole", cycle); the antihole cycle
     is listed in complement order.  None when the graph is Berge.
     """
-    if G.n > size_cap(BERGE_MAX_N):
-        raise TooLargeError(f"hole search capped at {size_cap(BERGE_MAX_N)} vertices")
+    cap = size_cap(BERGE_MAX_N)
+    if G.n > cap:
+        raise TooLargeError(f"hole search capped at {cap} vertices")
     hole = _find_odd_induced_cycle(G)
     if hole is not None:
         return "hole", hole
@@ -263,29 +264,31 @@ def _check_stream_bounds(n: int, count: int) -> None:
         raise ValueError(f"graph count must be non-negative, got {count}")
 
 
+def check_exhaustive_cap(n: int) -> None:
+    """Raise TooLargeError when n is past the exhaustive cap (EXHAUSTIVE_MAX_N or PGL_MAX_N)."""
+    cap = size_cap(EXHAUSTIVE_MAX_N)
+    if n > cap:
+        raise TooLargeError(f"exhaustive enumeration capped at {cap} vertices")
+
+
 def enumerate_graphs(
     n: int,
     mode: str = "exhaustive",
     *,
     seed: int = DEFAULT_SEED,
     count: int = 1000,
-    allow_large: bool = False,
 ) -> Iterator[Graph]:
     """Deterministic stream of labeled graphs on {1..n}.
 
-    exhaustive: all 2^(n(n-1)/2) graphs in edge-bitmask order, capped
-    unless allow_large or PGL_MAX_N raises the cap.  random: `count`
-    draws of G(n, 1/2), each edge bitmask taken from the Mersenne
+    exhaustive: all 2^(n(n-1)/2) graphs in edge-bitmask order, once
+    check_exhaustive_cap allows n.  random: `count` draws of G(n, 1/2), each edge bitmask taken from the Mersenne
     Twister (random.Random(seed).getrandbits), reproducible bit for bit.
     Raises ValueError for a negative n or count.
     """
     _check_stream_bounds(n, count)
     bits = n * (n - 1) // 2
     if mode == "exhaustive":
-        if n > size_cap(EXHAUSTIVE_MAX_N) and not allow_large:
-            raise TooLargeError(
-                f"exhaustive enumeration capped at {size_cap(EXHAUSTIVE_MAX_N)} vertices"
-            )
+        check_exhaustive_cap(n)
         for mask in range(1 << bits):
             yield graph_from_mask(n, mask)
     elif mode == "random":

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .constructions import build_separated_graph
-from .core import Cover, Graph, VertexSet, complement, induced_subgraph
+from .core import Cover, Graph, VertexSet, _mask_vertices, complement, induced_subgraph
 from .errors import EmptyGraphError
 from .invariants import (
-    _mask_vertices,
     _max_stable_masks,
     check_cover,
     chromatic_number,

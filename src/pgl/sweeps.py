@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 
 from .constructions import build_separated_graph, expand, replicate, verify_expansion, verify_replication
 from .core import Graph, complement, make_graph, union_over, vertex_set
-from .errors import TooLargeError
 from .invariants import (
     clique_number,
     graph_parameters,
@@ -32,13 +31,12 @@ from .invariants import (
 )
 from .iso import find_isomorphism, verify_iso_witness
 from .oracles import (
-    EXHAUSTIVE_MAX_N,
+    check_exhaustive_cap,
     confirms_imperfection,
     enumerate_graphs,
     is_berge,
     is_perfect_by_definition,
     oracle_parameters,
-    size_cap,
     stream_size,
 )
 from .pipeline import (
@@ -265,14 +263,9 @@ def _resolve(properties: str | Sequence[str]) -> tuple[str, ...]:
 def _run_slice(
     names: tuple[str, ...], n: int, mode: str, seed: int, count: int, start: int, stop: int
 ) -> list[tuple[int, int, tuple[tuple[int, int], ...], str, str]]:
-    """Check one slice of the stream; returns raw counterexample tuples.
-
-    sweep() has already checked the exhaustive size cap.
-    """
+    """Check one slice of the stream; returns raw counterexample tuples."""
     out = []
-    stream = islice(
-        enumerate_graphs(n, mode, seed=seed, count=count, allow_large=True), start, stop
-    )
+    stream = islice(enumerate_graphs(n, mode, seed=seed, count=count), start, stop)
     for offset, G in enumerate(stream):
         for name in names:
             evidence = PROPERTIES[name](G)
@@ -305,9 +298,7 @@ def sweep(
     jobs = _worker_count(jobs, os.cpu_count())
     total = stream_size(n, mode, count)
     if mode == "exhaustive":
-        cap = size_cap(EXHAUSTIVE_MAX_N)
-        if n > cap:
-            raise TooLargeError(f"exhaustive enumeration capped at {cap} vertices")
+        check_exhaustive_cap(n)
     started = time.perf_counter()
     raw: list[tuple[int, int, tuple[tuple[int, int], ...], str, str]] = []
     if jobs <= 1 or total < 2 * jobs:

@@ -120,6 +120,12 @@ def test_expand_rejects_bad_multiplicities():
         expand(make_graph([1, 2]), {1: 2})
 
 
+@pytest.mark.parametrize("bad", [2.0, "2", True, None])
+def test_expand_rejects_a_multiplicity_that_is_not_an_int(bad):
+    with pytest.raises(ValueError, match=f"multiplicity for vertex 2 must be an int, got {bad!r}"):
+        expand(make_graph([1, 2], [(1, 2)]), {1: 1, 2: bad})
+
+
 def test_verify_expansion_trivial_identity():
     g = house()
     assert verify_expansion(g, g, {v: v for v in g.nodes})
@@ -439,8 +445,7 @@ def test_expand_rejects_rows_with_a_flipped_bit(monkeypatch, symmetric):
                 expand(g, mult)
             # The same rows, handed to the checker directly.
             h, w = _pairwise_expand(g, mult)
-            bad = Graph(h.nodes, h.edges)
-            bad.__dict__["bit_adjacency"] = tuple(built[-1])
+            bad = Graph(h.nodes, tuple(built[-1]))
             assert not verify_expansion(g, bad, w.back)
 
 

@@ -1,11 +1,16 @@
 """Canonical graph type, induced subgraphs, complement, covers."""
 
+import random
+import re
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pgl import (
     DanglingEdgeError,
+    Graph,
     NotSubsetError,
     SelfLoopError,
     complement,
@@ -56,6 +61,31 @@ def test_make_graph_rejects_dangling_endpoint():
 def test_vertex_set_rejects_negative_ids():
     with pytest.raises(ValueError):
         vertex_set([1, -2])
+
+
+@pytest.mark.parametrize("ids", [[1, "a"], [None, 2], [2.0, 1], [[1], 2], [True, 2]])
+def test_vertex_set_rejects_non_integer_ids_before_sorting(ids):
+    with pytest.raises(ValueError, match="non-negative integers"):
+        vertex_set(ids)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        make_graph(ids)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        induced_subgraph(cycle(4), ids)
+
+
+def test_vertex_set_names_the_least_negative_id():
+    with pytest.raises(ValueError, match="got -3"):
+        vertex_set([2, -1, -3])
+
+
+@pytest.mark.parametrize("edge", [(0, 1, 2), (1,), (), 5, None])
+def test_make_graph_names_a_malformed_edge(edge):
+    with pytest.raises(ValueError, match=re.escape(f"edge must be a pair of vertex ids, got {edge!r}")):
+        make_graph([0, 1, 2], [(0, 1), edge])
+
+
+def test_repr_lists_nodes_and_edges():
+    assert repr(path(3)) == "Graph(nodes=(1, 2, 3), edges=((1, 2), (2, 3)))"
 
 
 def test_adjacency_queries():
@@ -129,3 +159,79 @@ def test_edge_count_identity(g):
 def test_induced_subgraphs_are_accepted(g, data):
     sub = data.draw(st.sets(st.sampled_from(g.nodes), max_size=g.n)) if g.n else set()
     assert is_induced_subgraph(induced_subgraph(g, sub), g)
+
+
+# Edge-list definitions of the graph operations, which Graph now answers
+# from its bitmask rows.  Each takes sorted nodes and canonical edges.
+
+
+def _ref_canonical_edges(pairs):
+    return tuple(sorted({(u, v) if u < v else (v, u) for u, v in pairs}))
+
+
+def _ref_adjacent(edge_set, u, v):
+    return (min(u, v), max(u, v)) in edge_set
+
+
+def _ref_neighbors(edges, v):
+    return tuple(sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v}))
+
+
+def _ref_complement(nodes, edges):
+    present = set(edges)
+    return tuple(p for p in combinations(nodes, 2) if p not in present)
+
+
+def _ref_induced(edges, S):
+    members = set(S)
+    return tuple(e for e in edges if e[0] in members and e[1] in members)
+
+
+def _check_against_edge_lists(nodes, pairs, rng):
+    g = make_graph(nodes, pairs)
+    edges = _ref_canonical_edges(pairs)
+    assert (g.nodes, g.edges, g.m) == (tuple(nodes), edges, len(edges))
+    outside = [min(nodes, default=1) - 1, max(nodes, default=0) + 1, 10**6]
+    probe = list(nodes) + [v for v in outside if v >= 0 and v not in nodes]
+    edge_set = set(edges)
+    for u in probe:
+        nbrs = _ref_neighbors(edges, u)
+        assert (g.neighbors(u), g.degree(u)) == (nbrs, len(nbrs)), (g, u)
+        assert [g.adjacent(u, v) for v in probe] == [_ref_adjacent(edge_set, u, v) for v in probe], (g, u)
+    comp = complement(g)
+    assert (comp.nodes, comp.edges) == (g.nodes, _ref_complement(nodes, edges)), g
+    S = rng.sample(list(nodes), rng.randint(0, len(nodes)))
+    sub = induced_subgraph(g, S)
+    assert (sub.nodes, sub.edges) == (tuple(sorted(S)), _ref_induced(edges, S)), (g, S)
+    # Order of nodes, of edges and of endpoints does not matter.
+    shuffled_nodes = list(nodes) * 2
+    rng.shuffle(shuffled_nodes)
+    shuffled_pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs] * 2
+    rng.shuffle(shuffled_pairs)
+    twin = make_graph(shuffled_nodes, shuffled_pairs)
+    assert twin == g and hash(twin) == hash(g), g
+    assert Graph(g.nodes, g.bit_adjacency) == g
+
+
+def test_row_built_graph_matches_edge_lists_exhaustively():
+    from pgl.oracles import labeled_pairs
+
+    rng = random.Random(6)
+    checked = 0
+    for n in range(7):
+        pairs = labeled_pairs(n)
+        for mask in range(1 << len(pairs)):
+            picked = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            _check_against_edge_lists(tuple(range(1, n + 1)), picked, rng)
+            checked += 1
+    assert checked == 33868
+
+
+def test_row_built_graph_matches_edge_lists_on_sparse_ids():
+    rng = random.Random(716)
+    for n in range(7, 17):
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(5):
+                nodes = tuple(sorted(rng.sample(range(3, 4 * n + 3), n)))
+                picked = [(u, v) for u, v in combinations(nodes, 2) if rng.random() < density]
+                _check_against_edge_lists(nodes, picked, rng)

@@ -189,14 +189,15 @@ def _unguarded_max_clique(adj, universe):
 
 
 def test_guarded_color_bound_keeps_every_clique_result():
-    from pgl.invariants import _co_adjacency, _max_clique
+    from pgl.core import _complement_rows
+    from pgl.invariants import _max_clique
 
     rng = random.Random(1789)
     small = [g for n in range(7) for g in enumerate_graphs(n)]
     randoms = [_random_graph(rng, n, d) for n in range(7, 17) for d in (0.2, 0.5, 0.8) for _ in range(10)]
     for g in small + randoms:
         full = (1 << g.n) - 1
-        for adj in (g.bit_adjacency, _co_adjacency(g.bit_adjacency, g.n)):
+        for adj in (g.bit_adjacency, _complement_rows(g.bit_adjacency)):
             assert _max_clique(adj, full) == _unguarded_max_clique(adj, full), g.edges
 
 
