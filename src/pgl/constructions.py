@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .core import Cover, Graph, induced_subgraph, union_over, vertex_set
+from .core import Cover, Graph, _gather, _node_positions, induced_subgraph, union_over, vertex_set
 from .errors import (
     EmptyGraphError,
     PartialMapError,
@@ -151,32 +151,29 @@ def verify_expansion(G: Graph, H: Graph, back: Mapping[int, int]) -> bool:
 
     Requires back to be total on H's nodes, to map them onto G's nodes,
     to make equal-origin copies adjacent, and to transport adjacency
-    between distinct origins exactly.  Works on bitmasks: each row of
-    H's adjacency must equal the other copies of its origin together
-    with every copy of the origin's neighbours in G.
+    between distinct origins exactly.  Works on bitmasks: each back
+    value is looked up at its position in G, copies[o] collects the
+    copies of position o, and back is onto when no copies[o] is empty;
+    each row of H's adjacency must equal the other copies of its origin
+    together with every copy of the origin's neighbours in G.  Only a
+    back value that is not a plain int goes through vertex_set, which
+    raises ValueError on a bool, negative or non-int id.
     """
     for x in H.nodes:
         if x not in back:
             raise PartialMapError(f"backward map undefined on vertex {x}")
-    if vertex_set(back[x] for x in H.nodes) != G.nodes:
+    origin = _node_positions(G, [back[x] for x in H.nodes])
+    if origin is None:
         return False
-    origin = [G.index[back[x]] for x in H.nodes]
     copies = [0] * G.n
     for j, o in enumerate(origin):
         copies[o] |= 1 << j
+    if 0 in copies:
+        return False
     # closed[o]: every copy of origin o and of its neighbours in G.  Row j
     # of H must be closed[origin of j] without bit j itself.
-    closed = []
-    for o, nbrs in enumerate(G.bit_adjacency):
-        row = copies[o]
-        while nbrs:
-            low = nbrs & -nbrs
-            row |= copies[low.bit_length() - 1]
-            nbrs ^= low
-        closed.append(row)
-    return all(
-        row == closed[o] & ~(1 << j) for j, (o, row) in enumerate(zip(origin, H.bit_adjacency))
-    )
+    closed = [own | near for own, near in zip(copies, _gather(G.bit_adjacency, copies))]
+    return [closed[o] ^ (1 << j) for j, o in enumerate(origin)] == list(H.bit_adjacency)
 
 
 def mk_disj(C: Cover) -> tuple[Cover, dict[int, tuple[int, int]]]:

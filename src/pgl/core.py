@@ -108,6 +108,37 @@ def _mask_vertices(G: Graph, mask: int) -> VertexSet:
     return tuple(out)
 
 
+def _node_positions(G: Graph, ids: Sequence[int]) -> list[int] | None:
+    """Position of each id in G's node tuple; None when an id is not a node of G.
+
+    A plain int is looked up directly.  Only when one is not does the
+    sequence go through vertex_set, which raises ValueError on a bool,
+    negative or non-int id; an int subclass that passes it is looked up
+    like the int it equals.
+    """
+    index = G.index
+    positions = [index.get(v) if type(v) is int else None for v in ids]
+    if None in positions:
+        vertex_set(ids)
+        positions = [index.get(v) for v in ids]
+        if None in positions:
+            return None
+    return positions
+
+
+def _gather(rows: Sequence[int], masks: Sequence[int]) -> list[int]:
+    """For each row, the OR of masks[k] over the row's set bits k."""
+    out = []
+    for row in rows:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= masks[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
 def _complement_rows(rows: Sequence[int]) -> tuple[int, ...]:
     """Adjacency rows of the complement: each row flipped inside the node set, diagonal kept empty."""
     full = (1 << len(rows)) - 1

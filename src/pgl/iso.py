@@ -2,18 +2,22 @@
 
 A witness is an explicit pair of vertex maps (forward, backward); both
 directions are checked as edge-preserving morphisms and the composite
-must be the identity on the source.  The search backtracks over
+must be the identity on the source.  The morphism check works on the
+bitmask rows: each row of the source must equal the OR of the preimage
+masks of its image's neighbours.  The search backtracks over
 degree-compatible bijections only, pruned further by neighborhood
-degree multisets.
+degree multisets read off the rows' popcounts, and tests each candidate
+pair against the pairs placed so far by row bits.  It shares no state
+with the morphism check, which re-checks its witness from the maps
+alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping
 
-from .core import Graph, vertex_set
+from .core import Graph, _gather, _node_positions
 from .errors import PartialMapError
 
 
@@ -24,15 +28,29 @@ class IsoWitness:
 
 
 def verify_morph(f: Mapping[int, int], G: Graph, H: Graph) -> bool:
-    """True when f maps G's nodes onto H's nodes preserving edge and non-edge."""
+    """True when f maps G's nodes onto H's nodes preserving edge and non-edge.
+
+    Works on bitmask rows.  With pre[w] the mask of G's nodes that f
+    sends to position w of H, f preserves edge and non-edge exactly
+    when each row u of G equals the OR of pre[w] over the H-neighbours w
+    of f(u): the u-v test for each v, with u itself and its fellow
+    preimages outside the OR because H has no loops.  Only an image that
+    is not a plain int goes through vertex_set, which raises ValueError
+    on a bool, negative or non-int id.
+    """
     for v in G.nodes:
         if v not in f:
             raise PartialMapError(f"map undefined on vertex {v}")
-    if vertex_set(f[v] for v in G.nodes) != H.nodes:
+    image = _node_positions(H, [f[v] for v in G.nodes])
+    if image is None:
         return False
-    return all(
-        G.adjacent(u, v) == H.adjacent(f[u], f[v]) for u, v in combinations(G.nodes, 2)
-    )
+    pre = [0] * H.n
+    for i, w in enumerate(image):
+        pre[w] |= 1 << i
+    if 0 in pre:
+        return False
+    reach = _gather(H.bit_adjacency, pre)
+    return [reach[w] for w in image] == list(G.bit_adjacency)
 
 
 def verify_iso_witness(w: IsoWitness, G: Graph, H: Graph) -> bool:
@@ -48,10 +66,17 @@ def verify_iso_witness(w: IsoWitness, G: Graph, H: Graph) -> bool:
 
 
 def _degree_profile(G: Graph) -> dict[int, tuple[int, tuple[int, ...]]]:
-    return {
-        v: (G.degree(v), tuple(sorted(G.degree(u) for u in G.neighbors(v))))
-        for v in G.nodes
-    }
+    """Each node's degree and the sorted degrees of its neighbours, by row popcounts."""
+    degrees = [row.bit_count() for row in G.bit_adjacency]
+    profile = {}
+    for v, row, d in zip(G.nodes, G.bit_adjacency, degrees):
+        around = []
+        while row:
+            low = row & -row
+            around.append(degrees[low.bit_length() - 1])
+            row ^= low
+        profile[v] = (d, tuple(sorted(around)))
+    return profile
 
 
 def find_isomorphism(G: Graph, H: Graph) -> IsoWitness | None:
@@ -69,6 +94,7 @@ def find_isomorphism(G: Graph, H: Graph) -> IsoWitness | None:
         return None
     candidates = {v: tuple(w for w in H.nodes if ph[w] == pg[v]) for v in G.nodes}
     order = sorted(G.nodes, key=lambda v: (len(candidates[v]), -G.degree(v), v))
+    gpos, hpos = G.index, H.index
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
@@ -76,10 +102,12 @@ def find_isomorphism(G: Graph, H: Graph) -> IsoWitness | None:
         if pos == len(order):
             return True
         v = order[pos]
+        gv = G.bit_adjacency[gpos[v]]
         for w in candidates[v]:
             if w in used:
                 continue
-            if all(G.adjacent(v, u) == H.adjacent(w, x) for u, x in mapping.items()):
+            hw = H.bit_adjacency[hpos[w]]
+            if all(gv >> gpos[u] & 1 == hw >> hpos[x] & 1 for u, x in mapping.items()):
                 mapping[v] = w
                 used.add(w)
                 if rec(pos + 1):

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import os
 import random
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .core import Graph, complement, induced_subgraph, make_graph
+from .core import Graph, complement, induced_subgraph
 from .errors import TooLargeError
 from .invariants import GraphParameters
 
@@ -35,6 +36,14 @@ BERGE_MAX_N = 12
 # edgeless graph: 1.2 s at n=14 on a 2-vCPU VM, about 4x per added vertex.
 DEFINITION_MAX_N = 14
 EXHAUSTIVE_MAX_N = 6
+# Search nodes (calls of one vertex's color choice, summed over all k) the
+# chi walk may visit.  All graphs with n <= 6 need at most 422, the
+# benchmark's n = 7 oracle-agreement streams at most 1,435, 100,000
+# random G(7, 1/2) graphs at most 1,829 and the joined double pentagon
+# 5,066.  A node costs about 1.8 us on a 2-vCPU VM, so a walk stops
+# within about 0.4 s; dense graphs well inside the vertex cap need
+# millions of nodes (seeded G(14, 0.9): 1.5 million, 2.8 s).
+COLORING_MAX_NODES = 200_000
 DEFAULT_SEED = 42
 
 
@@ -60,13 +69,19 @@ def _first_proper_coloring(adj: Sequence[int]) -> tuple[int, list[int]]:
     first, vertex 0 first and colors in increasing order, and cuts a
     prefix once it gives two ends of an edge the same color: every
     assignment below such a prefix is improper, so the first assignment
-    the walk completes is the first proper one of the product.
+    the walk completes is the first proper one of the product.  Raises
+    TooLargeError once the walk has visited COLORING_MAX_NODES nodes.
     """
     n = len(adj)
     earlier = [[j for j in range(i) if adj[i] >> j & 1] for i in range(n)]
     assign = [0] * n
+    budget = COLORING_MAX_NODES
 
     def place(i: int, k: int) -> bool:
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise TooLargeError(f"coloring search capped at {COLORING_MAX_NODES} nodes")
         if i == n:
             return True
         taken = {assign[j] for j in earlier[i]}
@@ -92,7 +107,8 @@ def oracle_parameters(G: Graph) -> GraphParameters:
     witnesses.  Both properties are hereditary, so a size is searched
     only while the size below it had one, and the scan stops at the
     first size that has neither.  The chi witness is the first proper
-    assignment in product order.
+    assignment in product order.  Raises TooLargeError past the vertex
+    cap, and once the chi walk passes COLORING_MAX_NODES search nodes.
     """
     n = G.n
     cap = size_cap(ORACLE_MAX_N)
@@ -252,9 +268,31 @@ def labeled_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(1, n + 1), 2))
 
 
+@lru_cache(maxsize=16)
+def _pair_positions(n: int) -> tuple[tuple[int, int], ...]:
+    """Row positions (i, j) of the pair that bit k of an n-vertex edge bitmask refers to.
+
+    Built on first use for each n; a stream asks for one n throughout.
+    """
+    return tuple(combinations(range(n), 2))
+
+
 def graph_from_mask(n: int, mask: int) -> Graph:
-    pairs = labeled_pairs(n)
-    return make_graph(range(1, n + 1), (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+    """The graph on {1..n} whose edges are the pairs of labeled_pairs(n) at mask's set bits.
+
+    Bits past the last pair are ignored.  Each set bit k becomes bits i
+    and j of the rows, (i, j) being the positions of pair k.
+    """
+    pairs = _pair_positions(n)
+    mask &= (1 << len(pairs)) - 1
+    rows = [0] * n
+    while mask:
+        low = mask & -mask
+        i, j = pairs[low.bit_length() - 1]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        mask ^= low
+    return Graph(tuple(range(1, n + 1)), tuple(rows))
 
 
 def _check_stream_bounds(n: int, count: int) -> None:

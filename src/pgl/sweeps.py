@@ -150,16 +150,22 @@ def _check_separation(G: Graph) -> str | None:
     sep = build_separated_graph(G)
     if vertex_set(sep.back[x] for x in sep.separated.nodes) != sep.base.nodes:
         return "backward image of separated nodes misses the base nodes"
+    # Pair by pair, reading row bits by position: tagged[i] holds the base
+    # position of the i-th separated node's origin and its part index.
     tags = {x: (sep.back[x], i) for i, part in enumerate(sep.disjoint_parts) for x in part}
-    for i, x in enumerate(sep.separated.nodes):
-        for y in sep.separated.nodes[i + 1 :]:
-            ox, ix = tags[x]
-            oy, iy = tags[y]
+    nodes, rows = sep.separated.nodes, sep.separated.bit_adjacency
+    base_index, base_rows = sep.base.index, sep.base.bit_adjacency
+    tagged = [(base_index[tags[x][0]], tags[x][1]) for x in nodes]
+    for i, (ox, ix) in enumerate(tagged):
+        row = rows[i]
+        for j in range(i + 1, len(nodes)):
+            oy, iy = tagged[j]
+            edge = row >> j & 1 == 1
             if ox == oy:
-                if sep.separated.adjacent(x, y) != (ix != iy):
-                    return f"equal-origin copies {x},{y} break the tag rule"
-            elif sep.base.adjacent(ox, oy) != sep.separated.adjacent(x, y):
-                return f"distinct-origin adjacency mismatch at {x},{y}"
+                if edge != (ix != iy):
+                    return f"equal-origin copies {nodes[i]},{nodes[j]} break the tag rule"
+            elif base_rows[ox] >> oy & 1 != edge:
+                return f"distinct-origin adjacency mismatch at {nodes[i]},{nodes[j]}"
     if not verify_expansion(sep.base, sep.separated, sep.back):
         return "separated graph is not an expansion of the base"
     seen: set[int] = set()

@@ -260,6 +260,7 @@ def _pairwise_verify_expansion(g, h, back):
 
 def _expansion_cases(rng):
     """(G, H, back) triples: constructor output, separated graphs, and tampered copies."""
+    from enum import IntEnum
     from itertools import combinations
 
     for _ in range(150):
@@ -288,6 +289,13 @@ def _expansion_cases(rng):
         yield make_graph(g.nodes + (n + 1,), g.edges), h, dict(w.back)
         if h.n:
             yield g, h, {**w.back, h.nodes[-1]: n + 7}
+            # Mistyped and negative origins raise ValueError; an IntEnum
+            # member equal to the right origin is an int and passes.
+            x = rng.choice(h.nodes)
+            for bad in (True, False, -1, -w.back[x], float(w.back[x]), str(w.back[x]), None):
+                yield g, h, {**w.back, x: bad}
+            Origin = IntEnum("Origin", {"V": w.back[x]})
+            yield g, h, {**w.back, x: Origin.V}
             # A missing key wins over every other defect.
             partial = {x: n + 7 for x in h.nodes}
             del partial[rng.choice(h.nodes)]
@@ -301,14 +309,15 @@ def test_bitmask_verify_expansion_matches_the_pairwise_definition():
     for g, h, back in _expansion_cases(random.Random(2024)):
         try:
             expected = _pairwise_verify_expansion(g, h, back)
-        except PartialMapError:
-            with pytest.raises(PartialMapError):
+        except (PartialMapError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
                 verify_expansion(g, h, back)
-            outcomes.append("partial")
+            assert str(got.value) == str(exc)
+            outcomes.append(type(exc).__name__)
             continue
         assert verify_expansion(g, h, back) == expected, (g, h, back)
         outcomes.append(expected)
-    assert {True, False, "partial"} <= set(outcomes)
+    assert {True, False, "PartialMapError", "ValueError"} <= set(outcomes)
 
 
 # Reference copies of the pair-list constructions that the row builders
@@ -514,3 +523,18 @@ def test_expand_checks_itself_under_python_O():
         "    print(sys.flags.optimize, exc)\n"
     )
     assert out == "1 expand built a graph that is not an expansion\n"
+
+
+def test_verify_expansion_success_path_reads_only_rows(monkeypatch):
+    from pgl import Graph, constructions, core
+
+    def refuse(*args):
+        raise AssertionError("called on the success path")
+
+    g = house()
+    h, w = expand(g, {1: 2, 2: 1, 3: 3, 4: 1, 5: 2})
+    for module in (core, constructions):
+        monkeypatch.setattr(module, "vertex_set", refuse)
+    monkeypatch.setattr(Graph, "adjacent", refuse)
+    assert verify_expansion(g, h, w.back)
+    assert not verify_expansion(g, h, {**w.back, h.nodes[0]: 3})

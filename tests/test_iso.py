@@ -139,3 +139,101 @@ def test_find_isomorphism_checks_itself_under_python_O():
         "    print(sys.flags.optimize, exc)\n"
     )
     assert out == "1 find_isomorphism built a witness that does not verify\n"
+
+
+def _pairwise_verify_morph(f, g, h):
+    """verify_morph by its definition: one adjacency test per pair of G's nodes."""
+    from itertools import combinations
+
+    from pgl import vertex_set
+
+    for v in g.nodes:
+        if v not in f:
+            raise PartialMapError(f"map undefined on vertex {v}")
+    if vertex_set(f[v] for v in g.nodes) != h.nodes:
+        return False
+    return all(g.adjacent(u, v) == h.adjacent(f[u], f[v]) for u, v in combinations(g.nodes, 2))
+
+
+def _morph_cases(rng):
+    """(f, G, H) triples: isomorphisms, tampered and random bijections,
+    surjections that merge vertices, images outside H, mistyped and
+    missing images."""
+    from enum import IntEnum
+    from itertools import combinations
+
+    for _ in range(400):
+        n = rng.randint(0, 6)
+        ids = sorted(rng.sample(range(12), n))
+        g = make_graph(ids, [p for p in combinations(ids, 2) if rng.random() < rng.random()])
+        targets = sorted(rng.sample(range(20, 40), n))
+        perm = dict(zip(g.nodes, rng.sample(targets, n)))
+        h = make_graph(targets, [(perm[u], perm[v]) for u, v in g.edges])
+        yield perm, g, h
+        yield dict(zip(g.nodes, rng.sample(targets, n))), g, h
+        if n >= 2:
+            u, v = rng.sample(g.nodes, 2)
+            yield {**perm, u: perm[v], v: perm[u]}, g, h
+            # Two preimages of one vertex: never injective, sometimes onto.
+            yield {**perm, u: perm[v]}, g, h
+        if n:
+            # G with a false twin of u (same neighbours, not adjacent to u)
+            # maps onto H by sending the twin to u's image; a true twin does not.
+            u = rng.choice(g.nodes)
+            twin = 12
+            for extra in ((), ((u, twin),)):
+                grown = make_graph(g.nodes + (twin,), g.edges + tuple((x, twin) for x in g.neighbors(u)) + extra)
+                yield {**perm, twin: perm[u]}, grown, h
+                yield {**perm, twin: rng.choice(targets)}, grown, h
+            v = rng.choice(g.nodes)
+            yield {**perm, v: 99}, g, h
+            yield {**perm, v: -1}, g, h
+            yield {**perm, v: rng.choice([True, False, float(perm[v]), str(perm[v]), None])}, g, h
+            Label = IntEnum("Label", {"X": perm[v]})
+            yield {**perm, v: Label.X}, g, h
+            partial = dict(perm)
+            del partial[rng.choice(g.nodes)]
+            yield partial, g, h
+
+
+def test_bitmask_verify_morph_matches_the_pairwise_definition():
+    import random
+
+    outcomes = []
+    for f, g, h in _morph_cases(random.Random(1972)):
+        try:
+            expected = _pairwise_verify_morph(f, g, h)
+        except (PartialMapError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                verify_morph(f, g, h)
+            assert str(got.value) == str(exc)
+            outcomes.append(type(exc).__name__)
+            continue
+        assert verify_morph(f, g, h) == expected, (f, g, h)
+        outcomes.append(expected)
+    assert {True, False, "PartialMapError", "ValueError"} <= set(outcomes)
+
+
+def test_degree_profile_matches_the_neighbor_definition():
+    from pgl.iso import _degree_profile
+    from pgl.oracles import enumerate_graphs
+
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            assert _degree_profile(g) == {
+                v: (g.degree(v), tuple(sorted(g.degree(u) for u in g.neighbors(v)))) for v in g.nodes
+            }
+
+
+def test_verify_morph_success_path_reads_only_rows(monkeypatch):
+    from pgl import Graph, core
+
+    def refuse(*args):
+        raise AssertionError("called on the success path")
+
+    g = house()
+    h, mapping = relabel(g, 20)
+    monkeypatch.setattr(core, "vertex_set", refuse)
+    monkeypatch.setattr(Graph, "adjacent", refuse)
+    assert verify_morph(mapping, g, h)
+    assert not verify_morph({**mapping, 1: 22, 3: 21}, g, h)

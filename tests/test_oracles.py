@@ -298,3 +298,58 @@ def test_filtered_hole_search_returns_the_reference_cycles():
         found = _assert_same_cycles(g)
         kinds.add(found and found[0])
     assert kinds == {None, "hole", "antihole"}
+
+
+def _pairwise_graph_from_mask(n, mask):
+    """graph_from_mask through make_graph: one validated edge pair per set bit."""
+    from pgl.oracles import labeled_pairs
+
+    pairs = labeled_pairs(n)
+    return make_graph(range(1, n + 1), (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+
+
+def _assert_same_graph(g, ref):
+    assert g == ref and hash(g) == hash(ref) and g.edges == ref.edges, (g, ref)
+
+
+def test_row_built_stream_graphs_match_the_make_graph_route():
+    import random
+
+    from pgl.oracles import graph_from_mask
+
+    for n in range(7):
+        bits = n * (n - 1) // 2
+        refs = [_pairwise_graph_from_mask(n, mask) for mask in range(1 << bits)]
+        for mask, ref in enumerate(refs):
+            _assert_same_graph(graph_from_mask(n, mask), ref)
+        for g, ref in zip(enumerate_graphs(n), refs, strict=True):
+            _assert_same_graph(g, ref)
+    rng = random.Random(7)
+    for n in range(7, 13):
+        bits = n * (n - 1) // 2
+        masks = [rng.getrandbits(bits) for _ in range(300)]
+        # Bits past the last pair are ignored, as are the sign bits of a negative mask.
+        masks += [-1, -rng.getrandbits(bits), rng.getrandbits(bits + 9)]
+        for mask in masks:
+            _assert_same_graph(graph_from_mask(n, mask), _pairwise_graph_from_mask(n, mask))
+        for seed in (1, 42):
+            draws = random.Random(seed)
+            stream = enumerate_graphs(n, "random", seed=seed, count=300)
+            for g in stream:
+                _assert_same_graph(g, _pairwise_graph_from_mask(n, draws.getrandbits(bits)))
+
+
+def test_coloring_walk_on_a_dense_graph_fails_fast_past_its_node_budget():
+    import random
+    import time
+    from itertools import combinations
+
+    from pgl.oracles import COLORING_MAX_NODES
+
+    rng = random.Random(16)
+    g = make_graph(range(16), [e for e in combinations(range(16), 2) if rng.random() < 0.9])
+    started = time.perf_counter()
+    with pytest.raises(TooLargeError, match=f"coloring search capped at {COLORING_MAX_NODES} nodes"):
+        oracle_parameters(g)
+    # Without the budget this walk ran for more than 30 s.
+    assert time.perf_counter() - started < 10

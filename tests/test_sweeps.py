@@ -202,3 +202,40 @@ def test_repeated_properties_are_checked_once_in_first_seen_order(monkeypatch):
     report = sweep(("count", "wpgt", "count"), 3)
     assert report.properties == ("count", "wpgt")
     assert len(seen) == report.graphs_checked == 8
+
+
+def _pairwise_tag_evidence(sep):
+    """The separation sweep's tag-rule loop with one adjacency test per pair of node ids."""
+    tags = {x: (sep.back[x], i) for i, part in enumerate(sep.disjoint_parts) for x in part}
+    for i, x in enumerate(sep.separated.nodes):
+        for y in sep.separated.nodes[i + 1 :]:
+            ox, ix = tags[x]
+            oy, iy = tags[y]
+            if ox == oy:
+                if sep.separated.adjacent(x, y) != (ix != iy):
+                    return f"equal-origin copies {x},{y} break the tag rule"
+            elif sep.base.adjacent(ox, oy) != sep.separated.adjacent(x, y):
+                return f"distinct-origin adjacency mismatch at {x},{y}"
+    return None
+
+
+def test_separation_tag_evidence_matches_the_pairwise_loop(monkeypatch):
+    import random
+
+    from pgl import build_separated_graph, sweeps
+
+    rng = random.Random(1972)
+    seen = set()
+    for g in enumerate_graphs(6, "random", seed=11, count=400):
+        sep = build_separated_graph(g)
+        h = sep.separated
+        if h.n < 2:
+            continue
+        x, y = rng.sample(h.nodes, 2)
+        flipped = make_graph(h.nodes, set(h.edges) ^ {(min(x, y), max(x, y))})
+        for candidate in (sep, sep._replace(separated=flipped)):
+            expected = _pairwise_tag_evidence(candidate)
+            monkeypatch.setattr(sweeps, "build_separated_graph", lambda G, s=candidate: s)
+            assert sweeps._check_separation(g) == expected
+            seen.add(None if expected is None else expected.split()[0])
+    assert seen == {None, "equal-origin", "distinct-origin"}
