@@ -190,10 +190,12 @@ def _parse_multiplicities(text: str) -> dict[int, int]:
         if not chunk:
             continue
         try:
-            vertex, value = chunk.split(":")
-            mult[int(vertex)] = int(value)
+            vertex, value = (int(part) for part in chunk.split(":"))
         except ValueError:
             raise ParseError(f"bad multiplicity entry {chunk!r}; use 'v:k,...'") from None
+        if vertex in mult:
+            raise ParseError(f"multiplicity given twice for vertex {vertex}")
+        mult[vertex] = value
     return mult
 
 

@@ -319,9 +319,10 @@ def enumerate_graphs(
     """Deterministic stream of labeled graphs on {1..n}.
 
     exhaustive: all 2^(n(n-1)/2) graphs in edge-bitmask order, once
-    check_exhaustive_cap allows n.  random: `count` draws of G(n, 1/2), each edge bitmask taken from the Mersenne
-    Twister (random.Random(seed).getrandbits), reproducible bit for bit.
-    Raises ValueError for a negative n or count.
+    check_exhaustive_cap allows n.  random: `count` draws of G(n, 1/2),
+    each edge bitmask taken from the Mersenne Twister
+    (random.Random(seed).getrandbits), reproducible bit for bit.  Raises
+    ValueError for a negative n or count.
     """
     _check_stream_bounds(n, count)
     bits = n * (n - 1) // 2
@@ -338,9 +339,14 @@ def enumerate_graphs(
 
 
 def stream_size(n: int, mode: str, count: int = 1000) -> int:
-    """Number of graphs enumerate_graphs will yield."""
+    """Number of graphs enumerate_graphs will yield.
+
+    Raises ValueError for a negative n or count, and TooLargeError for an
+    exhaustive stream past check_exhaustive_cap, before it counts anything.
+    """
     _check_stream_bounds(n, count)
     if mode == "exhaustive":
+        check_exhaustive_cap(n)
         return 1 << (n * (n - 1) // 2)
     if mode == "random":
         return count

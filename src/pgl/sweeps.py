@@ -31,7 +31,6 @@ from .invariants import (
 )
 from .iso import find_isomorphism, verify_iso_witness
 from .oracles import (
-    check_exhaustive_cap,
     confirms_imperfection,
     enumerate_graphs,
     is_berge,
@@ -303,8 +302,6 @@ def sweep(
     names = _resolve(properties)
     jobs = _worker_count(jobs, os.cpu_count())
     total = stream_size(n, mode, count)
-    if mode == "exhaustive":
-        check_exhaustive_cap(n)
     started = time.perf_counter()
     raw: list[tuple[int, int, tuple[tuple[int, int], ...], str, str]] = []
     if jobs <= 1 or total < 2 * jobs:

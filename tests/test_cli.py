@@ -341,6 +341,15 @@ def test_expand_rejects_multiplicities_for_unknown_vertices(tmp_path, capsys):
     assert run_command(["expand", "--in", str(k2), "--mult", "0:2,1:1"]) == 0
 
 
+def test_expand_rejects_a_vertex_given_twice(tmp_path, capsys):
+    p3 = tmp_path / "p3.el"
+    p3.write_text("0 1\n1 2\n")
+    assert run_command(["expand", "--in", str(p3), "--mult", "0:1,1:2,2:1,1:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: line 1, column 1: multiplicity given twice for vertex 1\n"
+
+
 def test_verify_accepts_the_well_typed_k1_certificate(tmp_path, capsys):
     g = tmp_path / "k1.el"
     g.write_text("n 1\n")

@@ -7,7 +7,7 @@ import pytest
 from pgl import enumerate_graphs, expand, is_induced_subgraph, is_perfect, make_graph, sweep, verify_expansion
 from pgl.sweeps import EXPANSION_MAX_MULTIPLICITY, PROPERTIES, _check_expansion
 
-from conftest import cycle
+from conftest import cycle, run_fresh
 
 
 def test_property_registry_names():
@@ -93,6 +93,23 @@ def test_exhaustive_sweep_past_the_cap_raises_before_any_work(monkeypatch):
         with pytest.raises(TooLargeError, match="exhaustive enumeration capped at 6 vertices"):
             sweep("duality", 7, jobs=jobs)
     assert sweep("duality", 7, "random", count=3).graphs_checked == 3
+
+
+def test_exhaustive_sweep_past_the_cap_raises_before_it_counts_the_stream():
+    # The count 1 << n(n-1)/2 alone is a 100 MB int at n = 40,000.
+    out = run_fresh(
+        "import os, resource\n"
+        "os.environ.pop('PGL_MAX_N', None)\n"
+        "from pgl import TooLargeError, sweep\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "try:\n"
+        "    sweep('duality', 40_000)\n"
+        "except TooLargeError as exc:\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, exc)\n"
+    )
+    grown_kib, message = out.rstrip("\n").split(" ", 1)
+    assert message == "exhaustive enumeration capped at 6 vertices"
+    assert int(grown_kib) < 5 * 1024
 
 
 def test_unknown_property_rejected():
