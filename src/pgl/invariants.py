@@ -27,8 +27,7 @@ COVER_KINDS = ("stable", "clique")
 
 # The perfection check keeps one bit per vertex subset and level: at the
 # cap a call peaks at 4.4-5.3 MiB above its starting ru_maxrss on
-# bipartite, split and interval graphs.  Not affected by PGL_MAX_N, which
-# only moves the oracle caps.
+# bipartite, split and interval graphs.
 PERFECTION_MAX_N = 20
 
 

@@ -13,14 +13,12 @@ definition computes chi and omega of every vertex subset with a bitmask
 dynamic program: chi of a subset is one plus the least chi left after
 removing a stable set through its lowest vertex, so it checks chi ==
 omega directly rather than through Lovasz's alpha * omega bound that
-invariants.is_perfect uses.  Size caps keep the enumerations at desk
-scale; the PGL_MAX_N environment variable overrides them, except
-DEFINITION_MAX_N, the cap of the perfection-by-definition table.
+invariants.is_perfect uses.  Fixed size caps keep the enumerations at
+desk scale.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from functools import lru_cache
 from itertools import combinations
@@ -45,20 +43,6 @@ EXHAUSTIVE_MAX_N = 6
 # millions of nodes (seeded G(14, 0.9): 1.5 million, 2.8 s).
 COLORING_MAX_NODES = 200_000
 DEFAULT_SEED = 42
-
-
-def size_cap(default: int) -> int:
-    """Default cap, unless PGL_MAX_N overrides it.
-
-    PGL_MAX_N must be a plain non-negative decimal integer; anything else
-    raises ValueError naming the variable.
-    """
-    env = os.environ.get("PGL_MAX_N")
-    if not env:
-        return default
-    if not (env.isascii() and env.isdigit()):
-        raise ValueError(f"PGL_MAX_N must be a non-negative decimal integer, got {env!r}")
-    return int(env)
 
 
 def _first_proper_coloring(adj: Sequence[int]) -> tuple[int, list[int]]:
@@ -111,9 +95,8 @@ def oracle_parameters(G: Graph) -> GraphParameters:
     cap, and once the chi walk passes COLORING_MAX_NODES search nodes.
     """
     n = G.n
-    cap = size_cap(ORACLE_MAX_N)
-    if n > cap:
-        raise TooLargeError(f"subset enumeration capped at {cap} vertices")
+    if n > ORACLE_MAX_N:
+        raise TooLargeError(f"subset enumeration capped at {ORACLE_MAX_N} vertices")
     nodes, adj = G.nodes, G.bit_adjacency
     closed = [a | 1 << i for i, a in enumerate(adj)]
     best_stable: tuple[int, ...] = ()
@@ -189,9 +172,8 @@ def find_odd_hole_or_antihole(G: Graph) -> tuple[str, tuple[int, ...]] | None:
     Returns ("hole", cycle) or ("antihole", cycle); the antihole cycle
     is listed in complement order.  None when the graph is Berge.
     """
-    cap = size_cap(BERGE_MAX_N)
-    if G.n > cap:
-        raise TooLargeError(f"hole search capped at {cap} vertices")
+    if G.n > BERGE_MAX_N:
+        raise TooLargeError(f"hole search capped at {BERGE_MAX_N} vertices")
     hole = _find_odd_induced_cycle(G)
     if hole is not None:
         return "hole", hole
@@ -303,10 +285,9 @@ def _check_stream_bounds(n: int, count: int) -> None:
 
 
 def check_exhaustive_cap(n: int) -> None:
-    """Raise TooLargeError when n is past the exhaustive cap (EXHAUSTIVE_MAX_N or PGL_MAX_N)."""
-    cap = size_cap(EXHAUSTIVE_MAX_N)
-    if n > cap:
-        raise TooLargeError(f"exhaustive enumeration capped at {cap} vertices")
+    """Raise TooLargeError when n is past EXHAUSTIVE_MAX_N."""
+    if n > EXHAUSTIVE_MAX_N:
+        raise TooLargeError(f"exhaustive enumeration capped at {EXHAUSTIVE_MAX_N} vertices")
 
 
 def enumerate_graphs(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import combinations, islice, product
 from typing import Callable, Sequence
 
 from .constructions import build_separated_graph, expand, replicate, verify_expansion, verify_replication
@@ -23,7 +23,6 @@ from .invariants import (
     graph_parameters,
     imperfection_witness,
     is_clique,
-    is_nice,
     is_perfect,
     is_stable,
     max_clique_witness,
@@ -87,8 +86,13 @@ def _check_berge(G: Graph) -> str | None:
 
 
 def _check_duality(G: Graph) -> str | None:
+    # The complement is built from its definition: stable_number flips G's
+    # rows with core._complement_rows, the helper core.complement uses, so
+    # clique_number(complement(G)) would repeat the same computation.
+    edges = set(G.edges)
+    co = make_graph(G.nodes, [e for e in combinations(G.nodes, 2) if e not in edges])
     a = stable_number(G)
-    w = clique_number(complement(G))
+    w = clique_number(co)
     if a != w:
         return f"alpha={a} but complement omega={w}"
     return None
@@ -232,8 +236,9 @@ def _check_iso(G: Graph) -> str | None:
     ph = graph_parameters(H)
     if (pg.alpha, pg.omega, pg.chi) != (ph.alpha, ph.omega, ph.chi):
         return "parameters not preserved by isomorphism"
-    if is_nice(G) != is_nice(H) or is_perfect(G) != is_perfect(H):
-        return "nice/perfect not preserved by isomorphism"
+    # Niceness, chi == omega, is settled by the triple above.
+    if is_perfect(G) != is_perfect(H):
+        return "perfection not preserved by isomorphism"
     if not is_clique(H, tuple(w.forward[v] for v in pg.max_clique_witness)):
         return "image of a maximum clique is not a clique"
     if not is_stable(H, tuple(w.forward[v] for v in pg.max_stable_witness)):
@@ -296,8 +301,8 @@ def sweep(
     """Run property checks over the graph stream and report counterexamples.
 
     jobs is clamped to the machine's CPU count.  An exhaustive stream past
-    the EXHAUSTIVE_MAX_N cap (or PGL_MAX_N) raises TooLargeError before
-    any graph is checked or any worker starts.
+    the EXHAUSTIVE_MAX_N cap raises TooLargeError before any graph is
+    checked or any worker starts.
     """
     names = _resolve(properties)
     jobs = _worker_count(jobs, os.cpu_count())

@@ -1,0 +1,122 @@
+"""Each exponential routine refuses one past its fixed cap, before it searches."""
+
+import time
+from itertools import combinations
+
+import pytest
+
+from pgl import (
+    TooLargeError,
+    build_separated_graph,
+    enumerate_graphs,
+    find_odd_hole_or_antihole,
+    imperfection_witness,
+    is_perfect,
+    make_graph,
+    oracle_parameters,
+)
+from pgl.constructions import SEPARATION_MAX_VERTICES
+from pgl.invariants import PERFECTION_MAX_N
+from pgl.oracles import (
+    BERGE_MAX_N,
+    DEFINITION_MAX_N,
+    EXHAUSTIVE_MAX_N,
+    ORACLE_MAX_N,
+    is_perfect_by_definition,
+    stream_size,
+)
+
+
+def _disjoint_cliques(sizes):
+    """Disjoint cliques: prod(sizes) maximum stable sets, each of size len(sizes)."""
+    edges, first = [], 0
+    for size in sizes:
+        edges += combinations(range(first, first + size), 2)
+        first += size
+    return make_graph(range(first), edges)
+
+
+def _matching(k):
+    """k disjoint edges: 2^k maximum stable sets of size k."""
+    return make_graph(range(2 * k), [(2 * i, 2 * i + 1) for i in range(k)])
+
+
+# (routine, the call one past its cap, the step it must not reach, message)
+CAPS = [
+    (
+        "oracle_parameters",
+        lambda: oracle_parameters(make_graph(range(ORACLE_MAX_N + 1))),
+        "pgl.oracles.combinations",
+        "subset enumeration capped at 20 vertices",
+    ),
+    (
+        "find_odd_hole_or_antihole",
+        lambda: find_odd_hole_or_antihole(make_graph(range(BERGE_MAX_N + 1))),
+        "pgl.oracles._find_odd_induced_cycle",
+        "hole search capped at 12 vertices",
+    ),
+    (
+        "enumerate_graphs",
+        lambda: next(enumerate_graphs(EXHAUSTIVE_MAX_N + 1)),
+        "pgl.oracles.graph_from_mask",
+        "exhaustive enumeration capped at 6 vertices",
+    ),
+    (
+        "stream_size",
+        lambda: stream_size(EXHAUSTIVE_MAX_N + 1, "exhaustive"),
+        "pgl.oracles.graph_from_mask",
+        "exhaustive enumeration capped at 6 vertices",
+    ),
+    (
+        "is_perfect_by_definition",
+        lambda: is_perfect_by_definition(make_graph(range(DEFINITION_MAX_N + 1))),
+        "pgl.oracles._subset_tables",
+        "perfection by definition capped at 14 vertices",
+    ),
+    (
+        "is_perfect",
+        lambda: is_perfect(make_graph(range(PERFECTION_MAX_N + 1))),
+        "pgl.invariants._grown",
+        "perfection check capped at 20 vertices",
+    ),
+    (
+        "imperfection_witness",
+        lambda: imperfection_witness(make_graph(range(PERFECTION_MAX_N + 1))),
+        "pgl.invariants._grown",
+        "perfection check capped at 20 vertices",
+    ),
+    (
+        # 29 * 113 = 3,277 maximum stable sets of size 5: 16,385 copies.
+        "build_separated_graph",
+        lambda: build_separated_graph(_disjoint_cliques([29, 113, 1, 1, 1])),
+        "pgl.constructions.mk_disj",
+        "separated graph capped at 16384 vertices",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, search, message", [c[1:] for c in CAPS], ids=[c[0] for c in CAPS])
+def test_one_past_each_cap_is_refused_before_any_search(monkeypatch, call, search, message):
+    def started(*args, **kwargs):
+        raise AssertionError(f"{search} ran past the cap")
+
+    monkeypatch.setattr(search, started)
+    with pytest.raises(TooLargeError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_the_cheap_searches_run_at_their_cap():
+    assert find_odd_hole_or_antihole(make_graph(range(BERGE_MAX_N))) is None
+    assert next(enumerate_graphs(EXHAUSTIVE_MAX_N)).n == EXHAUSTIVE_MAX_N
+    assert stream_size(EXHAUSTIVE_MAX_N, "exhaustive") == 32_768
+
+
+def test_separation_cap_counts_copies_not_vertices():
+    assert SEPARATION_MAX_VERTICES == 16_384
+    # Ten edges give 10 * 2^10 = 10,240 copies; twelve would give 49,152.
+    assert build_separated_graph(_matching(10)).separated.n == 10_240
+    started = time.perf_counter()
+    with pytest.raises(TooLargeError, match="separated graph capped at 16384 vertices"):
+        build_separated_graph(_matching(12))
+    assert time.perf_counter() - started < 1.0

@@ -127,6 +127,16 @@ def test_separate_command(c5_file, capsys):
     assert set(doc["back"].values()) == {0, 1, 2, 3, 4}
 
 
+def test_separate_past_the_vertex_cap_fails_fast(tmp_path, capsys):
+    # Twelve disjoint edges: 2^12 maximum stable sets, 49,152 copies.
+    p = tmp_path / "matching.el"
+    p.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(12)))
+    assert run_command(["separate", "--in", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: separated graph capped at 16384 vertices\n"
+
+
 def test_iso_command(tmp_path, capsys):
     a = tmp_path / "a.el"
     a.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n")
@@ -163,9 +173,8 @@ def test_sweep_rejects_negative_bounds(capsys):
     assert capsys.readouterr().err == "error: graph count must be non-negative, got -5\n"
 
 
-def test_sweep_past_the_exhaustive_cap_fails_fast(monkeypatch, capsys):
+def test_sweep_past_the_exhaustive_cap_fails_fast(capsys):
     # 2^36 graphs at n = 9: without the cap check this never returns.
-    monkeypatch.delenv("PGL_MAX_N", raising=False)
     for jobs in ("1", "2"):
         assert run_command(["sweep", "--prop", "duality", "--n", "9", "--jobs", jobs]) == 2
         captured = capsys.readouterr()
@@ -174,25 +183,6 @@ def test_sweep_past_the_exhaustive_cap_fails_fast(monkeypatch, capsys):
     # The cap bounds exhaustive streams only.
     assert run_command(["sweep", "--prop", "duality", "--n", "9", "--mode", "random", "--count", "2"]) == 0
     assert capsys.readouterr().out == "2 graphs, 0 counterexamples\n"
-
-
-def test_sweep_cap_follows_the_size_override(monkeypatch, capsys):
-    monkeypatch.setenv("PGL_MAX_N", "3")
-    assert run_command(["sweep", "--prop", "duality", "--n", "4"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: exhaustive enumeration capped at 3 vertices\n"
-    assert run_command(["sweep", "--prop", "duality", "--n", "3"]) == 0
-    assert capsys.readouterr().out == "8 graphs, 0 counterexamples\n"
-
-
-@pytest.mark.parametrize("value, n", [("abc", "5"), ("-4", "2")])
-def test_sweep_rejects_a_malformed_size_cap(monkeypatch, capsys, value, n):
-    monkeypatch.setenv("PGL_MAX_N", value)
-    assert run_command(["sweep", "--prop", "berge", "--n", n]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: PGL_MAX_N must be a non-negative decimal integer, got {value!r}\n"
 
 
 def test_sweep_json_report(tmp_path, capsys):

@@ -106,13 +106,6 @@ def test_oracle_witnesses_validate():
         assert is_valid_coloring(g, p.chi_witness)
 
 
-def test_oracle_size_cap(monkeypatch):
-    monkeypatch.delenv("PGL_MAX_N", raising=False)
-    big = make_graph(range(25))
-    with pytest.raises(TooLargeError):
-        oracle_parameters(big)
-
-
 def test_oracle_agreement_on_named_graphs():
     for g in (cycle(5), cycle(6), house(), path(5), complete(4), edgeless(4), nice_but_imperfect()):
         p = graph_parameters(g)
@@ -185,35 +178,9 @@ def test_enumerate_exhaustive_order_is_edge_bitmask():
     assert stream[-1].m == 3
 
 
-def test_enumerate_exhaustive_cap(monkeypatch):
-    monkeypatch.delenv("PGL_MAX_N", raising=False)
+def test_enumerate_exhaustive_cap():
     with pytest.raises(TooLargeError):
         next(enumerate_graphs(7))
-
-
-def test_enumerate_cap_env_override(monkeypatch):
-    monkeypatch.setenv("PGL_MAX_N", "7")
-    assert next(enumerate_graphs(7)).n == 7
-
-
-@pytest.mark.parametrize("value", ["abc", "-4", "+5", " 5", "5 ", "1e3", "0x10", "\u0663"])
-def test_size_cap_rejects_a_malformed_override(monkeypatch, value):
-    from pgl.oracles import size_cap
-
-    monkeypatch.setenv("PGL_MAX_N", value)
-    with pytest.raises(ValueError) as exc:
-        size_cap(12)
-    assert str(exc.value) == f"PGL_MAX_N must be a non-negative decimal integer, got {value!r}"
-
-
-def test_size_cap_reads_a_decimal_override(monkeypatch):
-    from pgl.oracles import size_cap
-
-    for value, cap in (("", 12), ("0", 0), ("7", 7), ("030", 30)):
-        monkeypatch.setenv("PGL_MAX_N", value)
-        assert size_cap(12) == cap
-    monkeypatch.delenv("PGL_MAX_N")
-    assert size_cap(12) == 12
 
 
 def test_enumerate_random_is_reproducible():

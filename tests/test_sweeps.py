@@ -85,10 +85,9 @@ def test_worker_count_is_clamped_to_the_cpus():
     assert _worker_count(4, None) == 1
 
 
-def test_exhaustive_sweep_past_the_cap_raises_before_any_work(monkeypatch):
+def test_exhaustive_sweep_past_the_cap_raises_before_any_work():
     from pgl import TooLargeError
 
-    monkeypatch.delenv("PGL_MAX_N", raising=False)
     for jobs in (1, 2):
         with pytest.raises(TooLargeError, match="exhaustive enumeration capped at 6 vertices"):
             sweep("duality", 7, jobs=jobs)
@@ -98,8 +97,7 @@ def test_exhaustive_sweep_past_the_cap_raises_before_any_work(monkeypatch):
 def test_exhaustive_sweep_past_the_cap_raises_before_it_counts_the_stream():
     # The count 1 << n(n-1)/2 alone is a 100 MB int at n = 40,000.
     out = run_fresh(
-        "import os, resource\n"
-        "os.environ.pop('PGL_MAX_N', None)\n"
+        "import resource\n"
         "from pgl import TooLargeError, sweep\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "try:\n"
@@ -139,6 +137,26 @@ def test_counterexamples_refail_when_rerun(monkeypatch):
     assert cex.index == 7 and cex.prop == "no-triangle"
     # Re-running the property on the recorded graph reproduces the evidence.
     assert PROPERTIES["no-triangle"](cex.graph) == cex.evidence
+
+
+def test_duality_sweep_catches_a_faulty_complement(monkeypatch):
+    # A complement that loses the pair of the first two vertices: the
+    # duality check must build its complement some other way to see it.
+    import pgl.core
+    import pgl.invariants
+
+    flip = pgl.core._complement_rows
+
+    def lossy(rows):
+        out = list(flip(rows))
+        if len(out) > 1:
+            out[0] &= ~2
+            out[1] &= ~1
+        return tuple(out)
+
+    monkeypatch.setattr(pgl.core, "_complement_rows", lossy)
+    monkeypatch.setattr(pgl.invariants, "_complement_rows", lossy)
+    assert sweep("duality", 5).counterexamples
 
 
 def test_an_empty_property_list_is_rejected():
