@@ -33,7 +33,7 @@ def _case_key(row: dict) -> tuple[str, str | None, int]:
 
 def test_every_committed_row_names_a_registry_case():
     registry = {(case.name, case.family, case.n) for case in bench.CASES}
-    for name in ("BENCH_perfection.json", "BENCH_oracles.json", "BENCH_sweep_layers.json"):
+    for name in ("BENCH_perfection.json", "BENCH_oracles.json", "BENCH_sweep_layers.json", "BENCH_sweep_checks.json"):
         rows = _committed_rows(name)
         assert rows
         assert [_case_key(row) for row in rows if _case_key(row) not in registry] == []

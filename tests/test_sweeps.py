@@ -1,11 +1,35 @@
 """Sweep harness: property registry, determinism, worker merging."""
 
-from itertools import islice, product
+import multiprocessing
+import random
+from concurrent import futures
+from dataclasses import replace
+from functools import partial
+from itertools import combinations, islice, permutations, product
 
 import pytest
 
-from pgl import enumerate_graphs, expand, is_induced_subgraph, is_perfect, make_graph, sweep, verify_expansion
-from pgl.sweeps import EXPANSION_MAX_MULTIPLICITY, PROPERTIES, _check_expansion
+from pgl import (
+    PerfectnessFailure,
+    build_separated_graph,
+    clique_number,
+    enumerate_graphs,
+    expand,
+    intersecting_clique,
+    is_induced_subgraph,
+    is_perfect,
+    is_stable,
+    make_graph,
+    max_clique_witness,
+    stable_number,
+    sweep,
+    union_over,
+    verify_expansion,
+    vertex_set,
+    wpgt_certificate,
+)
+from pgl.pipeline import CLIQUE_GAP
+from pgl.sweeps import EXPANSION_MAX_MULTIPLICITY, PROPERTIES, Counterexample, _check_expansion
 
 from conftest import cycle, run_fresh
 
@@ -67,11 +91,20 @@ def test_random_mode_sweep():
     assert report.ok
 
 
-def test_parallel_sweep_matches_sequential():
-    seq = sweep("wpgt", 4, jobs=1)
-    par = sweep("wpgt", 4, jobs=2)
-    assert seq.graphs_checked == par.graphs_checked
-    assert [c.index for c in seq.counterexamples] == [c.index for c in par.counterexamples]
+def test_parallel_sweep_matches_sequential(monkeypatch):
+    # Two deliberately false claims, so that both reports have something to
+    # merge.  Workers are forked, whatever the default start method, so that
+    # they see the patched registry.
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", partial(futures.ProcessPoolExecutor, mp_context=fork))
+    monkeypatch.setitem(PROPERTIES, "triangle-free", lambda G: "triangle" if clique_number(G) > 2 else None)
+    monkeypatch.setitem(PROPERTIES, "edgeless", lambda G: f"{G.m} edges" if G.m else None)
+    seq = sweep(("triangle-free", "edgeless"), 4, jobs=1)
+    par = sweep(("triangle-free", "edgeless"), 4, jobs=2)
+    assert seq.graphs_checked == par.graphs_checked == 64
+    assert len(seq.counterexamples) > 64
+    assert seq.counterexamples == par.counterexamples
+    assert all(isinstance(c, Counterexample) for c in par.counterexamples)
 
 
 def test_worker_count_is_clamped_to_the_cpus():
@@ -239,38 +272,137 @@ def test_repeated_properties_are_checked_once_in_first_seen_order(monkeypatch):
     assert len(seen) == report.graphs_checked == 8
 
 
-def _pairwise_tag_evidence(sep):
-    """The separation sweep's tag-rule loop with one adjacency test per pair of node ids."""
+def _separation_evidence_with_the_tag_loop(G, sep):
+    """The separation check as it was before the tag-rule loop was dropped, on a given separation."""
+    if G.n == 0:
+        return None
+    if vertex_set(sep.back[x] for x in sep.separated.nodes) != sep.base.nodes:
+        return "backward image of separated nodes misses the base nodes"
     tags = {x: (sep.back[x], i) for i, part in enumerate(sep.disjoint_parts) for x in part}
-    for i, x in enumerate(sep.separated.nodes):
-        for y in sep.separated.nodes[i + 1 :]:
-            ox, ix = tags[x]
-            oy, iy = tags[y]
+    nodes, rows = sep.separated.nodes, sep.separated.bit_adjacency
+    base_index, base_rows = sep.base.index, sep.base.bit_adjacency
+    tagged = [(base_index[tags[x][0]], tags[x][1]) for x in nodes]
+    for i, (ox, ix) in enumerate(tagged):
+        row = rows[i]
+        for j in range(i + 1, len(nodes)):
+            oy, iy = tagged[j]
+            edge = row >> j & 1 == 1
             if ox == oy:
-                if sep.separated.adjacent(x, y) != (ix != iy):
-                    return f"equal-origin copies {x},{y} break the tag rule"
-            elif sep.base.adjacent(ox, oy) != sep.separated.adjacent(x, y):
-                return f"distinct-origin adjacency mismatch at {x},{y}"
+                if edge != (ix != iy):
+                    return f"equal-origin copies {nodes[i]},{nodes[j]} break the tag rule"
+            elif base_rows[ox] >> oy & 1 != edge:
+                return f"distinct-origin adjacency mismatch at {nodes[i]},{nodes[j]}"
+    if not verify_expansion(sep.base, sep.separated, sep.back):
+        return "separated graph is not an expansion of the base"
+    seen = set()
+    for part in sep.disjoint_parts:
+        if seen & set(part):
+            return "disjoint parts overlap"
+        seen |= set(part)
+    if union_over(sep.disjoint_parts) != sep.separated.nodes:
+        return "disjoint parts do not cover the separated graph"
+    alpha = stable_number(sep.separated)
+    for part in sep.disjoint_parts:
+        if not is_stable(sep.separated, part):
+            return "a disjoint part is not stable in the separated graph"
+        if len(part) != alpha:
+            return "a disjoint part is not a maximum stable set of the separated graph"
+    witness = max_clique_witness(sep.separated)
+    required = len(sep.disjoint_parts)
+    K = intersecting_clique(G)
+    if len(witness) < required:
+        if K != PerfectnessFailure(CLIQUE_GAP, G.nodes, len(witness), required):
+            return f"intersecting clique {K} disagrees with a separated clique of size {len(witness)}"
+    elif K != vertex_set(sep.back[x] for x in witness):
+        return f"intersecting clique {K} is not the projection of the least maximum separated clique"
     return None
 
 
-def test_separation_tag_evidence_matches_the_pairwise_loop(monkeypatch):
-    import random
-
-    from pgl import build_separated_graph, sweeps
-
-    rng = random.Random(1972)
-    seen = set()
-    for g in enumerate_graphs(6, "random", seed=11, count=400):
-        sep = build_separated_graph(g)
-        h = sep.separated
-        if h.n < 2:
-            continue
+def _separation_mutants(sep, rng):
+    """(kind, separation) for each of six faults that applies to sep."""
+    h, back, parts = sep.separated, sep.back, sep.disjoint_parts
+    if h.n >= 2:
         x, y = rng.sample(h.nodes, 2)
         flipped = make_graph(h.nodes, set(h.edges) ^ {(min(x, y), max(x, y))})
-        for candidate in (sep, sep._replace(separated=flipped)):
-            expected = _pairwise_tag_evidence(candidate)
-            monkeypatch.setattr(sweeps, "build_separated_graph", lambda G, s=candidate: s)
-            assert sweeps._check_separation(g) == expected
-            seen.add(None if expected is None else expected.split()[0])
-    assert seen == {None, "equal-origin", "distinct-origin"}
+        yield "flipped pair", sep._replace(separated=flipped)
+    x = rng.choice(h.nodes)
+    others = [o for o in sep.base.nodes if o != back[x]]
+    if others:
+        yield "wrong back value", sep._replace(back={**back, x: rng.choice(others)})
+    pairs = [(x, y) for x, y in combinations(h.nodes, 2) if back[x] != back[y]]
+    if pairs:
+        x, y = rng.choice(pairs)
+        yield "swapped back values", sep._replace(back={**back, x: back[y], y: back[x]})
+    if len(parts) >= 2:
+        i, j = rng.sample(range(len(parts)), 2)
+        x = rng.choice(parts[i])
+        moved = list(parts)
+        moved[i] = tuple(v for v in parts[i] if v != x)
+        moved[j] = vertex_set(parts[j] + (x,))
+        yield "moved copy", sep._replace(disjoint_parts=tuple(moved))
+        # Two parts trade copies so that one holds two copies of an origin
+        # at the right size: only the stability check sees it.
+        trades = [
+            (i, j, x, y)
+            for i, j in permutations(range(len(parts)), 2)
+            for x in parts[i]
+            for y in parts[j]
+            if back[x] != back[y] and back[x] in {back[z] for z in parts[j]}
+        ]
+        if trades:
+            i, j, x, y = rng.choice(trades)
+            traded = list(parts)
+            traded[i] = vertex_set(v for v in parts[i] + (y,) if v != x)
+            traded[j] = vertex_set(v for v in parts[j] + (x,) if v != y)
+            yield "traded copies", sep._replace(disjoint_parts=tuple(traded))
+    touched = [x for x in h.nodes if h.degree(x)]
+    if touched:
+        x = rng.choice(touched)
+        isolated = make_graph(h.nodes, [e for e in h.edges if x not in e])
+        yield "isolated copy", sep._replace(separated=isolated)
+
+
+def _separation_gate_graphs():
+    for n in range(6):
+        yield from enumerate_graphs(n)
+    yield from enumerate_graphs(6, "random", seed=11, count=300)
+    yield from enumerate_graphs(7, "random", seed=12, count=200)
+
+
+def test_separation_verdicts_match_the_check_with_the_tag_loop(monkeypatch):
+    from pgl import sweeps
+
+    rng = random.Random(1972)
+    disagreements, reported, cases = [], set(), 0
+    for G in _separation_gate_graphs():
+        if G.n == 0:
+            assert sweeps._check_separation(G) is None
+            continue
+        sep = build_separated_graph(G)
+        for kind, candidate in [("intact", sep), *_separation_mutants(sep, rng)]:
+            cases += 1
+            before = _separation_evidence_with_the_tag_loop(G, candidate)
+            monkeypatch.setattr(sweeps, "build_separated_graph", lambda _, s=candidate: s)
+            after = sweeps._check_separation(G)
+            if (before is None) != (after is None):
+                disagreements.append((G, kind, before, after))
+            if after is not None:
+                reported.add(kind)
+    assert cases > 8000
+    assert disagreements == []
+    assert reported == {
+        "flipped pair", "wrong back value", "swapped back values", "moved copy", "traded copies", "isolated copy"
+    }
+
+
+def test_pipeline_sweep_reports_a_cover_one_part_too_large(monkeypatch):
+    from pgl import sweeps
+
+    def padded(G):
+        cert = wpgt_certificate(G)
+        return replace(cert, alpha=cert.alpha + 1, clique_cover=cert.clique_cover + ((G.nodes[0],),))
+
+    monkeypatch.setattr(sweeps, "wpgt_certificate", padded)
+    graphs = [G for n in range(1, 5) for G in enumerate_graphs(n)]
+    assert len(graphs) == 75 and all(is_perfect(G) for G in graphs)
+    assert {sweeps._check_pipeline(G) for G in graphs} == {"certificate failed verification"}

@@ -33,6 +33,7 @@ files come from these case sets:
 - BENCH_oracles.json: --case oracle_parameters --case sweep-oracle-agreement
 - BENCH_sweep_layers.json: --case sweep-expansion --case sweep-iso
   --case sweep-duality
+- BENCH_sweep_checks.json: --case sweep-separation --case sweep-pipeline
 
 Standard library only.
 """
@@ -160,7 +161,9 @@ CASES = [
     Case("oracle_parameters", _ORACLE, "antihole", 9),
     *(
         Case(f"sweep-{prop}", f"partial(pgl.sweep, {prop!r}, n)", None, n, None)
-        for prop, n in (("oracle-agreement", 6), ("expansion", 4), ("iso", 5), ("duality", 6))
+        for prop, n in (
+            ("oracle-agreement", 6), ("expansion", 4), ("iso", 5), ("duality", 6), ("separation", 5), ("pipeline", 5)
+        )
     ),
     *(on_graph("max_stable_sets", "matching", n) for n in (24, 28, 32)),
     *(on_graph("max_stable_sets", "sparse-bipartite", n) for n in (40, 60)),
