@@ -14,6 +14,16 @@ makes a fresh namespace and help formatter on every parse, so reuse
 changes no output.  Importing this module builds nothing, and `sweep
 --jobs N` loads the process pool only when it actually splits the
 stream across workers.
+
+Each command loads only the pgl modules it runs, so a fresh process
+starts faster.  Importing this module loads core, errors, formats and
+invariants, which are all that analyze and convert need.  The other
+handlers import their engine when they run:
+
+    certify, verify             + constructions, pipeline
+    replicate, expand, separate + constructions
+    iso                         + iso
+    sweep                       + constructions, iso, oracles, pipeline, sweeps
 """
 
 from __future__ import annotations
@@ -23,10 +33,9 @@ import functools
 import json
 import re
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Graph
-from .constructions import build_separated_graph, expand, replicate
 from .errors import GraphError, ParseError
 from .formats import (
     EMIT_FORMATS,
@@ -38,14 +47,23 @@ from .formats import (
     parse_graph,
 )
 from .invariants import graph_parameters, is_perfect
-from .iso import find_isomorphism
-from .pipeline import (
-    PerfectnessFailure,
-    WpgtCertificate,
-    verify_certificate,
-    wpgt_certificate,
+
+if TYPE_CHECKING:
+    from .pipeline import PerfectnessFailure, WpgtCertificate
+
+# sorted(sweeps.PROPERTIES), kept here so that building the parser for
+# the sweep help text does not import the sweep engine.
+_PROPERTY_NAMES = (
+    "berge",
+    "duality",
+    "expansion",
+    "iso",
+    "oracle-agreement",
+    "pipeline",
+    "replication",
+    "separation",
+    "wpgt",
 )
-from .sweeps import PROPERTIES, sweep
 
 
 def _read_text(path: str | None) -> tuple[str, str | None]:
@@ -102,6 +120,8 @@ def _vertex_key(key: str) -> int:
 
 
 def _certificate_from_json(text: str) -> WpgtCertificate:
+    from .pipeline import WpgtCertificate
+
     try:
         doc = json.loads(text)
         alpha = _json_int(doc["alpha"], "alpha")
@@ -146,6 +166,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .pipeline import PerfectnessFailure, wpgt_certificate
+
     G, _ = _load_graph(args)
     result = wpgt_certificate(G)
     if isinstance(result, PerfectnessFailure):
@@ -156,6 +178,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .pipeline import verify_certificate
+
     G, _ = _load_graph(args)
     text, _ = _read_text(args.cert)
     cert = _certificate_from_json(text)
@@ -176,6 +200,8 @@ def _emit_result(args: argparse.Namespace, in_fmt: str, H: Graph) -> None:
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
+    from .constructions import replicate
+
     G, fmt = _load_graph(args)
     H, witness = replicate(G, args.vertex)
     sys.stderr.write(f"replicated {witness.base} -> {witness.clone}\n")
@@ -200,6 +226,8 @@ def _parse_multiplicities(text: str) -> dict[int, int]:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
+    from .constructions import expand
+
     G, fmt = _load_graph(args)
     H, _ = expand(G, _parse_multiplicities(args.mult))
     _emit_result(args, fmt, H)
@@ -207,6 +235,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_separate(args: argparse.Namespace) -> int:
+    from .constructions import build_separated_graph
+
     G, _ = _load_graph(args)
     sep = build_separated_graph(G)
     doc = {
@@ -221,6 +251,8 @@ def _cmd_separate(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
+    from .iso import find_isomorphism
+
     G, _ = _load_graph(args)
     text, name = _read_text(args.other)
     fmt = args.other_format or infer_format(name, text)
@@ -238,6 +270,8 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweeps import sweep
+
     names = tuple(p.strip() for p in args.prop.split(",") if p.strip())
     report = sweep(
         names, args.n, args.mode, seed=args.seed, count=args.count, jobs=args.jobs
@@ -333,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_iso)
 
     sub = commands.add_parser("sweep", help="run property sweeps over small-graph streams")
-    sub.add_argument("--prop", required=True, help=f"property name(s), comma separated; known: {','.join(sorted(PROPERTIES))}")
+    sub.add_argument("--prop", required=True, help=f"property name(s), comma separated; known: {','.join(_PROPERTY_NAMES)}")
     sub.add_argument("--n", type=int, required=True, help="number of vertices")
     sub.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     sub.add_argument("--seed", type=int, default=42)

@@ -222,11 +222,12 @@ def build_separated_graph(G: Graph) -> Separation:
     when their part tags differ; copies with distinct origins mirror
     the base adjacency.  back projects fresh vertices to origins.
     Raises TooLargeError, before any copy is made, when the separated
-    graph would have more than SEPARATION_MAX_VERTICES vertices.
+    graph would have more than SEPARATION_MAX_VERTICES vertices; the
+    stable-set listing stops as soon as its sets pass that count.
     """
     if G.n == 0:
         raise EmptyGraphError("separation requires a nonempty graph")
-    stables = max_stable_sets(G)
+    stables = max_stable_sets(G, SEPARATION_MAX_VERTICES)
     if len(stables) * len(stables[0]) > SEPARATION_MAX_VERTICES:
         raise TooLargeError(f"separated graph capped at {SEPARATION_MAX_VERTICES} vertices")
     base = induced_subgraph(G, union_over(stables))

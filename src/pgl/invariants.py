@@ -219,19 +219,29 @@ def graph_parameters(G: Graph) -> GraphParameters:
     return params
 
 
-def _max_stable_masks(adj: Sequence[int], n: int, alpha: int | None = None) -> list[int]:
+class _ListingFull(Exception):
+    """Stops _max_stable_masks once it holds more sets than its limit."""
+
+
+def _max_stable_masks(
+    adj: Sequence[int], n: int, alpha: int | None = None, limit: int | None = None
+) -> list[int]:
     """Bitmask of every maximum-size stable set, in lexicographic order.
 
     alpha is the stable number when the caller already knows it;
-    otherwise it is searched here.
+    otherwise it is searched here.  With limit, the listing stops at its
+    first limit + 1 sets, so a longer result means more than limit exist.
     """
     co = _complement_rows(adj)
     full = (1 << n) - 1
+    most = float("inf") if limit is None else limit
     out: list[int] = []
 
     def extend(chosen: int, cand: int, need: int) -> None:
         if need == 0:
             out.append(chosen)
+            if len(out) > most:
+                raise _ListingFull
             return
         m = cand
         while m:
@@ -242,15 +252,29 @@ def _max_stable_masks(adj: Sequence[int], n: int, alpha: int | None = None) -> l
             m ^= v
             extend(chosen | v, m & co[i], need - 1)
 
-    extend(0, full, _max_clique(co, full)[0] if alpha is None else alpha)
+    try:
+        extend(0, full, _max_clique(co, full)[0] if alpha is None else alpha)
+    except _ListingFull:
+        pass
     return out
 
 
-def max_stable_sets(G: Graph) -> Cover:
-    """Every maximum-size stable set, each sorted, in lexicographic order."""
+def max_stable_sets(G: Graph, max_total: int | None = None) -> Cover:
+    """Every maximum-size stable set, each sorted, in lexicographic order.
+
+    With max_total, α is searched first and the listing stops as soon
+    as its sets hold more than max_total vertices in all (count × α):
+    the result is then only its first max_total // α + 1 sets, enough
+    for a caller to refuse the input without listing the rest.
+    """
     if G.n == 0:
         return ()
-    return tuple(_mask_vertices(G, m) for m in _max_stable_masks(G.bit_adjacency, G.n))
+    adj = G.bit_adjacency
+    alpha = limit = None
+    if max_total is not None:
+        alpha = _max_clique(_complement_rows(adj), (1 << G.n) - 1)[0]
+        limit = max_total // alpha
+    return tuple(_mask_vertices(G, m) for m in _max_stable_masks(adj, G.n, alpha, limit))
 
 
 def is_nice(G: Graph) -> bool:

@@ -1,5 +1,6 @@
 """Each exponential routine refuses one past its fixed cap, before it searches."""
 
+import hashlib
 import time
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from pgl import (
     imperfection_witness,
     is_perfect,
     make_graph,
+    max_stable_sets,
     oracle_parameters,
 )
 from pgl.constructions import SEPARATION_MAX_VERTICES
@@ -120,3 +122,23 @@ def test_separation_cap_counts_copies_not_vertices():
     with pytest.raises(TooLargeError, match="separated graph capped at 16384 vertices"):
         build_separated_graph(_matching(12))
     assert time.perf_counter() - started < 1.0
+
+
+def test_separation_refuses_before_listing_every_stable_set():
+    # Sixteen edges have 65,536 maximum stable sets; the listing stops at
+    # 16,384 // 16 + 1 = 1,025 of them, once their copies pass the cap.
+    started = time.perf_counter()
+    with pytest.raises(TooLargeError, match="separated graph capped at 16384 vertices"):
+        build_separated_graph(_matching(16))
+    assert time.perf_counter() - started < 0.1
+
+
+def test_separation_under_the_cap_is_built_whole():
+    sep = build_separated_graph(_matching(10))
+    assert sep.stable_sets == max_stable_sets(_matching(10))
+    assert len(sep.stable_sets) == 1024
+    # SHA-256 of the separation as built before the listing could stop early.
+    text = repr((sep.base, sep.separated.bit_adjacency, sorted(sep.back.items()), sep.stable_sets, sep.disjoint_parts))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a46391e919483402ccb3c134c635007919b10876d3656e34e74bff83e2daab66"
+    )

@@ -244,6 +244,16 @@ def test_max_stable_sets_square_and_triangle():
     assert max_stable_sets(complete(3)) == ((1,), (2,), (3,))
 
 
+def test_max_stable_sets_stops_once_its_sets_pass_max_total():
+    # Four disjoint edges: sixteen maximum stable sets of four vertices.
+    g = make_graph(range(8), [(0, 1), (2, 3), (4, 5), (6, 7)])
+    every = max_stable_sets(g)
+    assert len(every) == 16
+    for max_total, count in [(0, 1), (3, 1), (4, 2), (20, 6), (63, 16), (64, 16), (10**6, 16)]:
+        assert max_stable_sets(g, max_total) == every[:count], max_total
+    assert max_stable_sets(make_graph([]), 0) == ()
+
+
 def test_is_nice_pentagon_and_replications():
     g1 = cycle(5)
     assert not is_nice(g1)

@@ -1,4 +1,4 @@
-"""Perfection and Berge recognition against networkx, a third-party oracle.
+"""Perfection, graph6 and isomorphism against networkx, a third-party oracle.
 
 networkx is a test-only dependency; without it these tests are skipped.
 """
@@ -8,7 +8,16 @@ from itertools import combinations
 
 import pytest
 
-from pgl import enumerate_graphs, is_berge, is_perfect, make_graph
+from pgl import (
+    GraphDocument,
+    emit_graph,
+    enumerate_graphs,
+    find_isomorphism,
+    is_berge,
+    is_perfect,
+    make_graph,
+    parse_graph,
+)
 
 nx = pytest.importorskip("networkx")
 
@@ -35,3 +44,71 @@ def test_perfection_matches_networkx_on_random_graphs():
                 _assert_agrees(
                     make_graph(range(n), [e for e in combinations(range(n), 2) if rng.random() < density])
                 )
+
+
+def _nx_graph(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.nodes)
+    h.add_edges_from(g.edges)
+    return h
+
+
+def _random_graph(rng, n, density=0.5):
+    return make_graph(range(n), [e for e in combinations(range(n), 2) if rng.random() < density])
+
+
+def _assert_graph6_agrees(g):
+    payload = emit_graph(g, "graph6").payload
+    expected = nx.to_graph6_bytes(_nx_graph(g), header=False)
+    assert payload.encode("ascii") + b"\n" == expected, g.edges
+    back = nx.from_graph6_bytes(payload.encode("ascii"))
+    assert sorted(back.nodes) == list(range(g.n))
+    assert parse_graph(GraphDocument("graph6", payload)) == make_graph(back.nodes, back.edges)
+
+
+def test_graph6_matches_networkx_on_small_graphs():
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            _assert_graph6_agrees(g)
+    # Every seventh of the 32,768 six-vertex graphs, as all of them take
+    # about 8 s.  An odd stride still meets every pattern of the low 12
+    # edge bits, and every edge bit both set and clear.
+    for g in list(enumerate_graphs(6))[::7]:
+        _assert_graph6_agrees(g)
+
+
+def test_graph6_matches_networkx_across_the_long_size_header():
+    # n >= 63 switches to the four-character "~" size header.
+    rng = random.Random(63)
+    for n in (0, 1, 62, 63, 100, 300):
+        _assert_graph6_agrees(_random_graph(rng, n))
+
+
+def _flip(g, u, v):
+    edges = set(g.edges) ^ {(min(u, v), max(u, v))}
+    return make_graph(g.nodes, edges)
+
+
+def test_isomorphism_verdicts_match_networkx():
+    rng = random.Random(1972)
+    checked = {True: 0, False: 0}
+    for n in range(2, 11):
+        for density in (0.3, 0.5, 0.7):
+            for _ in range(6):
+                g = _random_graph(rng, n, density)
+                labels = list(range(n))
+                rng.shuffle(labels)
+                h = make_graph(labels, [(labels[u], labels[v]) for u, v in g.edges])
+                u, v = rng.sample(range(n), 2)
+                # The same graph relabelled, one pair flipped, and one edge
+                # moved to a non-edge, which keeps the edge count.
+                others = [h, _flip(h, u, v)]
+                if 0 < g.m < n * (n - 1) // 2:
+                    gone = rng.choice(sorted(h.edges))
+                    new = rng.choice([e for e in combinations(range(n), 2) if e not in set(h.edges)])
+                    others.append(_flip(_flip(h, *gone), *new))
+                for other in others:
+                    iso = nx.is_isomorphic(_nx_graph(g), _nx_graph(other))
+                    assert (find_isomorphism(g, other) is None) == (not iso), (g.edges, other.edges)
+                    checked[iso] += 1
+    assert min(checked.values()) > 50, checked
