@@ -81,7 +81,6 @@ _MODULE_EXPORTS = {
         "PerfectnessFailure",
         "WpgtCertificate",
         "clique_cover_alpha",
-        "imperfection_failure",
         "intersecting_clique",
         "recheck_failure",
         "verify_certificate",

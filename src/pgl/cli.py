@@ -20,7 +20,7 @@ starts faster.  Importing this module loads core, errors, formats and
 invariants, which are all that analyze and convert need.  The other
 handlers import their engine when they run:
 
-    certify, verify             + constructions, pipeline
+    certify, verify             + pipeline
     replicate, expand, separate + constructions
     iso                         + iso
     sweep                       + constructions, iso, oracles, pipeline, sweeps
@@ -94,6 +94,7 @@ def _bool_word(flag: bool) -> str:
 def _certificate_json(cert: WpgtCertificate) -> str:
     doc = {
         "alpha": cert.alpha,
+        "stable_set": list(cert.stable_set),
         "clique_cover": [list(part) for part in cert.clique_cover],
         "complement_coloring": {
             str(v): cert.complement_coloring[v] for v in sorted(cert.complement_coloring)
@@ -125,6 +126,9 @@ def _certificate_from_json(text: str) -> WpgtCertificate:
     try:
         doc = json.loads(text)
         alpha = _json_int(doc["alpha"], "alpha")
+        stable = doc["stable_set"]
+        if not isinstance(stable, list) or any(type(v) is not int or v < 0 for v in stable):
+            raise TypeError("stable_set must be a list of non-negative integer vertex ids")
         cover = doc["clique_cover"]
         if not isinstance(cover, list) or not all(isinstance(part, list) for part in cover):
             raise TypeError("clique_cover must be a list of vertex lists")
@@ -133,6 +137,7 @@ def _certificate_from_json(text: str) -> WpgtCertificate:
             raise TypeError("complement_coloring must be an object")
         return WpgtCertificate(
             alpha,
+            tuple(stable),
             tuple(tuple(_json_int(v, "a cover vertex") for v in part) for part in cover),
             {_vertex_key(v): _json_int(c, "a color") for v, c in coloring.items()},
         )

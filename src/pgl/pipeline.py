@@ -7,7 +7,9 @@ peels off one clique per unit of the stable number, yielding a clique
 cover of that exact size, which re-reads as an optimal coloring of the
 complement.  The size test doubles as a perfectness probe, so
 non-perfect inputs yield structured, re-checkable negative evidence
-instead of an exception.
+instead of an exception.  A certificate proves its own alpha with alpha
+pairwise non-adjacent vertices beside its alpha cliques covering V, so
+verify_certificate searches nothing.
 
 The separated graph is reasoned about, not built: its maximum cliques
 are the copies of cliques of G, so the search runs on G's own bitmasks
@@ -20,33 +22,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .constructions import build_separated_graph
 from .core import Cover, Graph, VertexSet, _mask_vertices, complement, induced_subgraph
 from .errors import EmptyGraphError
 from .invariants import (
     _max_stable_masks,
     check_cover,
-    chromatic_number,
     clique_number,
     colors_used,
     cover_to_coloring,
-    imperfection_witness,
+    is_stable,
     is_valid_coloring,
+    max_stable_witness,
     stable_number,
 )
 
 CLIQUE_GAP = "clique-gap"
-CHROMATIC_GAP = "chromatic-gap"
 
 
 @dataclass(frozen=True)
 class PerfectnessFailure:
     """Re-checkable evidence that a graph cannot be perfect.
 
-    kind "clique-gap": the separated graph built on `subgraph` has
-    maximum clique size `found`, short of the `required` disjoint
-    parts.  kind "chromatic-gap": the subgraph induced by `subgraph`
-    has chromatic number `found` above clique number `required`.
+    The one kind, "clique-gap": the separated graph built on `subgraph`
+    has maximum clique size `found`, short of the `required` disjoint
+    parts.
     """
 
     kind: str
@@ -57,9 +56,11 @@ class PerfectnessFailure:
 
 @dataclass(frozen=True)
 class WpgtCertificate:
-    """Clique cover of size alpha plus an optimal complement coloring."""
+    """Clique cover of size alpha, an optimal complement coloring, and a
+    stable set of alpha vertices that proves alpha is the stable number."""
 
     alpha: int
+    stable_set: VertexSet
     clique_cover: Cover
     complement_coloring: dict[int, int]
 
@@ -151,7 +152,7 @@ def _most_sets_met(adj: Sequence[int], stables: Sequence[int]) -> int:
     return best
 
 
-def clique_cover_alpha(G: Graph) -> Cover | PerfectnessFailure:
+def clique_cover_alpha(G: Graph, *, _alpha: int | None = None) -> Cover | PerfectnessFailure:
     """Clique cover with exactly one part per unit of the stable number.
 
     Each round removes an intersecting clique K, which lowers the stable
@@ -159,11 +160,11 @@ def clique_cover_alpha(G: Graph) -> Cover | PerfectnessFailure:
     maximum stable set of H minus its one vertex in K is stable in
     H - K, and no maximum stable set of H survives in H - K.  This holds
     whether or not G is perfect.  Failures from any round propagate
-    unchanged.
+    unchanged.  _alpha, when given, is G's stable number.
     """
     parts: list[VertexSet] = []
     H = G
-    alpha = stable_number(G)
+    alpha = stable_number(G) if _alpha is None else _alpha
     while H.n:
         K = intersecting_clique(H, _alpha=alpha)
         if isinstance(K, PerfectnessFailure):
@@ -178,20 +179,22 @@ def clique_cover_alpha(G: Graph) -> Cover | PerfectnessFailure:
 def wpgt_certificate(G: Graph) -> WpgtCertificate | PerfectnessFailure:
     """Certificate pairing a size-alpha clique cover of G with a coloring
     of the complement that uses exactly that many colors."""
-    cover = clique_cover_alpha(G)
+    stable = max_stable_witness(G)
+    cover = clique_cover_alpha(G, _alpha=len(stable))
     if isinstance(cover, PerfectnessFailure):
         return cover
     coloring = cover_to_coloring(complement(G), cover)
-    return WpgtCertificate(len(cover), cover, coloring)
+    return WpgtCertificate(len(cover), stable, cover, coloring)
 
 
 def verify_certificate(G: Graph, cert: WpgtCertificate) -> bool:
-    """Re-check every certificate invariant from scratch.
+    """Re-check every certificate invariant from scratch, in O(n^2), with no search.
 
-    The cover's parts must each list distinct vertices, and the coloring
-    must color exactly the graph's nodes.
+    The stable set and the cover's parts must each list distinct
+    vertices, and the coloring must color exactly the graph's nodes.
     """
-    if len(cert.clique_cover) != cert.alpha:
+    S = cert.stable_set
+    if not len(set(S)) == len(S) == len(cert.clique_cover) == cert.alpha or not is_stable(G, S):
         return False
     if any(len(set(part)) != len(part) for part in cert.clique_cover):
         return False
@@ -199,22 +202,12 @@ def verify_certificate(G: Graph, cert: WpgtCertificate) -> bool:
         return False
     if cert.complement_coloring.keys() != set(G.nodes):
         return False
-    if stable_number(G) != cert.alpha:
-        return False
     comp = complement(G)
     if not is_valid_coloring(comp, cert.complement_coloring):
         return False
-    # omega(comp) = alpha(G), checked above, so alpha colors are optimal.
+    # The stable set gives alpha(G) >= alpha and the cover alpha(G) <= alpha,
+    # so omega(comp) = alpha and alpha colors are optimal.
     return len(colors_used(comp, cert.complement_coloring)) == cert.alpha
-
-
-def imperfection_failure(G: Graph) -> PerfectnessFailure | None:
-    """Definition-based negative evidence: a subgraph with chi above omega."""
-    S = imperfection_witness(G)
-    if S is None:
-        return None
-    H = induced_subgraph(G, S)
-    return PerfectnessFailure(CHROMATIC_GAP, S, chromatic_number(H), clique_number(H))
 
 
 def recheck_failure(G: Graph, failure: PerfectnessFailure) -> bool:
@@ -223,19 +216,14 @@ def recheck_failure(G: Graph, failure: PerfectnessFailure) -> bool:
     if not members <= set(G.nodes):
         return False
     H = induced_subgraph(G, failure.subgraph)
-    if failure.kind == CLIQUE_GAP:
-        if H.n == 0:
-            return False
-        sep = build_separated_graph(H)
-        return (
-            failure.found < failure.required
-            and clique_number(sep.separated) == failure.found
-            and len(sep.disjoint_parts) == failure.required
-        )
-    if failure.kind == CHROMATIC_GAP:
-        return (
-            failure.found > failure.required
-            and chromatic_number(H) == failure.found
-            and clique_number(H) == failure.required
-        )
-    return False
+    if failure.kind != CLIQUE_GAP or H.n == 0:
+        return False
+    # Imported here so that certify and verify never load the constructions.
+    from .constructions import build_separated_graph
+
+    sep = build_separated_graph(H)
+    return (
+        failure.found < failure.required
+        and clique_number(sep.separated) == failure.found
+        and len(sep.disjoint_parts) == failure.required
+    )

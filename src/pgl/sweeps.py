@@ -30,6 +30,7 @@ from .invariants import (
 )
 from .iso import find_isomorphism, verify_iso_witness
 from .oracles import (
+    _independent_sets_by_min,
     confirms_imperfection,
     enumerate_graphs,
     is_berge,
@@ -164,12 +165,17 @@ def _check_separation(G: Graph) -> str | None:
         seen |= set(part)
     if union_over(sep.disjoint_parts) != sep.separated.nodes:
         return "disjoint parts do not cover the separated graph"
-    alpha = stable_number(sep.separated)
     for part in sep.disjoint_parts:
         if not is_stable(sep.separated, part):
             return "a disjoint part is not stable in the separated graph"
-        if len(part) != alpha:
-            return "a disjoint part is not a maximum stable set of the separated graph"
+    # intersecting_clique lists stable sets as the parts do; the oracle does not.
+    # A stable part holds one copy per origin, and an expansion keeps the
+    # base's alpha, so these parts are then maximum stable sets of it too.
+    stables = [s for group in _independent_sets_by_min(G.bit_adjacency, G.n) for s in group]
+    top = max(s.bit_count() for s in stables)
+    images = sorted(sum(1 << G.index[sep.back[x]] for x in part) for part in sep.disjoint_parts)
+    if images != sorted(s for s in stables if s.bit_count() == top):
+        return "disjoint parts are not the maximum stable sets of the base"
     # The pipeline searches G's bitmasks instead of this graph; the two
     # must agree on the least maximum clique and on the gap size.
     witness = max_clique_witness(sep.separated)
@@ -188,7 +194,7 @@ def _check_pipeline(G: Graph) -> str | None:
     if is_perfect(G):
         if isinstance(result, PerfectnessFailure):
             return "pipeline reported failure on a perfect graph"
-        # verify_certificate checks len(cover) == alpha == stable_number(G).
+        # verify_certificate checks alpha against its witness and cover, with no search.
         if not verify_certificate(G, result):
             return "certificate failed verification"
     else:

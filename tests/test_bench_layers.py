@@ -28,12 +28,20 @@ def _case_key(row: dict) -> tuple[str, str | None, int]:
         return row["function"], row["family"], row["n"]
     if row["case"].startswith("sweep-"):
         return row["case"], None, row["n"]
+    if "family" in row:
+        return row["case"], row["family"], row["n"]
     return "oracle_parameters", row["case"], row["n"]
 
 
 def test_every_committed_row_names_a_registry_case():
     registry = {(case.name, case.family, case.n) for case in bench.CASES}
-    for name in ("BENCH_perfection.json", "BENCH_oracles.json", "BENCH_sweep_layers.json", "BENCH_sweep_checks.json"):
+    for name in (
+        "BENCH_perfection.json",
+        "BENCH_oracles.json",
+        "BENCH_sweep_layers.json",
+        "BENCH_sweep_checks.json",
+        "BENCH_verify.json",
+    ):
         rows = _committed_rows(name)
         assert rows
         assert [_case_key(row) for row in rows if _case_key(row) not in registry] == []

@@ -49,7 +49,9 @@ def test_certify_and_verify_house(house_file, tmp_path, capsys):
     cert_path = str(tmp_path / "house.cert.json")
     assert run_command(["certify", "--in", house_file, "--out", cert_path]) == 0
     doc = json.loads(open(cert_path).read())
+    assert list(doc) == ["alpha", "stable_set", "clique_cover", "complement_coloring"]
     assert doc["alpha"] == 2
+    assert doc["stable_set"] == [1, 3]
     assert doc["clique_cover"] == [[1, 5], [2, 3, 4]]
     assert doc["complement_coloring"] == {"1": 0, "2": 1, "3": 1, "4": 1, "5": 0}
     assert run_command(["verify", "--in", house_file, "--cert", cert_path]) == 0
@@ -86,7 +88,7 @@ def test_verify_rejects_a_certificate_for_another_vertex_set(cover, coloring, tm
     p3 = tmp_path / "p3.el"
     p3.write_text("n 3\n1 2\n2 3\n")
     cert = tmp_path / "cert.json"
-    cert.write_text(json.dumps({"alpha": 2, "clique_cover": cover, "complement_coloring": coloring}))
+    cert.write_text(json.dumps({"alpha": 2, "stable_set": [1, 3], "clique_cover": cover, "complement_coloring": coloring}))
     assert run_command(["verify", "--in", str(p3), "--cert", str(cert)]) == 1
     assert capsys.readouterr().out == "certificate invalid\n"
 
@@ -286,28 +288,39 @@ def test_sweep_rejects_an_empty_property_list(props, capsys):
 @pytest.mark.parametrize(
     "doc",
     [
-        {"alpha": 1, "clique_cover": [[0]], "complement_coloring": []},
-        {"alpha": 1, "clique_cover": [[0]], "complement_coloring": "0"},
-        {"alpha": 1, "clique_cover": {"0": 0}, "complement_coloring": {"0": 0}},
-        {"alpha": 1, "clique_cover": ["0"], "complement_coloring": {"0": 0}},
-        {"alpha": 1, "clique_cover": "0", "complement_coloring": {"0": 0}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": [[0]], "complement_coloring": []},
+        {"alpha": 1, "stable_set": [1], "clique_cover": [[0]], "complement_coloring": "0"},
+        {"alpha": 1, "stable_set": [1], "clique_cover": {"0": 0}, "complement_coloring": {"0": 0}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": ["0"], "complement_coloring": {"0": 0}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": "0", "complement_coloring": {"0": 0}},
         # Each case below differs from a valid K1 certificate only in the
         # type of one value, which int() used to coerce.
-        {"alpha": 1.9, "clique_cover": [[1]], "complement_coloring": {"1": 0}},
-        {"alpha": 1.0, "clique_cover": [[1]], "complement_coloring": {"1": 0}},
-        {"alpha": True, "clique_cover": [[1]], "complement_coloring": {"1": 0}},
-        {"alpha": "1", "clique_cover": [[1]], "complement_coloring": {"1": 0}},
-        {"alpha": 1, "clique_cover": [["1"]], "complement_coloring": {"1": 0}},
-        {"alpha": 1, "clique_cover": [[1.0]], "complement_coloring": {"1": 0}},
-        {"alpha": 1, "clique_cover": [[True]], "complement_coloring": {"1": 0}},
-        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"1": True}},
-        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"1": 0.0}},
-        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"1": "0"}},
-        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"01": 0}},
-        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"+1": 0}},
-        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {" 1": 0}},
-        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"1_0": 0}},
-        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"\u0661": 0}},
+        {"alpha": 1.9, "stable_set": [1], "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": 1.0, "stable_set": [1], "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": True, "stable_set": [1], "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": "1", "stable_set": [1], "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": [["1"]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": [[1.0]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": [[True]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": [[1]], "complement_coloring": {"1": True}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": [[1]], "complement_coloring": {"1": 0.0}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": [[1]], "complement_coloring": {"1": "0"}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": [[1]], "complement_coloring": {"01": 0}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": [[1]], "complement_coloring": {"+1": 0}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": [[1]], "complement_coloring": {" 1": 0}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": [[1]], "complement_coloring": {"1_0": 0}},
+        {"alpha": 1, "stable_set": [1], "clique_cover": [[1]], "complement_coloring": {"\u0661": 0}},
+        # The stable-set witness: missing, not a list, or a member that is
+        # not a non-negative integer.
+        {"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "stable_set": 1, "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "stable_set": {"1": 1}, "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "stable_set": "1", "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "stable_set": True, "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "stable_set": [True], "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "stable_set": [1.0], "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "stable_set": ["1"], "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        {"alpha": 1, "stable_set": [-1], "clique_cover": [[1]], "complement_coloring": {"1": 0}},
     ],
 )
 def test_verify_rejects_a_wrongly_typed_certificate(doc, tmp_path, capsys):
@@ -344,7 +357,7 @@ def test_verify_accepts_the_well_typed_k1_certificate(tmp_path, capsys):
     g = tmp_path / "k1.el"
     g.write_text("n 1\n")
     cert = tmp_path / "cert.json"
-    cert.write_text(json.dumps({"alpha": 1, "clique_cover": [[1]], "complement_coloring": {"1": 0}}))
+    cert.write_text(json.dumps({"alpha": 1, "stable_set": [1], "clique_cover": [[1]], "complement_coloring": {"1": 0}}))
     assert run_command(["verify", "--in", str(g), "--cert", str(cert)]) == 0
     assert capsys.readouterr().out == "certificate ok\n"
 
@@ -386,7 +399,7 @@ def test_the_parser_is_built_once_and_answers_like_a_fresh_one(tmp_path, capsys)
     bad = tmp_path / "bad.col"
     bad.write_text("p edge 2\n")
     cert = tmp_path / "cert.json"
-    cert.write_text(json.dumps({"alpha": 2, "clique_cover": [[1, 5], [2, 3, 4]],
+    cert.write_text(json.dumps({"alpha": 2, "stable_set": [1, 3], "clique_cover": [[1, 5], [2, 3, 4]],
                                 "complement_coloring": {"1": 0, "2": 1, "3": 1, "4": 1, "5": 0}}))
     cases = [
         ["analyze", "--in", str(house)],

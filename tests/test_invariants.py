@@ -278,6 +278,14 @@ def test_imperfection_witness_is_the_odd_hole():
     assert imperfection_witness(house()) is None
 
 
+def test_imperfection_witness_breaks_ties_by_mask_past_twelve_vertices():
+    # Two disjoint five-cycles on 13 vertices: {0,1,2,3,12} comes first in
+    # combinations order, but {4,...,8} has the smaller mask.
+    first = [(0, 1), (1, 2), (2, 3), (3, 12), (12, 0)]
+    second = [(4, 5), (5, 6), (6, 7), (7, 8), (8, 4)]
+    assert imperfection_witness(make_graph(range(13), first + second)) == (4, 5, 6, 7, 8)
+
+
 def _least_subset_with_chi_above_omega(g):
     from pgl.oracles import _subset_tables
 

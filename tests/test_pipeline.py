@@ -1,6 +1,7 @@
 """Intersecting cliques, size-alpha clique covers and certificates."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,15 +18,16 @@ from pgl import (
     colors_used,
     complement,
     graph_parameters,
-    imperfection_failure,
     induced_subgraph,
     intersecting_clique,
     is_clique,
     is_perfect,
+    is_stable,
     is_valid_coloring,
     make_graph,
     max_clique_witness,
     max_stable_sets,
+    max_stable_witness,
     recheck_failure,
     stable_number,
     vertex_set,
@@ -184,29 +186,27 @@ def test_certificate_path_complement_is_self():
 def test_certificate_single_vertex():
     g = make_graph([1])
     cert = wpgt_certificate(g)
-    assert cert == WpgtCertificate(1, ((1,),), {1: 0})
+    assert cert == WpgtCertificate(1, (1,), ((1,),), {1: 0})
     assert verify_certificate(g, cert)
 
 
 def test_certificate_empty_graph():
     g = make_graph([])
     cert = wpgt_certificate(g)
-    assert cert == WpgtCertificate(0, (), {})
+    assert cert == WpgtCertificate(0, (), (), {})
     assert verify_certificate(g, cert)
 
 
 def test_verify_certificate_rejects_mutations():
     g = house()
     cert = wpgt_certificate(g)
-    not_a_clique = WpgtCertificate(2, ((1, 3), (2, 4, 5)), cert.complement_coloring)
+    not_a_clique = replace(cert, clique_cover=((1, 3), (2, 4, 5)))
     assert not verify_certificate(g, not_a_clique)
-    wrong_size = WpgtCertificate(3, cert.clique_cover + ((1,),), cert.complement_coloring)
+    wrong_size = replace(cert, alpha=3, clique_cover=cert.clique_cover + ((1,),))
     assert not verify_certificate(g, wrong_size)
-    too_many_colors = WpgtCertificate(
-        2, cert.clique_cover, {1: 0, 2: 1, 3: 2, 4: 1, 5: 0}
-    )
+    too_many_colors = replace(cert, complement_coloring={1: 0, 2: 1, 3: 2, 4: 1, 5: 0})
     assert not verify_certificate(g, too_many_colors)
-    improper = WpgtCertificate(2, cert.clique_cover, {v: 0 for v in g.nodes})
+    improper = replace(cert, complement_coloring={v: 0 for v in g.nodes})
     assert not verify_certificate(g, improper)
 
 
@@ -228,32 +228,14 @@ def test_perfect_matchings_certify_past_the_separated_graph_reach():
         assert verify_certificate(g, cert)
 
 
-def test_imperfection_failure_round_trip():
-    failure = imperfection_failure(cycle(5))
-    assert failure is not None
-    assert failure.kind == "chromatic-gap"
-    assert failure.subgraph == (1, 2, 3, 4, 5)
-    assert (failure.found, failure.required) == (3, 2)
-    assert recheck_failure(cycle(5), failure)
-    assert imperfection_failure(house()) is None
-
-
-def test_imperfection_failure_breaks_ties_by_mask_past_the_subset_tables():
-    # Two disjoint five-cycles on 13 vertices: {0,1,2,3,12} comes first in
-    # combinations order, but {4,...,8} has the smaller mask.
-    first = [(0, 1), (1, 2), (2, 3), (3, 12), (12, 0)]
-    second = [(4, 5), (5, 6), (6, 7), (7, 8), (8, 4)]
-    g = make_graph(range(13), first + second)
-    failure = imperfection_failure(g)
-    assert failure == PerfectnessFailure("chromatic-gap", (4, 5, 6, 7, 8), 3, 2)
-    assert recheck_failure(g, failure)
-
-
 def test_recheck_failure_rejects_forged_evidence():
-    genuine = imperfection_failure(cycle(5))
-    assert not recheck_failure(house(), PerfectnessFailure("chromatic-gap", (1, 2, 3), 3, 2))
-    assert not recheck_failure(cycle(5), PerfectnessFailure(genuine.kind, genuine.subgraph, 4, 2))
+    genuine = intersecting_clique(cycle(5))
+    assert recheck_failure(cycle(5), genuine)
+    # chromatic-gap is no longer a kind, so its evidence never re-checks.
+    assert not recheck_failure(cycle(5), PerfectnessFailure("chromatic-gap", (1, 2, 3, 4, 5), 3, 2))
+    assert not recheck_failure(cycle(5), PerfectnessFailure(genuine.kind, genuine.subgraph, 3, 5))
     assert not recheck_failure(cycle(5), PerfectnessFailure("clique-gap", (1, 2, 3, 4, 5), 5, 5))
+    assert not recheck_failure(house(), PerfectnessFailure("clique-gap", (1, 2, 6), 1, 2))
 
 
 def test_end_to_end_on_perfect_graph_complements():
@@ -278,3 +260,166 @@ def test_stable_cover_of_size_omega_makes_the_complement_nice():
         coloring = cover_to_coloring(comp, cover)
         assert len(colors_used(comp, coloring)) == clique_number(comp)
         assert is_nice(comp)
+
+
+def test_wpgt_certificate_searches_alpha_once(monkeypatch):
+    from pgl import invariants
+
+    calls = []
+    search = invariants._max_clique
+
+    def counting(adj, universe):
+        calls.append(universe)
+        return search(adj, universe)
+
+    monkeypatch.setattr(invariants, "_max_clique", counting)
+    for g in (house(), cycle(6), path(5), complete(4), edgeless(3), cycle(5), make_graph([])):
+        calls.clear()
+        wpgt_certificate(g)
+        assert len(calls) == 1, g
+
+
+def test_the_witness_is_the_least_maximum_stable_set():
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            cert = wpgt_certificate(g)
+            if isinstance(cert, WpgtCertificate):
+                assert cert.stable_set == max_stable_witness(g)
+                assert len(cert.stable_set) == cert.alpha == stable_number(g)
+
+
+def _tampers(G, cert):
+    """(fault, certificate) for each tamper that applies to an honest certificate."""
+    S, cover, f = cert.stable_set, cert.clique_cover, cert.complement_coloring
+    yield "alpha + 1", replace(cert, alpha=cert.alpha + 1)
+    yield "alpha - 1", replace(cert, alpha=cert.alpha - 1)
+    if S:
+        yield "vertex outside", replace(cert, stable_set=S[:-1] + (G.nodes[-1] + 1,))
+        yield "a vertex short", replace(cert, stable_set=S[:-1])
+    if len(S) >= 2:
+        yield "repeated vertex", replace(cert, stable_set=S[:-1] + (S[0],))
+        # A maximum stable set is maximal, so every vertex off it has a
+        # neighbor u on it; trading another member for that vertex makes an edge.
+        for v in G.nodes:
+            if v not in S:
+                u = next(u for u in S if G.bit_adjacency[G.index[u]] >> G.index[v] & 1)
+                w = next(w for w in S if w != u)
+                yield "edge inside", replace(cert, stable_set=tuple(x for x in S if x != w) + (v,))
+                break
+        # Each part holds one vertex of S, so another part's is not adjacent to it.
+        t = next(t for t in S if t not in cover[0])
+        yield "cover part not a clique", replace(cert, clique_cover=(cover[0] + (t,),) + cover[1:])
+    non_edges = complement(G).edges
+    if non_edges:
+        u, v = non_edges[0]
+        yield "improper coloring", replace(cert, complement_coloring={**f, u: f[v]})
+    shared = [v for v in G.nodes if sum(c == f[v] for c in f.values()) >= 2]
+    if shared:
+        yield "alpha + 1 colors", replace(cert, complement_coloring={**f, shared[0]: cert.alpha})
+
+
+TAMPERS = {
+    "alpha + 1", "alpha - 1", "vertex outside", "a vertex short", "repeated vertex", "edge inside",
+    "cover part not a clique", "improper coloring", "alpha + 1 colors",
+}
+
+
+def test_verify_certificate_rejects_every_tamper_of_the_house():
+    g = house()
+    cert = wpgt_certificate(g)
+    assert cert.stable_set == (1, 3)
+    tampered = dict(_tampers(g, cert))
+    assert set(tampered) == TAMPERS
+    for fault, forged in tampered.items():
+        assert not verify_certificate(g, forged), fault
+    # is_stable reads its argument as a set, so the repeat needs its own check.
+    assert tampered["repeated vertex"].stable_set == (1, 1)
+    assert is_stable(g, (1, 1))
+
+
+def _no_search_families():
+    """Seeded perfect graphs: matchings, interval, bipartite, split and co-bipartite, n <= 20."""
+    rng = random.Random(16)
+    for n in (2, 5, 8, 12, 16, 20):
+        yield make_graph(range(n), [(u, u + 1) for u in range(0, n - 1, 2)])
+        spans = [(a, a + rng.uniform(0, 4)) for a in (rng.uniform(0, n) for _ in range(n))]
+        yield make_graph(range(n), [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]
+        ])
+        half = n // 2
+        bipartite = make_graph(range(n), [(u, v) for u in range(half) for v in range(half, n) if rng.random() < 0.4])
+        yield bipartite
+        yield complement(bipartite)
+        clique = [(u, v) for u in range(half) for v in range(u + 1, half)]
+        yield make_graph(range(n), clique + [(u, v) for u in range(half) for v in range(half, n) if rng.random() < 0.5])
+
+
+def test_verify_certificate_runs_no_search(monkeypatch):
+    from pgl import invariants, pipeline
+
+    graphs = list(_no_search_families())
+    certs = [wpgt_certificate(g) for g in graphs]
+    assert all(isinstance(cert, WpgtCertificate) for cert in certs)
+
+    def searched(*args, **kwargs):
+        raise AssertionError("verify_certificate ran a search")
+
+    for name in ("_max_clique", "_max_stable_masks", "_chromatic", "_try_color", "_lovasz_walk"):
+        monkeypatch.setattr(invariants, name, searched)
+    monkeypatch.setattr(pipeline, "_max_stable_masks", searched)
+    faults = set()
+    for g, cert in zip(graphs, certs):
+        assert verify_certificate(g, cert)
+        for fault, forged in _tampers(g, cert):
+            assert not verify_certificate(g, forged), (g, fault)
+            faults.add(fault)
+    assert faults == TAMPERS
+
+
+def _verdict_searching_alpha(G, cert):
+    """verify_certificate as it was before certificates carried a stable set."""
+    if len(cert.clique_cover) != cert.alpha:
+        return False
+    if any(len(set(part)) != len(part) for part in cert.clique_cover):
+        return False
+    if not check_cover(G, cert.clique_cover, "clique"):
+        return False
+    if cert.complement_coloring.keys() != set(G.nodes):
+        return False
+    if stable_number(G) != cert.alpha:
+        return False
+    comp = complement(G)
+    if not is_valid_coloring(comp, cert.complement_coloring):
+        return False
+    return len(colors_used(comp, cert.complement_coloring)) == cert.alpha
+
+
+def _honest_stable_set_tampers(G, cert):
+    """Tampers of alpha, the cover and the coloring; the stable set stays honest."""
+    yield from ((fault, forged) for fault, forged in _tampers(G, cert) if forged.stable_set == cert.stable_set)
+    cover, f = cert.clique_cover, cert.complement_coloring
+    yield "merged parts", replace(cert, alpha=cert.alpha - 1, clique_cover=(sum(cover[:2], ()),) + cover[2:])
+    if cover:
+        yield "extra part", replace(cert, alpha=cert.alpha + 1, clique_cover=cover + ((G.nodes[0],),))
+        yield "repeat in a part", replace(cert, clique_cover=(cover[0] + cover[0][:1],) + cover[1:])
+        yield "dropped part", replace(cert, clique_cover=cover[1:])
+        yield "uncolored vertex", replace(cert, complement_coloring={v: c for v, c in f.items() if v != G.nodes[0]})
+    yield "one color", replace(cert, complement_coloring={v: 0 for v in G.nodes})
+
+
+def test_verdicts_match_the_check_that_searched_alpha():
+    graphs = [g for n in range(6) for g in enumerate_graphs(n)]
+    graphs += list(enumerate_graphs(6, "random", seed=16, count=300))
+    graphs += list(enumerate_graphs(8, "random", seed=17, count=100))
+    cases = accepted = 0
+    for g in graphs:
+        cert = wpgt_certificate(g)
+        if isinstance(cert, PerfectnessFailure):
+            continue
+        for fault, forged in [("honest", cert), *_honest_stable_set_tampers(g, cert)]:
+            cases += 1
+            verdict = verify_certificate(g, forged)
+            assert verdict == _verdict_searching_alpha(g, forged), (g, fault)
+            accepted += verdict
+    assert cases > 5000 and accepted > 1000

@@ -369,11 +369,17 @@ def _separation_gate_graphs():
     yield from enumerate_graphs(7, "random", seed=12, count=200)
 
 
+_NOT_THE_STABLE_SETS = "disjoint parts are not the maximum stable sets of the base"
+
+
 def test_separation_verdicts_match_the_check_with_the_tag_loop(monkeypatch):
     from pgl import sweeps
 
+    # The check now also counts the parts against the oracle's stable sets,
+    # so it rejects more: a back map that relabels copies can keep every
+    # other test passing while the parts' images miss a maximum stable set.
     rng = random.Random(1972)
-    disagreements, reported, cases = [], set(), 0
+    disagreements, caught, reported, cases = [], [], set(), 0
     for G in _separation_gate_graphs():
         if G.n == 0:
             assert sweeps._check_separation(G) is None
@@ -384,12 +390,15 @@ def test_separation_verdicts_match_the_check_with_the_tag_loop(monkeypatch):
             before = _separation_evidence_with_the_tag_loop(G, candidate)
             monkeypatch.setattr(sweeps, "build_separated_graph", lambda _, s=candidate: s)
             after = sweeps._check_separation(G)
-            if (before is None) != (after is None):
+            if kind != "intact" and before is None and after == _NOT_THE_STABLE_SETS:
+                caught.append(kind)
+            elif (before is None) != (after is None):
                 disagreements.append((G, kind, before, after))
             if after is not None:
                 reported.add(kind)
     assert cases > 8000
     assert disagreements == []
+    assert set(caught) == {"wrong back value", "swapped back values"}
     assert reported == {
         "flipped pair", "wrong back value", "swapped back values", "moved copy", "traded copies", "isolated copy"
     }
@@ -406,3 +415,28 @@ def test_pipeline_sweep_reports_a_cover_one_part_too_large(monkeypatch):
     graphs = [G for n in range(1, 5) for G in enumerate_graphs(n)]
     assert len(graphs) == 75 and all(is_perfect(G) for G in graphs)
     assert {sweeps._check_pipeline(G) for G in graphs} == {"certificate failed verification"}
+
+
+def _drops_the_last_of_many(listing):
+    """A faulty _max_stable_masks that loses its last set whenever more than four exist."""
+
+    def faulty(adj, n, alpha=None, limit=None):
+        out = listing(adj, n, alpha, limit)
+        return out[:-1] if len(out) > 4 else out
+
+    return faulty
+
+
+def test_separation_sweep_counts_the_parts_against_the_oracle(monkeypatch):
+    # The separated graph and intersecting_clique read one listing, so a
+    # listing that drops a set keeps them in agreement; only the oracle's
+    # independent enumeration of the stable sets can see it.
+    import pgl.invariants
+    import pgl.pipeline
+
+    faulty = _drops_the_last_of_many(pgl.invariants._max_stable_masks)
+    monkeypatch.setattr(pgl.invariants, "_max_stable_masks", faulty)
+    monkeypatch.setattr(pgl.pipeline, "_max_stable_masks", faulty)
+    report = sweep("separation", 5)
+    assert report.counterexamples
+    assert {c.evidence for c in report.counterexamples} == {_NOT_THE_STABLE_SETS}

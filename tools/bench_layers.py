@@ -34,6 +34,7 @@ files come from these case sets:
 - BENCH_sweep_layers.json: --case sweep-expansion --case sweep-iso
   --case sweep-duality
 - BENCH_sweep_checks.json: --case sweep-separation --case sweep-pipeline
+- BENCH_verify.json: --case verify_certificate
 
 Standard library only.
 """
@@ -151,6 +152,8 @@ _PERFECTION += [("random", 7), ("random", 20), ("expansion-host", 12)]
 _PERFECTION += [("planted-hole", n) for n in (14, 18, 20)]
 _ORACLE = "lambda: [pgl.oracle_parameters(H) for H in graphs]"
 _ISO = "partial(pgl.find_isomorphism, G, pgl.relabel_graph(G, {v: n - 1 - v for v in G.nodes}))"
+# The certificate is built before the timing starts; only the check is timed.
+_VERIFY = "partial(pgl.verify_certificate, G, pgl.wpgt_certificate(G))"
 
 CASES = [
     *(on_graph(name, *graph) for graph in _PERFECTION for name in ("is_perfect", "imperfection_witness")),
@@ -184,6 +187,10 @@ CASES = [
     ),
     Case("find_isomorphism", _ISO, "gnp", 100),
     Case("find_isomorphism", _ISO, "matching", 40),
+    *(
+        Case("verify_certificate", _VERIFY, family, n)
+        for family, n in (("sparse-bipartite", 40), ("sparse-bipartite", 60), ("matching", 16))
+    ),
 ]
 
 
