@@ -24,6 +24,11 @@ handlers import their engine when they run:
     replicate, expand, separate + constructions
     iso                         + iso
     sweep                       + constructions, iso, oracles, pipeline, sweeps
+
+analyze computes each exponential quantity once.  The perfection walk
+runs first; on a perfect graph its subset tables give alpha and omega,
+and chi = omega by perfection.  Only an imperfect graph runs the clique
+searches and the coloring search of graph_parameters.
 """
 
 from __future__ import annotations
@@ -46,7 +51,11 @@ from .formats import (
     infer_format,
     parse_graph,
 )
-from .invariants import graph_parameters, is_perfect
+from .invariants import _lovasz_walk, graph_parameters
+
+# analyze no longer calls is_perfect, but perfbench's tracer rebinds
+# pgl.cli.is_perfect, so the name stays bound here.
+from .invariants import is_perfect  # noqa: F401
 
 if TYPE_CHECKING:
     from .pipeline import PerfectnessFailure, WpgtCertificate
@@ -114,6 +123,13 @@ def _json_int(value: object, what: str) -> int:
     return value
 
 
+def _json_vertex(value: object, what: str) -> int:
+    """value itself when it is a non-negative JSON integer."""
+    if _json_int(value, what) < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _vertex_key(key: str) -> int:
     if not _VERTEX_KEY.fullmatch(key):
         raise ValueError(f"complement_coloring key must be a decimal vertex id, got {key!r}")
@@ -138,7 +154,7 @@ def _certificate_from_json(text: str) -> WpgtCertificate:
         return WpgtCertificate(
             alpha,
             tuple(stable),
-            tuple(tuple(_json_int(v, "a cover vertex") for v in part) for part in cover),
+            tuple(tuple(_json_vertex(v, "a cover vertex") for v in part) for part in cover),
             {_vertex_key(v): _json_int(c, "a color") for v, c in coloring.items()},
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -157,16 +173,29 @@ def _graph_json(G: Graph) -> dict:
     return {"nodes": list(G.nodes), "edges": [list(e) for e in G.edges]}
 
 
+def _analyze_line(G: Graph) -> str:
+    """The line analyze writes for G.
+
+    The perfection walk runs first, so that a graph past its cap fails
+    before any search.  On a perfect graph the walk's tables give alpha
+    and omega, and chi = omega by perfection; only an imperfect graph
+    runs the clique searches and the coloring search of graph_parameters.
+    """
+    witness, alpha, omega = _lovasz_walk(G, early=True)
+    if witness is None:
+        chi = omega
+    else:
+        p = graph_parameters(G)
+        alpha, omega, chi = p.alpha, p.omega, p.chi
+    return (
+        f"alpha={alpha} omega={omega} chi={chi}"
+        f" nice={_bool_word(chi == omega)} perfect={_bool_word(witness is None)}\n"
+    )
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     G, _ = _load_graph(args)
-    # First, so that a graph past the perfection cap fails before any search.
-    perfect = is_perfect(G)
-    p = graph_parameters(G)
-    line = (
-        f"alpha={p.alpha} omega={p.omega} chi={p.chi}"
-        f" nice={_bool_word(p.chi == p.omega)} perfect={_bool_word(perfect)}\n"
-    )
-    _write_text(args.out, line)
+    _write_text(args.out, _analyze_line(G))
     return 0
 
 

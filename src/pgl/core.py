@@ -24,8 +24,9 @@ def vertex_set(vertices: Iterable[int]) -> VertexSet:
     """Sort and deduplicate vertices; ValueError on an id that is not a non-negative int."""
     members: set[int] = set()
     for v in vertices:
-        # Types before the sort, which would raise TypeError on mixed ids.
-        if isinstance(v, bool) or not isinstance(v, int):
+        # Types before the sort, which would raise TypeError on mixed ids;
+        # a plain int skips the isinstance checks.
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
             raise ValueError(f"vertex ids must be non-negative integers, got {v!r}")
         members.add(v)
     out = tuple(sorted(members))
@@ -161,7 +162,9 @@ def make_graph(nodes: Iterable[int], edges: Iterable[Sequence[int]] = ()) -> Gra
             u, v = e
         except (TypeError, ValueError):
             raise ValueError(f"edge must be a pair of vertex ids, got {e!r}") from None
-        if isinstance(u, bool) or isinstance(v, bool) or not isinstance(u, int) or not isinstance(v, int):
+        if (type(u) is not int or type(v) is not int) and (
+            isinstance(u, bool) or isinstance(v, bool) or not isinstance(u, int) or not isinstance(v, int)
+        ):
             raise ValueError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")

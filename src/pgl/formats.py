@@ -38,6 +38,8 @@ _ALIASES = {
 _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047
 _G6_HEADER = ">>graph6<<"
+# Each graph6 body character, as the six bits it carries.
+_G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
 
 
 @dataclass(frozen=True)
@@ -124,14 +126,21 @@ def _graph6_encode(G: Graph) -> tuple[str, dict[int, int] | None]:
 
 
 def _graph6_decode(payload: str) -> Graph:
+    """Rows straight from the body: one int whose bit p is the p-th pair bit.
+
+    The pairs run (0, 1), (0, 2), (1, 2), (0, 3), ..., so column j, the
+    neighbours i < j of vertex j, is the next j bits after those of
+    columns 1 .. j-1.
+    """
     s = payload.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
         raise ParseError("empty graph6 payload")
-    for col, ch in enumerate(s, 1):
-        if not 63 <= ord(ch) <= 126:
-            raise ParseError(f"invalid graph6 character {ch!r}", column=col)
+    if min(s) < "?" or max(s) > "~":
+        for col, ch in enumerate(s, 1):
+            if not 63 <= ord(ch) <= 126:
+                raise ParseError(f"invalid graph6 character {ch!r}", column=col)
     pos = 0
     if s[0] == "~":
         if len(s) < 4 or s[1] == "~":
@@ -151,20 +160,21 @@ def _graph6_decode(payload: str) -> Graph:
             f"graph6 body for {n} vertices needs {need} characters, got {len(body)}",
             column=pos + 1,
         )
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend(val >> k & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+    # Each character spells its six bits, first bit first; reversed, the
+    # string reads as an int with the first pair bit lowest.
+    bits = int(body.translate(_G6_BITS)[::-1] or "0", 2)
+    if bits >> nbits:
         raise ParseError("graph6 padding bits must be zero", column=len(s))
-    edges = []
-    at = 0
+    rows = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if bits[at]:
-                edges.append((i, j))
-            at += 1
-    return make_graph(range(n), edges)
+        column = bits & ((1 << j) - 1)
+        bits >>= j
+        rows[j] = column
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= 1 << j
+            column ^= low
+    return Graph(tuple(range(n)), tuple(rows))
 
 
 # ---------------------------------------------------------------------------

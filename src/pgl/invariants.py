@@ -10,7 +10,11 @@ omega(G[S]) for every vertex set S.  Both numbers come from one O(2^n)
 subset recurrence, held as level tables (one int per value, one bit
 per subset) and grown a vertex at a time, so no coloring is searched
 and is_perfect stops at the first vertex that completes a violating
-set; graphs past PERFECTION_MAX_N vertices raise TooLargeError.
+set; graphs past PERFECTION_MAX_N vertices raise TooLargeError.  A walk
+that finds no violating set has built the tables of the whole vertex
+set too, so it also yields alpha(G) and omega(G); `pgl analyze` reads
+them there and takes chi = omega on a perfect graph, and only an
+imperfect graph goes through graph_parameters.
 """
 
 from __future__ import annotations
@@ -365,22 +369,24 @@ def _violations(W: list[int], A: list[int], size: tuple[int, ...], t: int) -> in
     return bad
 
 
-def _lovasz_walk(G: Graph, early: bool) -> VertexSet | None:
-    """The least S by (size, mask) with |S| > alpha(G[S]) * omega(G[S]), or None.
+def _lovasz_walk(G: Graph, early: bool) -> tuple[VertexSet | None, int | None, int | None]:
+    """The least S by (size, mask) with |S| > alpha(G[S]) * omega(G[S]), then alpha(G) and omega(G).
 
     Adds the vertices one at a time and checks each new half of the
     level tables as it is built.  With early set, returns the least
-    violating set of the first half that has one.
+    violating set of the first half that has one.  alpha and omega are
+    read off the last half, whose top bit is the whole vertex set; they
+    are None only when an early walk stops before that half, so a walk
+    that returns no violating set always carries them.
     """
     n = G.n
     if n > PERFECTION_MAX_N:
         raise TooLargeError(f"perfection check capped at {PERFECTION_MAX_N} vertices")
-    if n < 5:
-        return None  # the smallest imperfect graph is the 5-cycle
     adj = G.bit_adjacency
     W, A = [1], [1]
     P, drops = _SHAPES[0]
     best_size, best_mask = n + 1, 0
+    alpha = omega = 0 if n == 0 else None
     for t in range(n):
         half = 1 << t
         ones = P[0]
@@ -404,9 +410,15 @@ def _lovasz_walk(G: Graph, early: bool) -> VertexSet | None:
                     best_size, best_mask = r, half | ((found & -found).bit_length() - 1)
                     break
                 r += 1
-            if early and best_mask:
-                break
         if t + 1 == n:
+            # Level k holds the sets that reach k, and the last bit of this
+            # half is the whole vertex set: the levels past 0 holding it
+            # count up to alpha in A and to omega in W.
+            full = half - 1
+            alpha = sum(z >> full & 1 for z in new_a) - 1
+            omega = sum(z >> full & 1 for z in new_w) - 1
+            break
+        if early and best_mask:
             break
         _merge(W, new_w, half)
         _merge(A, new_a, half)
@@ -414,7 +426,7 @@ def _lovasz_walk(G: Graph, early: bool) -> VertexSet | None:
         # next vertex builds twice as much.
         new_w = new_a = size = bad = None
         P, drops = _SHAPES[t + 1] if t < _SHARED_T else _next_shape(P, drops, t)
-    return _mask_vertices(G, best_mask) if best_mask else None
+    return (_mask_vertices(G, best_mask) if best_mask else None), alpha, omega
 
 
 def imperfection_witness(G: Graph) -> VertexSet | None:
@@ -429,7 +441,7 @@ def imperfection_witness(G: Graph) -> VertexSet | None:
     smaller subset can.  Raises TooLargeError past PERFECTION_MAX_N
     vertices.
     """
-    return _lovasz_walk(G, early=False)
+    return _lovasz_walk(G, early=False)[0]
 
 
 def is_perfect(G: Graph) -> bool:
@@ -438,7 +450,7 @@ def is_perfect(G: Graph) -> bool:
     Stops at the first vertex whose new sets break the bound.  Raises
     TooLargeError past PERFECTION_MAX_N vertices.
     """
-    return _lovasz_walk(G, early=True) is None
+    return _lovasz_walk(G, early=True)[0] is None
 
 
 # ---------------------------------------------------------------------------

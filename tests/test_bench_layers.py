@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import builtins
+import hashlib
 import importlib.util
 import json
 import os
+import types
+from functools import partial
 
 import pgl
 
@@ -41,6 +45,7 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_sweep_layers.json",
         "BENCH_sweep_checks.json",
         "BENCH_verify.json",
+        "BENCH_analyze.json",
     ):
         rows = _committed_rows(name)
         assert rows
@@ -73,3 +78,47 @@ def test_the_committed_perfection_results_are_reproduced_up_to_twelve_vertices()
     assert len(cases) == len(committed) == 11
     for case in cases:
         assert bench.run_case(SRC, case, 0)["result"] == committed[case.name, case.family, case.n]
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def test_the_committed_analyze_and_parse_results_agree_and_are_reproduced():
+    from pgl import cli
+
+    with open(os.path.join(ROOT, "BENCH_analyze.json")) as fh:
+        trees = json.load(fh)
+    assert list(trees) == ["parent", "change"]
+    parent, change = (trees[name]["cases"] for name in trees)
+    assert [_case_key(row) for row in parent] == [_case_key(row) for row in change]
+    assert [row["result"] for row in parent] == [row["result"] for row in change]
+    registry = {(c.name, c.family, c.n): c for c in bench.CASES}
+    names = {row["case"] for row in change}
+    assert names == {"analyze", "parse-graph6", "parse-dimacs", "parse-edgelist"}
+    assert len(change) == len([c for c in bench.CASES if c.name in names]) == 22
+    for row in change:
+        case = registry[_case_key(row)]
+        if case.n > 20:
+            continue
+        (edges,) = bench.edge_lists(case)
+        G = pgl.make_graph(range(case.n), edges)
+        if case.name == "analyze":
+            assert row["result"] == _digest(cli._analyze_line(G)), row
+        else:
+            assert row["result"] == _digest(pgl.parse_graph(pgl.emit_graph(G, case.name[len("parse-"):]))), row
+
+
+def test_the_analyze_case_builds_the_same_line_on_a_tree_without_the_helper():
+    from pgl import cli
+
+    older = types.SimpleNamespace(_bool_word=cli._bool_word)
+    namespace = {
+        "__builtins__": {**vars(builtins), "__import__": lambda *args, **kwargs: older},
+        "pgl": pgl,
+        "partial": partial,
+    }
+    for case in [c for c in bench.CASES if c.name == "analyze" and c.n <= 15]:
+        (edges,) = bench.edge_lists(case)
+        G = namespace["G"] = pgl.make_graph(range(case.n), edges)
+        assert eval(bench._ANALYZE, namespace)() == cli._analyze_line(G)

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from pgl import cli, parse_graph, GraphDocument
+from pgl import cli, enumerate_graphs, graph_parameters, invariants, is_perfect, make_graph, parse_graph, GraphDocument
 from pgl.cli import run_command
+from pgl.invariants import _lovasz_walk
 
 from conftest import run_fresh
 
@@ -35,6 +36,81 @@ def test_analyze_pentagon(c5_file, capsys):
 def test_analyze_house(house_file, capsys):
     assert run_command(["analyze", "--in", house_file]) == 0
     assert capsys.readouterr().out == "alpha=2 omega=3 chi=3 nice=true perfect=true\n"
+
+
+def _reference_line(g):
+    """The analyze line as the two independent engines give it: the α·ω walk and the searches."""
+    p = graph_parameters(g)
+    words = ["false", "true"]
+    line = f"alpha={p.alpha} omega={p.omega} chi={p.chi} nice={words[p.chi == p.omega]} perfect={words[is_perfect(g)]}\n"
+    return p, line
+
+
+def _analyze_graphs():
+    """Every graph with n <= 6, then 3,000 seeded graphs with n = 7..16, half of them perfect."""
+    yield from (g for n in range(7) for g in enumerate_graphs(n))
+    rng = random.Random(1717)
+    for n in range(7, 17):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        cross = [(u, v) for u, v in pairs if u % 2 != v % 2]
+        evens = [(u, v) for u, v in pairs if u % 2 == v % 2 == 0]
+        for k in range(300):
+            if k < 150:
+                density = (0.15, 0.5, 0.85)[k % 3]
+                edges = [e for e in pairs if rng.random() < density]
+            elif k < 250:  # bipartite, or split with the even vertices a clique
+                edges = [e for e in cross if rng.random() < 0.5] + (evens if k % 2 else [])
+            else:  # the complement of a bipartite graph
+                edges = [e for e in pairs if e not in cross or rng.random() < 0.5]
+            yield make_graph(range(n), edges)
+
+
+def test_the_analyze_line_matches_graph_parameters_and_is_perfect():
+    checked = perfect = 0
+    for g in _analyze_graphs():
+        p, line = _reference_line(g)
+        witness, alpha, omega = _lovasz_walk(g, early=False)
+        assert (alpha, omega) == (p.alpha, p.omega), g
+        assert cli._analyze_line(g) == line, g
+        if witness is None:
+            perfect += 1
+            assert _lovasz_walk(g, early=True) == (None, p.alpha, p.omega)
+        checked += 1
+    assert checked == 33868 + 3000
+    assert perfect > 33868 // 2 + 1500
+
+
+def test_analyze_on_a_perfect_graph_runs_no_clique_or_coloring_search(tmp_path, monkeypatch, capsys):
+    rng = random.Random(2024)
+    graphs = {
+        "empty.el": "n 0\n",
+        "k1.el": "n 1\n",
+        "house.el": "1 2\n2 3\n3 4\n4 5\n1 5\n2 4\n",
+        "bipartite20.el": "".join(f"{u} {v}\n" for u in range(1, 11) for v in range(11, 21) if rng.random() < 0.5),
+        "split15.el": "".join(
+            f"{u} {v}\n" for u in range(1, 16) for v in range(u + 1, 16) if v <= 7 or (u <= 7 and rng.random() < 0.5)
+        ),
+        "k12.col": "p edge 12 66\n" + "".join(f"e {u} {v}\n" for u in range(1, 13) for v in range(u + 1, 13)),
+    }
+    lines = {}
+    for name, text in graphs.items():
+        (tmp_path / name).write_text(text)
+        g = parse_graph(GraphDocument("dimacs" if name.endswith(".col") else "edgelist", text))
+        assert is_perfect(g)
+        lines[name] = _reference_line(g)[1]
+
+    def no_search(*args):
+        raise AssertionError("analyze searched a perfect graph")
+
+    for name in ("_max_clique", "_chromatic", "_try_color"):
+        monkeypatch.setattr(invariants, name, no_search)
+    for name in graphs:
+        assert run_command(["analyze", "--in", str(tmp_path / name)]) == 0
+        assert capsys.readouterr().out == lines[name]
+    # An imperfect graph still goes through graph_parameters.
+    (tmp_path / "c5.g6").write_text("Dhc\n")
+    with pytest.raises(AssertionError, match="analyze searched a perfect graph"):
+        run_command(["analyze", "--in", str(tmp_path / "c5.g6")])
 
 
 def test_analyze_reads_stdin_with_format(monkeypatch, capsys):
@@ -321,6 +397,8 @@ def test_sweep_rejects_an_empty_property_list(props, capsys):
         {"alpha": 1, "stable_set": [1.0], "clique_cover": [[1]], "complement_coloring": {"1": 0}},
         {"alpha": 1, "stable_set": ["1"], "clique_cover": [[1]], "complement_coloring": {"1": 0}},
         {"alpha": 1, "stable_set": [-1], "clique_cover": [[1]], "complement_coloring": {"1": 0}},
+        # A negative cover vertex is malformed too, like a negative stable-set vertex.
+        {"alpha": 1, "stable_set": [1], "clique_cover": [[0, -1]], "complement_coloring": {"1": 0}},
     ],
 )
 def test_verify_rejects_a_wrongly_typed_certificate(doc, tmp_path, capsys):

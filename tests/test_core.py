@@ -1,5 +1,6 @@
 """Canonical graph type, induced subgraphs, complement, covers."""
 
+import enum
 import random
 import re
 from itertools import combinations
@@ -82,6 +83,39 @@ def test_vertex_set_names_the_least_negative_id():
 def test_make_graph_names_a_malformed_edge(edge):
     with pytest.raises(ValueError, match=re.escape(f"edge must be a pair of vertex ids, got {edge!r}")):
         make_graph([0, 1, 2], [(0, 1), edge])
+
+
+class _Id(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+def test_int_enum_nodes_and_endpoints_are_accepted_like_the_ints_they_equal():
+    plain = make_graph([0, 1, 2], [(0, 1), (1, 2)])
+    assert vertex_set([_Id.TWO, _Id.ZERO, 1]) == (0, 1, 2)
+    assert make_graph([_Id.ZERO, _Id.ONE, 2], [(_Id.ZERO, _Id.ONE), (_Id.ONE, 2)]) == plain
+    assert make_graph([0, 1, 2], [(_Id.ZERO, 1), (2, _Id.ONE)]) == plain
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", -3])
+def test_make_graph_and_vertex_set_refuse_other_ids_with_the_same_messages(bad):
+    node_message = f"vertex ids must be non-negative integers, got {bad!r}"
+    for build in (lambda: vertex_set([0, bad]), lambda: make_graph([0, bad])):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == node_message
+    if bad == -3:
+        # A negative int passes the type check and is then missing from the nodes.
+        expected = [(DanglingEdgeError, "edge (0, -3) endpoint -3 not in nodes"),
+                    (DanglingEdgeError, "edge (-3, 1) endpoint -3 not in nodes")]
+    else:
+        expected = [(ValueError, f"edge endpoints must be integers, got (0, {bad!r})"),
+                    (ValueError, f"edge endpoints must be integers, got ({bad!r}, 1)")]
+    for edge, (error, message) in zip([(0, bad), (bad, 1)], expected):
+        with pytest.raises(error) as caught:
+            make_graph([0, 1], [edge])
+        assert str(caught.value) == message
 
 
 def test_repr_lists_nodes_and_edges():

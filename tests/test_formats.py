@@ -1,5 +1,7 @@
 """graph6, DIMACS and edge-list round trips; DOT export."""
 
+import random
+
 import pytest
 
 from pgl import (
@@ -19,14 +21,14 @@ from conftest import cycle, house
 
 def reference_graph6(n, edges):
     """Tiny independent graph6 encoder used as the test oracle."""
-    assert n <= 62
+    assert n <= 258047
     bits = []
     for j in range(1, n):
         for i in range(j):
             bits.append(1 if (i, j) in edges or (j, i) in edges else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(63 + n)]
+    out = [chr(63 + n)] if n <= 62 else ["~", *(chr(63 + (n >> shift) % 64) for shift in (12, 6, 0))]
     for k in range(0, len(bits), 6):
         val = 0
         for b in bits[k : k + 6]:
@@ -80,18 +82,59 @@ def test_graph6_long_size_header():
     assert parse_graph(doc) == g
 
 
-def test_graph6_rejects_bad_payloads():
-    with pytest.raises(ParseError):
-        parse_graph(GraphDocument("graph6", ""))
-    with pytest.raises(ParseError):
-        parse_graph(GraphDocument("graph6", "D" + chr(40)))
-    with pytest.raises(ParseError):
-        parse_graph(GraphDocument("graph6", "Dhcc"))
-    with pytest.raises(ParseError):
-        parse_graph(GraphDocument("graph6", "Dh"))
+# Each bad payload with the message and column it must be refused with.
+_BAD_GRAPH6 = [
+    ("", "empty graph6 payload", 1),
+    (" >>graph6<<", "empty graph6 payload", 1),
+    ("D" + chr(40), "invalid graph6 character '('", 2),
+    ("Dh c", "invalid graph6 character ' '", 3),
+    # A bad character is reported before a bad size header or body.
+    ("~~\u00e9", "invalid graph6 character '\u00e9'", 3),
+    ("~~", "unsupported or truncated graph6 size header", 1),
+    ("~AB", "unsupported or truncated graph6 size header", 1),
+    ("Dhcc", "graph6 body for 5 vertices needs 2 characters, got 3", 2),
+    ("Dh", "graph6 body for 5 vertices needs 2 characters, got 1", 2),
+    ("~?A?", "graph6 body for 128 vertices needs 1355 characters, got 0", 5),
     # K2 is "A_"; the five padding bits after its one edge bit must be zero.
-    with pytest.raises(ParseError, match="padding"):
-        parse_graph(GraphDocument("graph6", "A~"))
+    ("A~", "graph6 padding bits must be zero", 2),
+    ("AO", "graph6 padding bits must be zero", 2),
+    ("Dhd", "graph6 padding bits must be zero", 3),
+    ("Dhe", "graph6 padding bits must be zero", 3),
+]
+
+
+def test_graph6_rejects_bad_payloads():
+    for payload, message, column in _BAD_GRAPH6:
+        with pytest.raises(ParseError) as caught:
+            parse_graph(GraphDocument("graph6", payload))
+        assert str(caught.value) == f"line 1, column {column}: {message}", payload
+        assert (caught.value.line, caught.value.column) == (1, column), payload
+
+
+def test_graph6_rows_match_the_edge_built_graph_on_all_small_graphs():
+    checked = 0
+    for n in range(7):
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        for mask in range(1 << len(pairs)):
+            edges = {p for k, p in enumerate(pairs) if mask >> k & 1}
+            g = parse_graph(GraphDocument("graph6", reference_graph6(n, edges)))
+            expected = make_graph(range(n), edges)
+            assert (g.nodes, g.bit_adjacency) == (expected.nodes, expected.bit_adjacency), edges
+            checked += 1
+    assert checked == 33868
+
+
+@pytest.mark.parametrize("n", [62, 63, 100])
+def test_graph6_rows_match_the_edge_built_graph_at_long_header_sizes(n):
+    rng = random.Random(n)
+    for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+        edges = {(i, j) for j in range(n) for i in range(j) if rng.random() < density}
+        payload = reference_graph6(n, edges)
+        assert payload.startswith("~") == (n > 62)
+        g = parse_graph(GraphDocument("graph6", payload))
+        expected = make_graph(range(n), edges)
+        assert (g.nodes, g.bit_adjacency) == (expected.nodes, expected.bit_adjacency)
+        assert emit_graph(g, "graph6").payload == payload
 
 
 def test_dimacs_round_trip():

@@ -35,6 +35,8 @@ files come from these case sets:
   --case sweep-duality
 - BENCH_sweep_checks.json: --case sweep-separation --case sweep-pipeline
 - BENCH_verify.json: --case verify_certificate
+- BENCH_analyze.json: --case analyze --case parse-graph6 --case parse-dimacs
+  --case parse-edgelist
 
 Standard library only.
 """
@@ -154,6 +156,14 @@ _ORACLE = "lambda: [pgl.oracle_parameters(H) for H in graphs]"
 _ISO = "partial(pgl.find_isomorphism, G, pgl.relabel_graph(G, {v: n - 1 - v for v in G.nodes}))"
 # The certificate is built before the timing starts; only the check is timed.
 _VERIFY = "partial(pgl.verify_certificate, G, pgl.wpgt_certificate(G))"
+# What `pgl analyze` computes on a parsed graph: the line it writes.  A
+# tree without cli._analyze_line builds the line the way its _cmd_analyze
+# did, from is_perfect and then graph_parameters.
+_ANALYZE = """(lambda cli: partial(cli._analyze_line, G) if hasattr(cli, "_analyze_line") else lambda: (
+    lambda perfect, p: f"alpha={p.alpha} omega={p.omega} chi={p.chi}"
+    f" nice={cli._bool_word(p.chi == p.omega)} perfect={cli._bool_word(perfect)}\\n"
+)(pgl.is_perfect(G), pgl.graph_parameters(G)))(__import__("pgl.cli", fromlist=["cli"]))"""
+_PARSE = "partial(pgl.parse_graph, pgl.emit_graph(G, {!r}))"
 
 CASES = [
     *(on_graph(name, *graph) for graph in _PERFECTION for name in ("is_perfect", "imperfection_witness")),
@@ -178,19 +188,19 @@ CASES = [
     ),
     *(
         Case(f"{verb}-{fmt}", call.format(fmt), "gnp", n)
-        for verb, call in (
-            ("emit", "partial(pgl.emit_graph, G, {!r})"),
-            ("parse", "partial(pgl.parse_graph, pgl.emit_graph(G, {!r}))"),
-        )
+        for verb, call in (("emit", "partial(pgl.emit_graph, G, {!r})"), ("parse", _PARSE))
         for fmt in ("graph6", "dimacs")
         for n in (200, 400)
     ),
+    *(Case(f"parse-{fmt}", _PARSE.format(fmt), "gnp", n) for fmt in ("graph6", "dimacs", "edgelist") for n in (12, 20)),
     Case("find_isomorphism", _ISO, "gnp", 100),
     Case("find_isomorphism", _ISO, "matching", 40),
     *(
         Case("verify_certificate", _VERIFY, family, n)
         for family, n in (("sparse-bipartite", 40), ("sparse-bipartite", 60), ("matching", 16))
     ),
+    *(Case("analyze", _ANALYZE, family, n) for n in (12, 15, 20) for family in ("bipartite", "split", "interval")),
+    *(Case("analyze", _ANALYZE, "planted-hole", n) for n in (14, 18, 20)),
 ]
 
 
