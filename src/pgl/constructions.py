@@ -104,7 +104,9 @@ def expand(G: Graph, mult: Mapping[int, int]) -> tuple[Graph, ExpansionWitness]:
     adjacent in G.  The witness's back map sends each fresh vertex to
     its origin and always satisfies verify_expansion.  A multiplicity
     keyed by a vertex outside G raises VertexNotFoundError, and one that
-    is not an int (bool included) raises ValueError.
+    is not an int (bool included) raises ValueError.  More than
+    SEPARATION_MAX_VERTICES copies in all, the row cost a separated
+    graph may have, raise TooLargeError before any copy is made.
     """
     for v in mult:
         if not G.has_node(v):
@@ -116,6 +118,8 @@ def expand(G: Graph, mult: Mapping[int, int]) -> tuple[Graph, ExpansionWitness]:
             raise ValueError(f"multiplicity for vertex {v} must be an int, got {mult[v]!r}")
         if mult[v] < 1:
             raise ZeroMultiplicityError(f"multiplicity for vertex {v} must be >= 1")
+    if sum(mult[v] for v in G.nodes) > SEPARATION_MAX_VERTICES:
+        raise TooLargeError(f"expansion capped at {SEPARATION_MAX_VERTICES} vertices")
     nxt = G.nodes[-1] + 1 if G.nodes else 0
     tags: dict[int, tuple[int, int]] = {}
     groups: dict[int, int] = {}

@@ -234,9 +234,12 @@ def _int_token(token: str, lineno: int) -> int:
 
 
 def _count_token(token: str, lineno: int) -> int:
+    """A declared vertex count: at least 0 and, like a graph6 size, at most _G6_MAX_LONG."""
     count = _int_token(token, lineno)
     if count < 0:
         raise ParseError(f"vertex count must be non-negative, got {count}", line=lineno)
+    if count > _G6_MAX_LONG:
+        raise ParseError(f"vertex count capped at {_G6_MAX_LONG}, got {count}", line=lineno)
     return count
 
 

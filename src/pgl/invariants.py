@@ -227,17 +227,13 @@ class _ListingFull(Exception):
     """Stops _max_stable_masks once it holds more sets than its limit."""
 
 
-def _max_stable_masks(
-    adj: Sequence[int], n: int, alpha: int | None = None, limit: int | None = None
-) -> list[int]:
-    """Bitmask of every maximum-size stable set, in lexicographic order.
+def _max_stable_masks(co: Sequence[int], universe: int, alpha: int, limit: int | None = None) -> list[int]:
+    """Bitmask of every stable set of size alpha inside universe, in lexicographic order.
 
-    alpha is the stable number when the caller already knows it;
-    otherwise it is searched here.  With limit, the listing stops at its
+    co holds the complement rows, and alpha is the stable number of the
+    graph induced on universe.  With limit, the listing stops at its
     first limit + 1 sets, so a longer result means more than limit exist.
     """
-    co = _complement_rows(adj)
-    full = (1 << n) - 1
     most = float("inf") if limit is None else limit
     out: list[int] = []
 
@@ -257,7 +253,7 @@ def _max_stable_masks(
             extend(chosen | v, m & co[i], need - 1)
 
     try:
-        extend(0, full, _max_clique(co, full)[0] if alpha is None else alpha)
+        extend(0, universe, alpha)
     except _ListingFull:
         pass
     return out
@@ -266,19 +262,18 @@ def _max_stable_masks(
 def max_stable_sets(G: Graph, max_total: int | None = None) -> Cover:
     """Every maximum-size stable set, each sorted, in lexicographic order.
 
-    With max_total, α is searched first and the listing stops as soon
-    as its sets hold more than max_total vertices in all (count × α):
-    the result is then only its first max_total // α + 1 sets, enough
-    for a caller to refuse the input without listing the rest.
+    With max_total, the listing stops as soon as its sets hold more than
+    max_total vertices in all (count × α): the result is then only its
+    first max_total // α + 1 sets, enough for a caller to refuse the
+    input without listing the rest.
     """
     if G.n == 0:
         return ()
-    adj = G.bit_adjacency
-    alpha = limit = None
-    if max_total is not None:
-        alpha = _max_clique(_complement_rows(adj), (1 << G.n) - 1)[0]
-        limit = max_total // alpha
-    return tuple(_mask_vertices(G, m) for m in _max_stable_masks(adj, G.n, alpha, limit))
+    co = _complement_rows(G.bit_adjacency)
+    full = (1 << G.n) - 1
+    alpha = _max_clique(co, full)[0]
+    limit = None if max_total is None else max_total // alpha
+    return tuple(_mask_vertices(G, m) for m in _max_stable_masks(co, full, alpha, limit))
 
 
 def is_nice(G: Graph) -> bool:

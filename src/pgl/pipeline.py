@@ -13,8 +13,10 @@ verify_certificate searches nothing.
 
 The separated graph is reasoned about, not built: its maximum cliques
 are the copies of cliques of G, so the search runs on G's own bitmasks
-and the stable-set masks.  build_separated_graph remains the paper's
-construction for the CLI, the sweeps, and the re-check of failures.
+and the stable-set masks.  The rounds do not build G[live] either: its
+order is G's, so each lexicographic choice is the same on G's rows.
+build_separated_graph remains the paper's construction for the CLI,
+the sweeps, and the re-check of failures.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Cover, Graph, VertexSet, _mask_vertices, complement, induced_subgraph
+from .core import Cover, Graph, VertexSet, _complement_rows, _mask_vertices, complement, induced_subgraph
 from .errors import EmptyGraphError
 from .invariants import (
+    _max_clique,
     _max_stable_masks,
     check_cover,
     clique_number,
@@ -32,8 +35,6 @@ from .invariants import (
     cover_to_coloring,
     is_stable,
     is_valid_coloring,
-    max_stable_witness,
-    stable_number,
 )
 
 CLIQUE_GAP = "clique-gap"
@@ -65,7 +66,7 @@ class WpgtCertificate:
     complement_coloring: dict[int, int]
 
 
-def intersecting_clique(G: Graph, *, _alpha: int | None = None) -> VertexSet | PerfectnessFailure:
+def intersecting_clique(G: Graph) -> VertexSet | PerfectnessFailure:
     """A clique of G meeting every maximum stable set, or negative evidence.
 
     Equals the backward projection of the lexicographically least
@@ -75,18 +76,23 @@ def intersecting_clique(G: Graph, *, _alpha: int | None = None) -> VertexSet | P
     it holds at most one copy per part, and its origins form a clique K
     of G, so its maximum cliques are all copies of some K and their size
     is the number of maximum stable sets K meets.
-
-    The stable number is searched here unless _alpha gives it; only
-    clique_cover_alpha does, handing it down from round to round.
     """
     if G.n == 0:
         raise EmptyGraphError("intersecting clique requires a nonempty graph")
+    co = _complement_rows(G.bit_adjacency)
+    full = (1 << G.n) - 1
+    K = _round(G, full, co, _max_clique(co, full)[0])
+    return K if isinstance(K, PerfectnessFailure) else _mask_vertices(G, K)
+
+
+def _round(G: Graph, live: int, co: Sequence[int], alpha: int) -> int | PerfectnessFailure:
+    """intersecting_clique of G[live] as a mask of G; co is G's complement rows, alpha is alpha(G[live])."""
     adj = G.bit_adjacency
-    stables = _max_stable_masks(adj, G.n, _alpha)
+    stables = _max_stable_masks(co, live, alpha)
     K = _least_clique_meeting_all(adj, stables)
     if K is None:
-        return PerfectnessFailure(CLIQUE_GAP, G.nodes, _most_sets_met(adj, stables), len(stables))
-    return _mask_vertices(G, K)
+        return PerfectnessFailure(CLIQUE_GAP, _mask_vertices(G, live), _most_sets_met(adj, stables), len(stables))
+    return K
 
 
 def _least_clique_meeting_all(adj: Sequence[int], stables: Sequence[int]) -> int | None:
@@ -152,26 +158,29 @@ def _most_sets_met(adj: Sequence[int], stables: Sequence[int]) -> int:
     return best
 
 
-def clique_cover_alpha(G: Graph, *, _alpha: int | None = None) -> Cover | PerfectnessFailure:
+def clique_cover_alpha(G: Graph) -> Cover | PerfectnessFailure:
     """Clique cover with exactly one part per unit of the stable number.
 
-    Each round removes an intersecting clique K, which lowers the stable
-    number by exactly one, so it is searched once and handed down: a
-    maximum stable set of H minus its one vertex in K is stable in
-    H - K, and no maximum stable set of H survives in H - K.  This holds
-    whether or not G is perfect.  Failures from any round propagate
-    unchanged.  _alpha, when given, is G's stable number.
+    Each round removes an intersecting clique K of G[live], lowering the
+    stable number by exactly one, so it is searched once and handed
+    down: a maximum stable set of G[live] minus its vertex in K is
+    stable in G[live - K], and none of G[live] survives there.  This
+    holds whether or not G is perfect; failures propagate unchanged.
     """
+    co = _complement_rows(G.bit_adjacency)
+    return _peel(G, co, _max_clique(co, (1 << G.n) - 1)[0])
+
+
+def _peel(G: Graph, co: Sequence[int], alpha: int) -> Cover | PerfectnessFailure:
+    """The rounds of clique_cover_alpha; co is G's complement rows and alpha is alpha(G)."""
     parts: list[VertexSet] = []
-    H = G
-    alpha = stable_number(G) if _alpha is None else _alpha
-    while H.n:
-        K = intersecting_clique(H, _alpha=alpha)
+    live = (1 << G.n) - 1
+    while live:
+        K = _round(G, live, co, alpha)
         if isinstance(K, PerfectnessFailure):
             return K
-        parts.append(K)
-        removed = set(K)
-        H = induced_subgraph(H, (v for v in H.nodes if v not in removed))
+        parts.append(_mask_vertices(G, K))
+        live &= ~K
         alpha -= 1
     return tuple(parts)
 
@@ -179,12 +188,13 @@ def clique_cover_alpha(G: Graph, *, _alpha: int | None = None) -> Cover | Perfec
 def wpgt_certificate(G: Graph) -> WpgtCertificate | PerfectnessFailure:
     """Certificate pairing a size-alpha clique cover of G with a coloring
     of the complement that uses exactly that many colors."""
-    stable = max_stable_witness(G)
-    cover = clique_cover_alpha(G, _alpha=len(stable))
+    co = _complement_rows(G.bit_adjacency)
+    alpha, stable = _max_clique(co, (1 << G.n) - 1)
+    cover = _peel(G, co, alpha)
     if isinstance(cover, PerfectnessFailure):
         return cover
-    coloring = cover_to_coloring(complement(G), cover)
-    return WpgtCertificate(len(cover), stable, cover, coloring)
+    coloring = cover_to_coloring(Graph(G.nodes, co), cover)
+    return WpgtCertificate(len(cover), _mask_vertices(G, stable), cover, coloring)
 
 
 def verify_certificate(G: Graph, cert: WpgtCertificate) -> bool:

@@ -46,6 +46,7 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_sweep_checks.json",
         "BENCH_verify.json",
         "BENCH_analyze.json",
+        "BENCH_pipeline.json",
     ):
         rows = _committed_rows(name)
         assert rows
@@ -122,3 +123,20 @@ def test_the_analyze_case_builds_the_same_line_on_a_tree_without_the_helper():
         (edges,) = bench.edge_lists(case)
         G = namespace["G"] = pgl.make_graph(range(case.n), edges)
         assert eval(bench._ANALYZE, namespace)() == cli._analyze_line(G)
+
+
+def test_the_committed_pipeline_results_agree_and_are_reproduced():
+    with open(os.path.join(ROOT, "BENCH_pipeline.json")) as fh:
+        trees = json.load(fh)
+    assert list(trees) == ["parent", "change"]
+    parent, change = (trees[name]["cases"] for name in trees)
+    assert [_case_key(row) for row in parent] == [_case_key(row) for row in change]
+    assert [row["result"] for row in parent] == [row["result"] for row in change]
+    registry = {(c.name, c.family, c.n): c for c in bench.CASES}
+    assert len(change) == len([c for c in bench.CASES if c.name == "wpgt_certificate"]) == 5
+    for row in change:
+        case = registry[_case_key(row)]
+        if case.n > 20:
+            continue
+        (edges,) = bench.edge_lists(case)
+        assert row["result"] == _digest(pgl.wpgt_certificate(pgl.make_graph(range(case.n), edges))), row

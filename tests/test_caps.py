@@ -10,6 +10,7 @@ from pgl import (
     TooLargeError,
     build_separated_graph,
     enumerate_graphs,
+    expand,
     find_odd_hole_or_antihole,
     imperfection_witness,
     is_perfect,
@@ -94,6 +95,12 @@ CAPS = [
         "pgl.constructions.mk_disj",
         "separated graph capped at 16384 vertices",
     ),
+    (
+        "expand",
+        lambda: expand(make_graph([1, 2]), {1: 1, 2: SEPARATION_MAX_VERTICES}),
+        "pgl.constructions._copy_rows",
+        "expansion capped at 16384 vertices",
+    ),
 ]
 
 
@@ -112,6 +119,11 @@ def test_the_cheap_searches_run_at_their_cap():
     assert find_odd_hole_or_antihole(make_graph(range(BERGE_MAX_N))) is None
     assert next(enumerate_graphs(EXHAUSTIVE_MAX_N)).n == EXHAUSTIVE_MAX_N
     assert stream_size(EXHAUSTIVE_MAX_N, "exhaustive") == 32_768
+
+
+def test_expansion_at_its_cap_is_built_whole():
+    H, _ = expand(make_graph([1, 2]), {1: 1, 2: SEPARATION_MAX_VERTICES - 1})
+    assert H.n == SEPARATION_MAX_VERTICES
 
 
 def test_separation_cap_counts_copies_not_vertices():

@@ -170,6 +170,9 @@ def test_dimacs_rejects_malformed_documents():
         "p edge 2 0\nx\n",
         "p edge a 0\n",
         "p edge -3 0\n",
+        # A count past the largest graph6 size is refused before any vertex is built.
+        "p edge 100000000 0\n",
+        "p edge 258048 0\n",
     ):
         with pytest.raises(ParseError):
             parse_graph(GraphDocument("dimacs", text))
@@ -220,6 +223,15 @@ def test_edgelist_rejects_malformed_lines():
         parse_graph(GraphDocument("edgelist", "n x\n"))
     with pytest.raises(ParseError, match="^line 2, column 1: vertex count must be non-negative, got -4$"):
         parse_graph(GraphDocument("edgelist", "# header\nn -4\n"))
+    with pytest.raises(ParseError, match="^line 1, column 1: vertex count capped at 258047, got 100000000$"):
+        parse_graph(GraphDocument("edgelist", "n 100000000\n"))
+
+
+def test_declared_vertex_counts_parse_up_to_the_graph6_cap():
+    assert parse_graph(GraphDocument("dimacs", "p edge 258047 0\n")).n == 258047
+    assert parse_graph(GraphDocument("edgelist", "n 258047\n1 258047\n")).m == 1
+    with pytest.raises(ParseError, match="^line 1, column 1: vertex count capped at 258047, got 258048$"):
+        parse_graph(GraphDocument("edgelist", "n 258048\n"))
 
 
 def test_dot_export():

@@ -132,18 +132,27 @@ def _cover_searching_alpha_every_round(G):
 def test_handing_alpha_down_keeps_every_cover_and_failure():
     # Removing a clique that meets every maximum stable set lowers alpha
     # by exactly one, perfect or not, so the covers and failures agree.
+    # The rounds run on G's rows inside a live mask; the reference builds
+    # each round's induced subgraph, so ids that are not 0..n-1 check that
+    # a mask bit and a vertex id are never confused.
     graphs = [g for n in range(7) for g in enumerate_graphs(n)]
     rng = random.Random(12)
-    for n in range(7, 13):
+    for n in (*range(7, 13), 13, 14):
         for p in (0.15, 0.3, 0.5, 0.7, 0.85):
-            for _ in range(8):
+            for k in range(8 if n < 13 else 3):
                 edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-                graphs.append(make_graph(range(n), edges))
+                ids = sorted(rng.sample(range(1, 5 * n, 2), n)) if k % 2 else range(n)
+                graphs.append(make_graph(ids, [(ids[u], ids[v]) for u, v in edges]))
     failures = 0
     for g in graphs:
         cover = clique_cover_alpha(g)
         assert cover == _cover_searching_alpha_every_round(g)
-        failures += isinstance(cover, PerfectnessFailure)
+        cert = wpgt_certificate(g)
+        if isinstance(cover, PerfectnessFailure):
+            assert cert == cover
+            failures += 1
+        else:
+            assert cert.clique_cover == cover and cert.alpha == len(cover)
     assert failures > 0
 
 
@@ -153,14 +162,42 @@ def test_clique_cover_alpha_searches_alpha_once(monkeypatch):
     handed = []
     masks = pipeline._max_stable_masks
 
-    def recording(adj, n, alpha=None):
+    def recording(co, universe, alpha, limit=None):
         handed.append(alpha)
-        return masks(adj, n, alpha)
+        return masks(co, universe, alpha, limit)
 
     monkeypatch.setattr(pipeline, "_max_stable_masks", recording)
     g = cycle(8)
     assert len(clique_cover_alpha(g)) == 4
     assert handed == [4, 3, 2, 1]
+
+
+def test_wpgt_certificate_builds_no_graph_per_round(monkeypatch):
+    # Every round reads G's own rows inside a live mask: no induced
+    # subgraph, and the complement rows are built once, also for the
+    # coloring self-check.
+    import pgl.core
+    from pgl import invariants, pipeline
+
+    calls = []
+    flip = pgl.core._complement_rows
+
+    def counting(rows):
+        calls.append(len(rows))
+        return flip(rows)
+
+    def induced(*args):
+        raise AssertionError("the pipeline built an induced subgraph")
+
+    for module in (pgl.core, invariants, pipeline):
+        monkeypatch.setattr(module, "_complement_rows", counting, raising=False)
+    monkeypatch.setattr(pgl.core, "induced_subgraph", induced)
+    monkeypatch.setattr(pipeline, "induced_subgraph", induced)
+    for g in (house(), cycle(6), path(5), complete(4), edgeless(3), make_graph(range(1, 20, 2), [(1, 3), (5, 9)])):
+        calls.clear()
+        cert = wpgt_certificate(g)
+        assert isinstance(cert, WpgtCertificate) and len(cert.clique_cover) == cert.alpha
+        assert calls == [g.n], g
 
 
 def test_certificate_house():
@@ -263,7 +300,7 @@ def test_stable_cover_of_size_omega_makes_the_complement_nice():
 
 
 def test_wpgt_certificate_searches_alpha_once(monkeypatch):
-    from pgl import invariants
+    from pgl import invariants, pipeline
 
     calls = []
     search = invariants._max_clique
@@ -273,6 +310,7 @@ def test_wpgt_certificate_searches_alpha_once(monkeypatch):
         return search(adj, universe)
 
     monkeypatch.setattr(invariants, "_max_clique", counting)
+    monkeypatch.setattr(pipeline, "_max_clique", counting)
     for g in (house(), cycle(6), path(5), complete(4), edgeless(3), cycle(5), make_graph([])):
         calls.clear()
         wpgt_certificate(g)
@@ -367,7 +405,8 @@ def test_verify_certificate_runs_no_search(monkeypatch):
 
     for name in ("_max_clique", "_max_stable_masks", "_chromatic", "_try_color", "_lovasz_walk"):
         monkeypatch.setattr(invariants, name, searched)
-    monkeypatch.setattr(pipeline, "_max_stable_masks", searched)
+    for name in ("_max_clique", "_max_stable_masks"):
+        monkeypatch.setattr(pipeline, name, searched)
     faults = set()
     for g, cert in zip(graphs, certs):
         assert verify_certificate(g, cert)

@@ -420,8 +420,8 @@ def test_pipeline_sweep_reports_a_cover_one_part_too_large(monkeypatch):
 def _drops_the_last_of_many(listing):
     """A faulty _max_stable_masks that loses its last set whenever more than four exist."""
 
-    def faulty(adj, n, alpha=None, limit=None):
-        out = listing(adj, n, alpha, limit)
+    def faulty(co, universe, alpha, limit=None):
+        out = listing(co, universe, alpha, limit)
         return out[:-1] if len(out) > 4 else out
 
     return faulty

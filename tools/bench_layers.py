@@ -37,6 +37,7 @@ files come from these case sets:
 - BENCH_verify.json: --case verify_certificate
 - BENCH_analyze.json: --case analyze --case parse-graph6 --case parse-dimacs
   --case parse-edgelist
+- BENCH_pipeline.json: --case wpgt_certificate
 
 Standard library only.
 """
@@ -201,6 +202,12 @@ CASES = [
     ),
     *(Case("analyze", _ANALYZE, family, n) for n in (12, 15, 20) for family in ("bipartite", "split", "interval")),
     *(Case("analyze", _ANALYZE, "planted-hole", n) for n in (14, 18, 20)),
+    *(
+        on_graph("wpgt_certificate", family, n)
+        for family, n in (
+            ("bipartite", 20), ("split", 20), ("interval", 20), ("matching", 16), ("sparse-bipartite", 40)
+        )
+    ),
 ]
 
 
