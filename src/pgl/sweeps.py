@@ -28,7 +28,7 @@ from .invariants import (
     max_clique_witness,
     stable_number,
 )
-from .iso import find_isomorphism, verify_iso_witness
+from .iso import find_isomorphism
 from .oracles import (
     _independent_sets_by_min,
     confirms_imperfection,
@@ -124,26 +124,23 @@ def _check_replication(G: Graph) -> str | None:
 def _check_expansion(G: Graph) -> str | None:
     if not is_perfect(G):
         return None
-    # Every expansion H below is a verified expansion of G with at most as
-    # many copies of each origin as the all-max host, so an origin-preserving
-    # injection maps H onto an induced subgraph of the host.  is_perfect
-    # answers True only after its alpha * omega tables have checked every
-    # vertex set of the host (it stops early only on a violation), and with
-    # it every vertex set of every H; a perfect host therefore settles them
-    # all.  This reuses subsets the host's check has covered and does not
-    # assume that expansion preserves perfection: the host is still decided
-    # from scratch.  When it is not verified or not perfect, each H is
-    # checked on its own exactly as before, so the first failing vector and
-    # its evidence are unchanged.
-    top = EXPANSION_MAX_MULTIPLICITY
-    host, hw = expand(G, {v: top for v in G.nodes})
-    host_perfect = verify_expansion(G, host, hw.back) and is_perfect(host)
-    for values in product(range(1, top + 1), repeat=G.n):
-        mult = dict(zip(G.nodes, values))
-        H, w = expand(G, mult)
-        if not verify_expansion(G, H, w.back):
-            return f"expansion checker rejected multiplicities {values}"
-        if not host_perfect and not is_perfect(H):
+    # expand checks each expansion H with verify_expansion before returning
+    # it.  Every H has at most as many copies of each origin as the all-max
+    # host, the last vector's expansion, so an origin-preserving injection
+    # maps H onto an induced subgraph of the host.  is_perfect answers True
+    # only after its alpha * omega tables have checked every vertex set of
+    # the host (it stops early only on a violation), and with it every
+    # vertex set of every H; a perfect host therefore settles them all.
+    # This reuses subsets the host's check has covered and does not assume
+    # that expansion preserves perfection: the host is still decided from
+    # scratch.  When it is not perfect, each H is checked on its own, so
+    # the evidence names the first failing vector.
+    vectors = list(product(range(1, EXPANSION_MAX_MULTIPLICITY + 1), repeat=G.n))
+    expansions = [expand(G, dict(zip(G.nodes, values)))[0] for values in vectors]
+    if is_perfect(expansions[-1]):
+        return None
+    for values, H in zip(vectors, expansions):
+        if not is_perfect(H):
             return f"expansion with multiplicities {values} broke perfection"
     return None
 
@@ -190,21 +187,22 @@ def _check_separation(G: Graph) -> str | None:
 
 
 def _check_pipeline(G: Graph) -> str | None:
+    # Every certificate must verify, and every failure must come from an
+    # imperfect graph and re-check.  A certificate does not say G is
+    # perfect, so on an imperfect graph the oracle confirms the witness.
     result = wpgt_certificate(G)
-    if is_perfect(G):
-        if isinstance(result, PerfectnessFailure):
+    if isinstance(result, PerfectnessFailure):
+        if is_perfect(G):
             return "pipeline reported failure on a perfect graph"
-        # verify_certificate checks alpha against its witness and cover, with no search.
-        if not verify_certificate(G, result):
-            return "certificate failed verification"
-    else:
-        if isinstance(result, PerfectnessFailure):
-            if not recheck_failure(G, result):
-                return "failure evidence did not re-check"
-        else:
-            S = imperfection_witness(G)
-            if S is None or not confirms_imperfection(G, S):
-                return "oracle did not confirm imperfection"
+        if not recheck_failure(G, result):
+            return "failure evidence did not re-check"
+        return None
+    # verify_certificate checks alpha against its witness and cover, with no search.
+    if not verify_certificate(G, result):
+        return "certificate failed verification"
+    S = imperfection_witness(G)
+    if S is not None and not confirms_imperfection(G, S):
+        return "oracle did not confirm imperfection"
     return None
 
 
@@ -218,10 +216,9 @@ def _relabeled_twin(G: Graph) -> Graph:
 def _check_iso(G: Graph) -> str | None:
     H = _relabeled_twin(G)
     w = find_isomorphism(G, H)
+    # find_isomorphism checks its witness with verify_iso_witness.
     if w is None:
         return "no witness found onto a relabeled copy"
-    if not verify_iso_witness(w, G, H):
-        return "witness failed verification"
     pg = graph_parameters(G)
     ph = graph_parameters(H)
     if (pg.alpha, pg.omega, pg.chi) != (ph.alpha, ph.omega, ph.chi):

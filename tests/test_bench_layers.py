@@ -47,6 +47,7 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_verify.json",
         "BENCH_analyze.json",
         "BENCH_pipeline.json",
+        "BENCH_sweep_once.json",
     ):
         rows = _committed_rows(name)
         assert rows

@@ -354,11 +354,13 @@ def _tampers(G, cert):
     shared = [v for v in G.nodes if sum(c == f[v] for c in f.values()) >= 2]
     if shared:
         yield "alpha + 1 colors", replace(cert, complement_coloring={**f, shared[0]: cert.alpha})
+    if f:
+        yield "colored vertex outside", replace(cert, complement_coloring={**f, G.nodes[-1] + 1: 0})
 
 
 TAMPERS = {
     "alpha + 1", "alpha - 1", "vertex outside", "a vertex short", "repeated vertex", "edge inside",
-    "cover part not a clique", "improper coloring", "alpha + 1 colors",
+    "cover part not a clique", "improper coloring", "alpha + 1 colors", "colored vertex outside",
 }
 
 
@@ -373,6 +375,24 @@ def test_verify_certificate_rejects_every_tamper_of_the_house():
     # is_stable reads its argument as a set, so the repeat needs its own check.
     assert tampered["repeated vertex"].stable_set == (1, 1)
     assert is_stable(g, (1, 1))
+    # Colors only name the classes, so negative ones are as good as any.
+    f = cert.complement_coloring
+    assert verify_certificate(g, replace(cert, complement_coloring={v: -1 - c for v, c in f.items()}))
+
+
+def test_a_bool_id_is_refused_wherever_the_certificate_names_a_vertex():
+    # True equals vertex 1, and a coloring keyed by it used to be read as vertex 1.
+    g = house()
+    cert = wpgt_certificate(g)
+    f = cert.complement_coloring
+    assert cert.stable_set == (1, 3) and 1 in f
+    for forged in (
+        replace(cert, stable_set=(True, 3)),
+        replace(cert, clique_cover=tuple(tuple(True if v == 1 else v for v in part) for part in cert.clique_cover)),
+        replace(cert, complement_coloring={(True if v == 1 else v): c for v, c in f.items()}),
+    ):
+        with pytest.raises(ValueError, match="vertex ids must be non-negative integers, got True"):
+            verify_certificate(g, forged)
 
 
 def _no_search_families():
@@ -438,6 +458,7 @@ def _honest_stable_set_tampers(G, cert):
     """Tampers of alpha, the cover and the coloring; the stable set stays honest."""
     yield from ((fault, forged) for fault, forged in _tampers(G, cert) if forged.stable_set == cert.stable_set)
     cover, f = cert.clique_cover, cert.complement_coloring
+    yield "negative colors", replace(cert, complement_coloring={v: -1 - c for v, c in f.items()})
     yield "merged parts", replace(cert, alpha=cert.alpha - 1, clique_cover=(sum(cover[:2], ()),) + cover[2:])
     if cover:
         yield "extra part", replace(cert, alpha=cert.alpha + 1, clique_cover=cover + ((G.nodes[0],),))
@@ -462,3 +483,23 @@ def test_verdicts_match_the_check_that_searched_alpha():
             assert verdict == _verdict_searching_alpha(g, forged), (g, fault)
             accepted += verdict
     assert cases > 5000 and accepted > 1000
+
+
+def test_verify_certificate_builds_no_complement(monkeypatch):
+    from pgl import core, pipeline
+
+    cases = []
+    for g in (g for n in range(6) for g in enumerate_graphs(n)):
+        cert = wpgt_certificate(g)
+        if isinstance(cert, WpgtCertificate):
+            for fault, forged in [("honest", cert), *_honest_stable_set_tampers(g, cert)]:
+                cases.append((g, fault, forged, _verdict_searching_alpha(g, forged)))
+
+    def built(*args):
+        raise AssertionError("verify_certificate built the complement")
+
+    monkeypatch.setattr(core, "complement", built)
+    monkeypatch.setattr(pipeline, "complement", built, raising=False)
+    for g, fault, forged, verdict in cases:
+        assert verify_certificate(g, forged) == verdict, (g, fault)
+    assert {verdict for *_, verdict in cases} == {True, False}

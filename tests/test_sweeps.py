@@ -221,15 +221,12 @@ def test_every_bounded_expansion_is_an_induced_subgraph_of_the_host():
             assert is_induced_subgraph(image, host), (G, values)
 
 
-def _expansion_evidence_per_vector(G, perfect, verify):
+def _expansion_evidence_per_vector(G, perfect):
     """The expansion check as it was before the host walk: one walk per vector."""
     if not perfect(G):
         return None
     for values in product(range(1, EXPANSION_MAX_MULTIPLICITY + 1), repeat=G.n):
-        mult = dict(zip(G.nodes, values))
-        H, w = expand(G, mult)
-        if not verify(G, H, w.back):
-            return f"expansion checker rejected multiplicities {values}"
+        H, _ = expand(G, dict(zip(G.nodes, values)))
         if not perfect(H):
             return f"expansion with multiplicities {values} broke perfection"
     return None
@@ -243,22 +240,36 @@ def test_expansion_evidence_matches_the_per_vector_walk(monkeypatch, perfect_up_
     monkeypatch.setattr("pgl.sweeps.is_perfect", perfect)
     found = set()
     for G in enumerate_graphs(4):
-        expected = _expansion_evidence_per_vector(G, perfect, verify_expansion)
+        expected = _expansion_evidence_per_vector(G, perfect)
         assert _check_expansion(G) == expected, G
         found.add(expected)
     # Past 12 vertices the all-3 host passes, so every graph holds.
     assert (found == {None}) == (perfect_up_to >= 12)
 
 
-def test_expansion_evidence_matches_when_the_checker_rejects_large_expansions(monkeypatch):
-    def verify(G, H, back):
-        return H.n <= 9 and verify_expansion(G, H, back)
+def test_expansion_check_builds_and_checks_each_expansion_once(monkeypatch):
+    import pgl.constructions
+    from pgl import sweeps
 
-    monkeypatch.setattr("pgl.sweeps.verify_expansion", verify)
-    for G in enumerate_graphs(4):
-        expected = _expansion_evidence_per_vector(G, is_perfect, verify)
-        assert expected is not None and "checker rejected" in expected
-        assert _check_expansion(G) == expected
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(sweeps, "expand", counted("expand", expand))
+    monkeypatch.setattr(sweeps, "verify_expansion", counted("verify", verify_expansion))
+    monkeypatch.setattr(pgl.constructions, "verify_expansion", counted("verify", verify_expansion))
+    perfect = [G for G in enumerate_graphs(4) if is_perfect(G)]
+    assert perfect
+    for G in perfect:
+        calls.clear()
+        assert _check_expansion(G) is None
+        # expand checks its own output; the sweep checks nothing twice.
+        assert calls.count("expand") == calls.count("verify") == 3**4, G
 
 
 def test_repeated_properties_are_checked_once_in_first_seen_order(monkeypatch):
@@ -415,6 +426,45 @@ def test_pipeline_sweep_reports_a_cover_one_part_too_large(monkeypatch):
     graphs = [G for n in range(1, 5) for G in enumerate_graphs(n)]
     assert len(graphs) == 75 and all(is_perfect(G) for G in graphs)
     assert {sweeps._check_pipeline(G) for G in graphs} == {"certificate failed verification"}
+
+
+def test_pipeline_sweep_verifies_certificates_of_imperfect_graphs(monkeypatch):
+    from pgl import sweeps
+
+    def one_color_when_imperfect(G):
+        cert = wpgt_certificate(G)
+        if isinstance(cert, PerfectnessFailure) or is_perfect(G):
+            return cert
+        return replace(cert, complement_coloring={v: 0 for v in G.nodes})
+
+    graphs = list(enumerate_graphs(7, "random", seed=5, count=60))
+    certified_imperfect = [
+        G for G in graphs if not is_perfect(G) and not isinstance(wpgt_certificate(G), PerfectnessFailure)
+    ]
+    assert certified_imperfect
+    monkeypatch.setattr(sweeps, "wpgt_certificate", one_color_when_imperfect)
+    assert {sweeps._check_pipeline(G) for G in certified_imperfect} == {"certificate failed verification"}
+    report = sweep("pipeline", 7, "random", seed=5, count=60)
+    assert [c.graph for c in report.counterexamples] == certified_imperfect
+
+
+def test_iso_check_verifies_each_witness_once(monkeypatch):
+    import pgl.iso
+    from pgl import sweeps
+
+    calls = []
+    check = pgl.iso.verify_iso_witness
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(pgl.iso, "verify_iso_witness", counting)
+    monkeypatch.setattr(sweeps, "verify_iso_witness", counting, raising=False)
+    for G in enumerate_graphs(4):
+        calls.clear()
+        assert sweeps._check_iso(G) is None
+        assert len(calls) == 1, G
 
 
 def _drops_the_last_of_many(listing):

@@ -38,6 +38,8 @@ files come from these case sets:
 - BENCH_analyze.json: --case analyze --case parse-graph6 --case parse-dimacs
   --case parse-edgelist
 - BENCH_pipeline.json: --case wpgt_certificate
+- BENCH_sweep_once.json: --case sweep-expansion --case sweep-iso
+  --case sweep-pipeline --case verify_certificate
 
 Standard library only.
 """
