@@ -199,9 +199,10 @@ def verify_certificate(G: Graph, cert: WpgtCertificate) -> bool:
     """Re-check every certificate invariant from scratch, in O(n^2), with no search.
 
     The stable set and the cover's parts must each list distinct
-    vertices.  A proper coloring of the complement is a partition of the
-    nodes into cliques of G, so the coloring's classes are checked as a
-    second clique cover, with alpha classes.
+    vertices, and the coloring must color exactly the graph's nodes.  A
+    proper coloring of the complement is a partition of the nodes into
+    cliques of G, so the coloring's classes are checked as a second clique
+    cover, with alpha classes.
     """
     S = cert.stable_set
     if not len(set(S)) == len(S) == len(cert.clique_cover) == cert.alpha or not is_stable(G, S):
@@ -209,6 +210,8 @@ def verify_certificate(G: Graph, cert: WpgtCertificate) -> bool:
     if any(len(set(part)) != len(part) for part in cert.clique_cover):
         return False
     if not check_cover(G, cert.clique_cover, "clique"):
+        return False
+    if cert.complement_coloring.keys() != set(G.nodes):
         return False
     classes: dict[int, list[int]] = {}
     for v, c in cert.complement_coloring.items():

@@ -133,15 +133,19 @@ def _check_expansion(G: Graph) -> str | None:
     # vertex set of every H; a perfect host therefore settles them all.
     # This reuses subsets the host's check has covered and does not assume
     # that expansion preserves perfection: the host is still decided from
-    # scratch.  When it is not perfect, each H is checked on its own, so
-    # the evidence names the first failing vector.
-    vectors = list(product(range(1, EXPANSION_MAX_MULTIPLICITY + 1), repeat=G.n))
-    expansions = [expand(G, dict(zip(G.nodes, values)))[0] for values in vectors]
-    if is_perfect(expansions[-1]):
-        return None
-    for values, H in zip(vectors, expansions):
-        if not is_perfect(H):
+    # scratch, first, so a host past the perfection cap is refused before
+    # any other expansion is built.  When it is not perfect, each H is
+    # checked on its own, so the evidence names the first failing vector.
+    top = (EXPANSION_MAX_MULTIPLICITY,) * G.n
+    host_perfect = is_perfect(expand(G, dict(zip(G.nodes, top)))[0])
+    # product lists the host's vector last.
+    vectors = product(range(1, EXPANSION_MAX_MULTIPLICITY + 1), repeat=G.n)
+    for values in islice(vectors, EXPANSION_MAX_MULTIPLICITY**G.n - 1):
+        H, _ = expand(G, dict(zip(G.nodes, values)))
+        if not host_perfect and not is_perfect(H):
             return f"expansion with multiplicities {values} broke perfection"
+    if not host_perfect:
+        return f"expansion with multiplicities {top} broke perfection"
     return None
 
 

@@ -272,6 +272,24 @@ def test_expansion_check_builds_and_checks_each_expansion_once(monkeypatch):
         assert calls.count("expand") == calls.count("verify") == 3**4, G
 
 
+def test_expansion_check_refuses_a_host_past_the_cap_after_one_expand(monkeypatch):
+    from pgl import TooLargeError, sweeps
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(sweeps, "expand", counted)
+    G = make_graph(range(7), [(u, u + 1) for u in range(6)])
+    assert is_perfect(G)
+    # The all-3 host has 21 vertices; nothing else is built before it is refused.
+    with pytest.raises(TooLargeError, match="perfection check capped at 20 vertices"):
+        _check_expansion(G)
+    assert len(calls) == 1
+
+
 def test_repeated_properties_are_checked_once_in_first_seen_order(monkeypatch):
     from pgl.sweeps import _resolve
 
