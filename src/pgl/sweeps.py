@@ -30,7 +30,7 @@ from .invariants import (
 )
 from .iso import find_isomorphism
 from .oracles import (
-    _independent_sets_by_min,
+    _max_stable_subsets,
     confirms_imperfection,
     enumerate_graphs,
     is_berge,
@@ -172,10 +172,8 @@ def _check_separation(G: Graph) -> str | None:
     # intersecting_clique lists stable sets as the parts do; the oracle does not.
     # A stable part holds one copy per origin, and an expansion keeps the
     # base's alpha, so these parts are then maximum stable sets of it too.
-    stables = [s for group in _independent_sets_by_min(G.bit_adjacency, G.n) for s in group]
-    top = max(s.bit_count() for s in stables)
     images = sorted(sum(1 << G.index[sep.back[x]] for x in part) for part in sep.disjoint_parts)
-    if images != sorted(s for s in stables if s.bit_count() == top):
+    if images != _max_stable_subsets(G.bit_adjacency):
         return "disjoint parts are not the maximum stable sets of the base"
     # The pipeline searches G's bitmasks instead of this graph; the two
     # must agree on the least maximum clique and on the gap size.

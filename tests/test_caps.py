@@ -73,7 +73,7 @@ CAPS = [
     (
         "is_perfect_by_definition",
         lambda: is_perfect_by_definition(make_graph(range(DEFINITION_MAX_N + 1))),
-        "pgl.oracles._subset_tables",
+        "pgl.oracles._subset_masks",
         "perfection by definition capped at 14 vertices",
     ),
     (

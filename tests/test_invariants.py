@@ -287,10 +287,17 @@ def test_imperfection_witness_breaks_ties_by_mask_past_twelve_vertices():
 
 
 def _least_subset_with_chi_above_omega(g):
-    from pgl.oracles import _subset_tables
+    from itertools import zip_longest
 
-    om, ch = _subset_tables(g.bit_adjacency, g.n)
-    bad = [m for m in range(1 << g.n) if ch[m] != om[m]]
+    from pgl.oracles import _subset_levels
+
+    # Level k marks the subsets with omega (chi) <= k; the shorter list
+    # has reached every subset, so its missing levels are full.
+    full = (1 << (1 << g.n)) - 1
+    differ = 0
+    for om, ch in zip_longest(*_subset_levels(g.bit_adjacency), fillvalue=full):
+        differ |= om ^ ch
+    bad = [m for m in range(1 << g.n) if differ >> m & 1]
     if not bad:
         return None
     least = min(bad, key=lambda m: (m.bit_count(), m))
@@ -552,21 +559,29 @@ def test_stable_cover_never_smaller_than_omega():
 
 def test_subset_tables_match_per_subgraph_parameters():
     # The definitional perfection oracle computes omega/chi for all subsets
-    # at once; it must agree with graph_parameters on each induced subgraph.
+    # at once, as level bitsets; it must agree with graph_parameters on
+    # each induced subgraph.
     from itertools import combinations
 
     from pgl import enumerate_graphs
-    from pgl.oracles import _subset_tables
+    from pgl.oracles import _subset_levels
 
-    for g in enumerate_graphs(4):
-        om, ch = _subset_tables(g.bit_adjacency, g.n)
+    def value(levels, mask):
+        # Level k marks the subsets whose value is at most k.
+        return next(k for k, z in enumerate(levels) if z >> mask & 1)
+
+    params = {}
+    for g in enumerate_graphs(5):
+        om, ch = _subset_levels(g.bit_adjacency)
         for r in range(g.n + 1):
             for S in combinations(range(g.n), r):
                 mask = sum(1 << i for i in S)
                 sub = induced_subgraph(g, [g.nodes[i] for i in S])
-                p = graph_parameters(sub)
-                assert om[mask] == p.omega
-                assert ch[mask] == p.chi
+                if sub not in params:
+                    params[sub] = graph_parameters(sub)
+                p = params[sub]
+                assert value(om, mask) == p.omega
+                assert value(ch, mask) == p.chi
 
 
 def test_every_stable_cover_has_at_least_omega_parts_exhaustively():

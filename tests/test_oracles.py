@@ -163,6 +163,36 @@ def test_perfection_by_definition():
         is_perfect_by_definition(edgeless(DEFINITION_MAX_N + 1))
 
 
+def test_perfection_by_definition_agrees_with_alpha_omega_and_berge():
+    # The wpgt sweep compares the oracle only with itself on the complement,
+    # so a fault that complement cannot see (answering True throughout, say)
+    # passes every sweep; is_perfect and is_berge are independent engines.
+    # The labeled graphs on n vertices are closed under complement, so the
+    # exhaustive part checks every complement too.
+    import random
+
+    from pgl.oracles import is_perfect_by_definition
+
+    perfect = []
+    for n in range(7):
+        perfect.append(0)
+        for g in enumerate_graphs(n):
+            verdict = is_perfect_by_definition(g)
+            assert verdict == is_perfect(g), g
+            if n <= 5:
+                assert verdict == is_berge(g), g
+            perfect[n] += verdict
+    assert perfect == [1, 1, 2, 8, 64, 1012, 30824]
+    rng = random.Random(1972)
+    for n in range(7, 12):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(6):
+                g = make_graph(range(n), [e for e in pairs if rng.random() < density])
+                for h in (g, complement(g)):
+                    assert is_perfect_by_definition(h) == is_perfect(h) == is_berge(h), h
+
+
 def test_enumerate_exhaustive_counts():
     assert sum(1 for _ in enumerate_graphs(3)) == 8
     assert sum(1 for _ in enumerate_graphs(4)) == 64

@@ -73,6 +73,16 @@ def test_separation_and_pipeline_sweeps_small():
     assert sweep("pipeline", 4).ok
 
 
+def test_separation_sweep_refuses_past_the_subset_cap():
+    # The oracle side of the check keeps one bit per vertex subset.
+    from pgl import TooLargeError
+    from pgl.oracles import ORACLE_MAX_N
+
+    assert sweep("separation", ORACLE_MAX_N, "random", count=1).ok
+    with pytest.raises(TooLargeError, match="subset enumeration capped at 20 vertices"):
+        sweep("separation", ORACLE_MAX_N + 1, "random", count=1)
+
+
 def test_iso_sweep_small():
     assert sweep("iso", 4).ok
 
@@ -506,5 +516,5 @@ def test_separation_sweep_counts_the_parts_against_the_oracle(monkeypatch):
     monkeypatch.setattr(pgl.invariants, "_max_stable_masks", faulty)
     monkeypatch.setattr(pgl.pipeline, "_max_stable_masks", faulty)
     report = sweep("separation", 5)
-    assert report.counterexamples
+    assert len(report.counterexamples) == 83
     assert {c.evidence for c in report.counterexamples} == {_NOT_THE_STABLE_SETS}

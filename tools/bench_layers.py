@@ -40,6 +40,7 @@ files come from these case sets:
 - BENCH_pipeline.json: --case wpgt_certificate
 - BENCH_sweep_once.json: --case sweep-expansion --case sweep-iso
   --case sweep-pipeline --case verify_certificate
+- BENCH_definition.json: --case is_perfect_by_definition --case sweep-wpgt
 
 Standard library only.
 """
@@ -122,6 +123,19 @@ def joined_double_pentagon(n: int, rng: random.Random) -> Edges:
     return ring + [(u + 5, v + 5) for u, v in ring] + [(u, v) for u in range(5) for v in range(5, 10)]
 
 
+def edgeless(n: int, rng: random.Random) -> Edges:
+    return []
+
+
+def complete(n: int, rng: random.Random) -> Edges:
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def disjoint_triangles(n: int, rng: random.Random) -> Edges:
+    """Triangles on consecutive vertices, the last part smaller when 3 does not divide n."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if u // 3 == v // 3]
+
+
 FAMILIES = {
     "bipartite": bipartite,
     "sparse-bipartite": sparse_bipartite,
@@ -136,6 +150,9 @@ FAMILIES = {
     "matching": matching,
     "antihole": antihole,
     "joined-double-pentagon": joined_double_pentagon,
+    "edgeless": edgeless,
+    "complete": complete,
+    "disjoint-triangles": disjoint_triangles,
 }
 
 
@@ -167,6 +184,8 @@ _ANALYZE = """(lambda cli: partial(cli._analyze_line, G) if hasattr(cli, "_analy
     f" nice={cli._bool_word(p.chi == p.omega)} perfect={cli._bool_word(perfect)}\\n"
 )(pgl.is_perfect(G), pgl.graph_parameters(G)))(__import__("pgl.cli", fromlist=["cli"]))"""
 _PARSE = "partial(pgl.parse_graph, pgl.emit_graph(G, {!r}))"
+# Perfection by definition is not exported by pgl; it lives in pgl.oracles.
+_DEFINITION = "__import__('pgl.oracles', fromlist=['oracles']).is_perfect_by_definition"
 
 CASES = [
     *(on_graph(name, *graph) for graph in _PERFECTION for name in ("is_perfect", "imperfection_witness")),
@@ -178,7 +197,8 @@ CASES = [
     *(
         Case(f"sweep-{prop}", f"partial(pgl.sweep, {prop!r}, n)", None, n, None)
         for prop, n in (
-            ("oracle-agreement", 6), ("expansion", 4), ("iso", 5), ("duality", 6), ("separation", 5), ("pipeline", 5)
+            ("oracle-agreement", 6), ("expansion", 4), ("iso", 5), ("duality", 6), ("separation", 5), ("pipeline", 5),
+            ("wpgt", 6),
         )
     ),
     *(on_graph("max_stable_sets", "matching", n) for n in (24, 28, 32)),
@@ -204,6 +224,12 @@ CASES = [
     ),
     *(Case("analyze", _ANALYZE, family, n) for n in (12, 15, 20) for family in ("bipartite", "split", "interval")),
     *(Case("analyze", _ANALYZE, "planted-hole", n) for n in (14, 18, 20)),
+    Case("is_perfect_by_definition", f"(lambda d: lambda: [d(H) for H in graphs])({_DEFINITION})", "gnp", 7, 100),
+    *(
+        Case("is_perfect_by_definition", f"partial({_DEFINITION}, G)", family, n)
+        for family in ("edgeless", "complete", "disjoint-triangles")
+        for n in (12, 14)
+    ),
     *(
         on_graph("wpgt_certificate", family, n)
         for family, n in (
