@@ -2,20 +2,21 @@
 
 Everything here is deliberately naive and shares nothing with the
 parameter module beyond the core graph type and its result record:
-alpha and omega come from subset enumeration in combinations order,
-each subset tested with one mask AND per member against the bitmask
-rows; chi from walking the assignments of k colors, for growing k, in
+alpha and omega, with their witnesses, are the largest subsets that
+the stable-set indicators of the graph and its complement mark, one
+bit per vertex subset (bit m for the subset of the set bits of m);
+chi from walking the assignments of k colors, for growing k, in
 product order, vertex 0 first, cutting a prefix as soon as it gives two
 ends of an edge the same color (no vertex order, no symmetry breaking,
 no lower bound).  Berge recognition comes from enumerating odd vertex
 subsets and testing for induced chordless cycles.  Perfection by
 definition checks chi == omega on every vertex subset directly, rather
 than through Lovasz's alpha * omega bound that invariants.is_perfect
-uses: level k of chi marks the subsets with chi <= k, one bit per
-subset (bit m for the subset of the set bits of m), built from level
+uses: level k of chi marks the subsets with chi <= k, built from level
 k - 1 by adding each maximal stable set, and level k of omega the
-subsets holding no (k + 1)-clique.  Fixed size caps keep the
-enumerations at desk scale.
+subsets holding no (k + 1)-clique.  The maximum stable sets the
+separation sweep compares and both level bitsets come off the same
+indicator.  Fixed size caps keep the enumerations at desk scale.
 """
 
 from __future__ import annotations
@@ -85,48 +86,22 @@ def _first_proper_coloring(adj: Sequence[int]) -> tuple[int, list[int]]:
 
 
 def oracle_parameters(G: Graph) -> GraphParameters:
-    """alpha, omega by subset enumeration; chi by trying the colorings with
-    k colors for k = 0, 1, ... in increasing order.
-
-    Subsets come in combinations order, smallest first, and the first
-    stable set and the first clique of the largest size are the
-    witnesses.  Both properties are hereditary, so a size is searched
-    only while the size below it had one, and the scan stops at the
-    first size that has neither.  The chi witness is the first proper
-    assignment in product order.  Raises TooLargeError past the vertex
-    cap, and once the chi walk passes COLORING_MAX_NODES search nodes.
+    """alpha, omega and their witnesses off the stable-set indicators of G
+    and its complement, each witness the largest marked set with the least
+    sorted member tuple; chi and the first proper assignment in product
+    order, trying k = 0, 1, ... colors.  Raises TooLargeError past the
+    vertex cap, before any indicator is built, and once the chi walk
+    passes COLORING_MAX_NODES search nodes.
     """
     n = G.n
     if n > ORACLE_MAX_N:
         raise TooLargeError(f"subset enumeration capped at {ORACLE_MAX_N} vertices")
     nodes, adj = G.nodes, G.bit_adjacency
-    closed = [a | 1 << i for i, a in enumerate(adj)]
-    best_stable: tuple[int, ...] = ()
-    best_clique: tuple[int, ...] = ()
-    for r in range(1, n + 1):
-        want_stable = len(best_stable) == r - 1
-        want_clique = len(best_clique) == r - 1
-        if not (want_stable or want_clique):
-            break
-        for S in combinations(range(n), r):
-            mask = 0
-            for i in S:
-                mask |= 1 << i
-            if want_stable and all(not adj[i] & mask for i in S):
-                best_stable, want_stable = S, False
-            if want_clique and all(closed[i] & mask == mask for i in S):
-                best_clique, want_clique = S, False
-            if not (want_stable or want_clique):
-                break
+    stable = tuple(nodes[i] for i in _first_largest(_stable_indicator(adj), n))
+    clique = tuple(nodes[i] for i in _first_largest(_stable_indicator(_complement_rows(adj)), n))
     chi, assign = _first_proper_coloring(adj)
-    return GraphParameters(
-        len(best_stable),
-        len(best_clique),
-        chi,
-        tuple(nodes[i] for i in best_clique),
-        tuple(nodes[i] for i in best_stable),
-        {nodes[i]: assign[i] for i in range(n)},
-    )
+    coloring = {nodes[i]: assign[i] for i in range(n)}
+    return GraphParameters(len(stable), len(clique), chi, clique, stable, coloring)
 
 
 def _cycle_order(G: Graph, S: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -227,10 +202,25 @@ def _members(x: int) -> list[int]:
     return out
 
 
+def _largest(ind: int, n: int) -> int:
+    """The subsets of the largest size among those the indicator ind of n vertices marks."""
+    return next(ind & z for z in reversed(_subset_masks(n)[1]) if ind & z)
+
+
+def _first_largest(ind: int, n: int) -> list[int]:
+    """Members of the largest subset ind marks whose sorted member tuple is least.
+
+    Among equal-size subsets that agree below vertex i, those holding i come first.
+    """
+    marked = _largest(ind, n)
+    for c in _subset_masks(n)[0]:
+        marked = marked & ~c or marked
+    return _members(marked.bit_length() - 1)
+
+
 def _max_stable_subsets(rows: Sequence[int]) -> list[int]:
     """Masks of the maximum stable sets, in increasing order, read off the stable-set indicator."""
-    ind = _stable_indicator(rows)
-    return _members(next(ind & z for z in reversed(_subset_masks(len(rows))[1]) if ind & z))
+    return _members(_largest(_stable_indicator(rows), len(rows)))
 
 
 def _subset_levels(rows: Sequence[int]) -> tuple[list[int], list[int]]:

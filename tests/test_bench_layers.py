@@ -49,6 +49,7 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_pipeline.json",
         "BENCH_sweep_once.json",
         "BENCH_definition.json",
+        "BENCH_oracle_indicators.json",
     ):
         rows = _committed_rows(name)
         assert rows
@@ -163,3 +164,22 @@ def test_the_committed_definition_results_agree_and_are_reproduced():
             continue
         verdicts = [is_perfect_by_definition(pgl.make_graph(range(case.n), e)) for e in bench.edge_lists(case)]
         assert row["result"] == (_digest(verdicts) if case.graphs > 1 else verdicts[0]), row
+
+
+def test_the_committed_oracle_results_agree_and_are_reproduced():
+    with open(os.path.join(ROOT, "BENCH_oracle_indicators.json")) as fh:
+        trees = json.load(fh)
+    assert list(trees) == ["parent", "change"]
+    parent, change = (trees[name]["cases"] for name in trees)
+    assert [_case_key(row) for row in parent] == [_case_key(row) for row in change]
+    assert [row["result"] for row in parent] == [row["result"] for row in change]
+    registry = {(c.name, c.family, c.n): c for c in bench.CASES}
+    names = {row["case"] for row in change}
+    assert len(change) == len([c for c in bench.CASES if c.name in names]) == 10
+    for row in change:
+        case = registry[_case_key(row)]
+        if case.family is None:
+            assert row["result"] == [32768, 0], row
+            continue
+        found = [pgl.oracle_parameters(pgl.make_graph(range(case.n), e)) for e in bench.edge_lists(case)]
+        assert row["result"] == _digest(found), row

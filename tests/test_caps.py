@@ -49,7 +49,7 @@ CAPS = [
     (
         "oracle_parameters",
         lambda: oracle_parameters(make_graph(range(ORACLE_MAX_N + 1))),
-        "pgl.oracles.combinations",
+        "pgl.oracles._stable_indicator",
         "subset enumeration capped at 20 vertices",
     ),
     (

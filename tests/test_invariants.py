@@ -516,6 +516,18 @@ def test_coloring_to_cover():
         coloring_to_cover(cycle(5), {1: 0, 2: 0, 3: 1, 4: 0, 5: 1})
 
 
+def test_a_bool_coloring_key_is_refused_not_read_as_a_vertex():
+    # True equals 1, so a lookup of vertex 1 used to find the True key.
+    g = make_graph([0, 1], [(0, 1)])
+    for check in (is_valid_coloring, coloring_to_cover, colors_used):
+        for f, key in (({0: 0, True: 1}, True), ({False: 0, 1: 1}, False)):
+            with pytest.raises(ValueError, match=f"vertex ids must be non-negative integers, got {key}"):
+                check(g, f)
+        # Any other key that is no node is still ignored.
+        f = {0: 0, 1: 1, -1: 1, "0": 1, 2.5: 0}
+        assert check(g, f) == {is_valid_coloring: True, coloring_to_cover: ((0,), (1,)), colors_used: (0, 1)}[check]
+
+
 def test_cover_to_coloring_disjoint_uses_all_parts():
     g = cycle(5)
     coloring = cover_to_coloring(g, ((1, 3), (2, 4), (5,)))

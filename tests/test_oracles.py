@@ -98,6 +98,76 @@ def test_oracle_parameters_match_the_product_enumeration():
         assert oracle_parameters(g) == _product_oracle_parameters(g), (g.nodes, g.edges)
 
 
+def _combinations_alpha_omega(g):
+    """alpha, omega and their witnesses as oracle_parameters scanned them
+    before it read them off the stable-set indicators: the first stable
+    set and the first clique of each size in combinations order, each
+    subset tested with one mask AND per member against the rows."""
+    from itertools import combinations
+
+    n, adj = g.n, g.bit_adjacency
+    closed = [a | 1 << i for i, a in enumerate(adj)]
+    best_stable = best_clique = ()
+    for r in range(1, n + 1):
+        want_stable = len(best_stable) == r - 1
+        want_clique = len(best_clique) == r - 1
+        if not (want_stable or want_clique):
+            break
+        for S in combinations(range(n), r):
+            mask = 0
+            for i in S:
+                mask |= 1 << i
+            if want_stable and all(not adj[i] & mask for i in S):
+                best_stable, want_stable = S, False
+            if want_clique and all(closed[i] & mask == mask for i in S):
+                best_clique, want_clique = S, False
+            if not (want_stable or want_clique):
+                break
+    nodes = g.nodes
+    return len(best_stable), len(best_clique), tuple(nodes[i] for i in best_clique), tuple(nodes[i] for i in best_stable)
+
+
+def test_oracle_witnesses_match_the_combinations_scan_past_the_product_reference(monkeypatch):
+    import random
+    from itertools import combinations
+
+    import pgl.oracles
+
+    # Only alpha, omega and their witnesses are compared; the chi walk is
+    # the one the product test checks, and dense graphs near n = 16 pass
+    # its node budget.
+    monkeypatch.setattr(pgl.oracles, "_first_proper_coloring", lambda adj: (0, [0] * len(adj)))
+    rng = random.Random(1912)
+    for n in range(10, 17):
+        for p in (0.2, 0.8):
+            for _ in range(3):
+                ids = sorted(rng.sample(range(100), n))
+                g = make_graph(ids, [e for e in combinations(ids, 2) if rng.random() < p])
+                q = oracle_parameters(g)
+                got = (q.alpha, q.omega, q.max_clique_witness, q.max_stable_witness)
+                assert got == _combinations_alpha_omega(g), (g.nodes, g.edges)
+
+
+def test_the_oracles_import_nothing_of_the_engines_they_check():
+    import ast
+
+    import pgl.oracles
+
+    with open(pgl.oracles.__file__) as fh:
+        tree = ast.parse(fh.read())
+    # (module, name) of each import from pgl; name is None for a whole module.
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.name.removeprefix("pgl."), None) for a in node.names if a.name.startswith("pgl.")]
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "pgl"):
+            module = (node.module or "").removeprefix("pgl").lstrip(".")
+            imported += [(module, a.name) if module else (a.name, None) for a in node.names]
+    assert ("core", "Graph") in imported and ("invariants", "GraphParameters") in imported
+    engines = {"pipeline", "constructions", "iso", "sweeps"}
+    assert [i for i in imported if i[0] in engines or i[0] == "invariants" and i[1] != "GraphParameters"] == []
+
+
 def test_oracle_witnesses_validate():
     for g in (cycle(5), house(), path(4)):
         p = oracle_parameters(g)

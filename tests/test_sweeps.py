@@ -202,6 +202,24 @@ def test_duality_sweep_catches_a_faulty_complement(monkeypatch):
     assert sweep("duality", 5).counterexamples
 
 
+def test_oracle_agreement_sweep_catches_a_faulty_stable_set_indicator(monkeypatch):
+    # alpha and omega come off this one indicator, which the separation
+    # and wpgt sweeps read too: a fault in it must show against invariants.
+    import pgl.oracles
+
+    indicator = pgl.oracles._stable_indicator
+
+    def blind_to_the_last_pair(rows):
+        out = list(rows)
+        if len(out) > 1:
+            out[-2] &= ~(1 << len(out) - 1)
+            out[-1] &= ~(1 << len(out) - 2)
+        return indicator(out)
+
+    monkeypatch.setattr(pgl.oracles, "_stable_indicator", blind_to_the_last_pair)
+    assert len(sweep("oracle-agreement", 5).counterexamples) == 288
+
+
 def test_an_empty_property_list_is_rejected():
     from pgl.sweeps import _resolve
 

@@ -41,6 +41,8 @@ files come from these case sets:
 - BENCH_sweep_once.json: --case sweep-expansion --case sweep-iso
   --case sweep-pipeline --case verify_certificate
 - BENCH_definition.json: --case is_perfect_by_definition --case sweep-wpgt
+- BENCH_oracle_indicators.json: --case oracle_parameters
+  --case sweep-oracle-agreement
 
 Standard library only.
 """
@@ -194,6 +196,11 @@ CASES = [
     Case("oracle_parameters", _ORACLE, "joined-double-pentagon", 10),
     Case("oracle_parameters", _ORACLE, "antihole", 7),
     Case("oracle_parameters", _ORACLE, "antihole", 9),
+    # The seeded G(20, 1/2) passes the chi walk's node budget, so gnp stops at n = 19.
+    *(
+        Case("oracle_parameters", _ORACLE, family, n)
+        for family, n in (("sparse-bipartite", 16), ("sparse-bipartite", 20), ("gnp", 16), ("gnp", 19))
+    ),
     *(
         Case(f"sweep-{prop}", f"partial(pgl.sweep, {prop!r}, n)", None, n, None)
         for prop, n in (
