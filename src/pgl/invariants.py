@@ -61,14 +61,14 @@ def is_clique(G: Graph, K: Iterable[int]) -> bool:
     return mask.bit_count() == len(vs) and all(mask & ~G.bit_adjacency[idx[v]] == 1 << idx[v] for v in vs)
 
 
-def _refuse_bool_keys(f: Coloring) -> None:
-    """vertex_set's ValueError on a bool key of f, which a lookup of vertex 0 or 1 would read."""
-    vertex_set(v for v in f if type(v) is bool)
+def _refuse_aliasing_keys(G: Graph, f: Coloring) -> None:
+    """vertex_set's ValueError on a key of f that is no plain int but equals a node (True, 1.0)."""
+    vertex_set(v for v in f if type(v) is not int and v in G.index)
 
 
 def is_valid_coloring(G: Graph, f: Coloring) -> bool:
     """True when f assigns a color to every node and no edge is monochromatic."""
-    _refuse_bool_keys(f)
+    _refuse_aliasing_keys(G, f)
     if any(v not in f for v in G.nodes):
         return False
     return all(f[u] != f[v] for u, v in G.edges)
@@ -76,7 +76,7 @@ def is_valid_coloring(G: Graph, f: Coloring) -> bool:
 
 def colors_used(G: Graph, f: Coloring) -> tuple[int, ...]:
     """Sorted image of the assignment restricted to the graph's nodes."""
-    _refuse_bool_keys(f)
+    _refuse_aliasing_keys(G, f)
     return tuple(sorted({f[v] for v in G.nodes if v in f}))
 
 

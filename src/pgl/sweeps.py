@@ -124,28 +124,23 @@ def _check_replication(G: Graph) -> str | None:
 def _check_expansion(G: Graph) -> str | None:
     if not is_perfect(G):
         return None
-    # expand checks each expansion H with verify_expansion before returning
-    # it.  Every H has at most as many copies of each origin as the all-max
-    # host, the last vector's expansion, so an origin-preserving injection
-    # maps H onto an induced subgraph of the host.  is_perfect answers True
-    # only after its alpha * omega tables have checked every vertex set of
-    # the host (it stops early only on a violation), and with it every
-    # vertex set of every H; a perfect host therefore settles them all.
-    # This reuses subsets the host's check has covered and does not assume
-    # that expansion preserves perfection: the host is still decided from
-    # scratch, first, so a host past the perfection cap is refused before
-    # any other expansion is built.  When it is not perfect, each H is
-    # checked on its own, so the evidence names the first failing vector.
+    # Every expansion with multiplicities at most the all-max host's maps,
+    # origin by origin, onto an induced subgraph of that host.  is_perfect
+    # answers True only after its alpha * omega tables have checked every
+    # vertex set of the host, and with it every vertex set of every such
+    # expansion, so a perfect host settles them all and is the only one
+    # built (expand checks it with verify_expansion).  This does not assume
+    # that expansion preserves perfection: the host is decided from
+    # scratch, so a host past the perfection cap is refused before anything
+    # else is built.  When it is not perfect, the expansions are built and
+    # decided in product order, whose last vector is the host's, so the
+    # evidence names the first failing vector.
     top = (EXPANSION_MAX_MULTIPLICITY,) * G.n
-    host_perfect = is_perfect(expand(G, dict(zip(G.nodes, top)))[0])
-    # product lists the host's vector last.
-    vectors = product(range(1, EXPANSION_MAX_MULTIPLICITY + 1), repeat=G.n)
-    for values in islice(vectors, EXPANSION_MAX_MULTIPLICITY**G.n - 1):
-        H, _ = expand(G, dict(zip(G.nodes, values)))
-        if not host_perfect and not is_perfect(H):
+    if is_perfect(expand(G, dict(zip(G.nodes, top)))[0]):
+        return None
+    for values in product(range(1, EXPANSION_MAX_MULTIPLICITY + 1), repeat=G.n):
+        if not is_perfect(expand(G, dict(zip(G.nodes, values)))[0]):
             return f"expansion with multiplicities {values} broke perfection"
-    if not host_perfect:
-        return f"expansion with multiplicities {top} broke perfection"
     return None
 
 

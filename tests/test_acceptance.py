@@ -107,12 +107,13 @@ def test_criterion_06_replication_lemma_sweep(capsys):
 def test_criterion_07_generalized_replication_sweep(capsys):
     started = time.perf_counter()
     total = 0
-    for n in range(1, 5):
+    for n in range(1, 6):
         report = sweep("expansion", n)
         assert report.ok
         total += report.graphs_checked
+    assert total == 1099
     with capsys.disabled():
-        _report(7, 600.0, started, f"expansions with multiplicities 1..3 stay perfect: {total} base graphs")
+        _report(7, 600.0, started, f"expansions with multiplicities 1..3 stay perfect: {total} base graphs, n <= 5")
 
 
 def test_criterion_08_separation_invariants(capsys):

@@ -6,9 +6,12 @@ import builtins
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import types
 from functools import partial
+
+import pytest
 
 import pgl
 
@@ -50,6 +53,7 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_sweep_once.json",
         "BENCH_definition.json",
         "BENCH_oracle_indicators.json",
+        "BENCH_expansion_host.json",
     ):
         rows = _committed_rows(name)
         assert rows
@@ -88,31 +92,6 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
-def test_the_committed_analyze_and_parse_results_agree_and_are_reproduced():
-    from pgl import cli
-
-    with open(os.path.join(ROOT, "BENCH_analyze.json")) as fh:
-        trees = json.load(fh)
-    assert list(trees) == ["parent", "change"]
-    parent, change = (trees[name]["cases"] for name in trees)
-    assert [_case_key(row) for row in parent] == [_case_key(row) for row in change]
-    assert [row["result"] for row in parent] == [row["result"] for row in change]
-    registry = {(c.name, c.family, c.n): c for c in bench.CASES}
-    names = {row["case"] for row in change}
-    assert names == {"analyze", "parse-graph6", "parse-dimacs", "parse-edgelist"}
-    assert len(change) == len([c for c in bench.CASES if c.name in names]) == 22
-    for row in change:
-        case = registry[_case_key(row)]
-        if case.n > 20:
-            continue
-        (edges,) = bench.edge_lists(case)
-        G = pgl.make_graph(range(case.n), edges)
-        if case.name == "analyze":
-            assert row["result"] == _digest(cli._analyze_line(G)), row
-        else:
-            assert row["result"] == _digest(pgl.parse_graph(pgl.emit_graph(G, case.name[len("parse-"):]))), row
-
-
 def test_the_analyze_case_builds_the_same_line_on_a_tree_without_the_helper():
     from pgl import cli
 
@@ -128,58 +107,67 @@ def test_the_analyze_case_builds_the_same_line_on_a_tree_without_the_helper():
         assert eval(bench._ANALYZE, namespace)() == cli._analyze_line(G)
 
 
-def test_the_committed_pipeline_results_agree_and_are_reproduced():
-    with open(os.path.join(ROOT, "BENCH_pipeline.json")) as fh:
-        trees = json.load(fh)
-    assert list(trees) == ["parent", "change"]
-    parent, change = (trees[name]["cases"] for name in trees)
-    assert [_case_key(row) for row in parent] == [_case_key(row) for row in change]
-    assert [row["result"] for row in parent] == [row["result"] for row in change]
-    registry = {(c.name, c.family, c.n): c for c in bench.CASES}
-    assert len(change) == len([c for c in bench.CASES if c.name == "wpgt_certificate"]) == 5
-    for row in change:
-        case = registry[_case_key(row)]
-        if case.n > 20:
-            continue
-        (edges,) = bench.edge_lists(case)
-        assert row["result"] == _digest(pgl.wpgt_certificate(pgl.make_graph(range(case.n), edges))), row
+def _analyze_or_parse(case, graphs):
+    from pgl import cli
+
+    (G,) = graphs
+    if case.name == "analyze":
+        return _digest(cli._analyze_line(G))
+    return _digest(pgl.parse_graph(pgl.emit_graph(G, case.name[len("parse-"):])))
 
 
-def test_the_committed_definition_results_agree_and_are_reproduced():
+def _definition(case, graphs):
     from pgl.oracles import is_perfect_by_definition
 
-    with open(os.path.join(ROOT, "BENCH_definition.json")) as fh:
+    verdicts = [is_perfect_by_definition(H) for H in graphs]
+    return _digest(verdicts) if case.graphs > 1 else verdicts[0]
+
+
+# Each committed parent-vs-change file, the case names it holds, its row
+# count per tree, and what a row of a case with graphs must read (each
+# sweep case reads every labelled graph on n vertices and no counterexample).
+COMMITTED = {
+    "BENCH_analyze.json": ({"analyze", "parse-graph6", "parse-dimacs", "parse-edgelist"}, 22, _analyze_or_parse),
+    "BENCH_pipeline.json": ({"wpgt_certificate"}, 5, lambda case, graphs: _digest(pgl.wpgt_certificate(*graphs))),
+    "BENCH_definition.json": ({"is_perfect_by_definition", "sweep-wpgt"}, 8, _definition),
+    "BENCH_oracle_indicators.json": (
+        {"oracle_parameters", "sweep-oracle-agreement"},
+        10,
+        lambda case, graphs: _digest([pgl.oracle_parameters(H) for H in graphs]),
+    ),
+    "BENCH_expansion_host.json": ({"sweep-expansion"}, 2, None),
+}
+
+
+@pytest.mark.parametrize("name", COMMITTED)
+def test_the_committed_results_agree_and_are_reproduced(name):
+    names, count, reproduce = COMMITTED[name]
+    with open(os.path.join(ROOT, name)) as fh:
         trees = json.load(fh)
     assert list(trees) == ["parent", "change"]
-    parent, change = (trees[name]["cases"] for name in trees)
+    parent, change = (trees[tree]["cases"] for tree in trees)
     assert [_case_key(row) for row in parent] == [_case_key(row) for row in change]
     assert [row["result"] for row in parent] == [row["result"] for row in change]
     registry = {(c.name, c.family, c.n): c for c in bench.CASES}
-    names = {row["case"] for row in change}
-    assert len(change) == len([c for c in bench.CASES if c.name in names]) == 8
+    assert {row["case"] for row in change} == names
+    assert len(change) == len([c for c in bench.CASES if c.name in names]) == count
     for row in change:
         case = registry[_case_key(row)]
         if case.family is None:
-            assert row["result"] == [32768, 0], row
-            continue
-        verdicts = [is_perfect_by_definition(pgl.make_graph(range(case.n), e)) for e in bench.edge_lists(case)]
-        assert row["result"] == (_digest(verdicts) if case.graphs > 1 else verdicts[0]), row
+            assert row["result"] == [2 ** math.comb(case.n, 2), 0], row
+        elif case.n <= 20:
+            graphs = [pgl.make_graph(range(case.n), edges) for edges in bench.edge_lists(case)]
+            assert row["result"] == reproduce(case, graphs), row
 
 
-def test_the_committed_oracle_results_agree_and_are_reproduced():
-    with open(os.path.join(ROOT, "BENCH_oracle_indicators.json")) as fh:
-        trees = json.load(fh)
-    assert list(trees) == ["parent", "change"]
-    parent, change = (trees[name]["cases"] for name in trees)
-    assert [_case_key(row) for row in parent] == [_case_key(row) for row in change]
-    assert [row["result"] for row in parent] == [row["result"] for row in change]
-    registry = {(c.name, c.family, c.n): c for c in bench.CASES}
-    names = {row["case"] for row in change}
-    assert len(change) == len([c for c in bench.CASES if c.name in names]) == 10
-    for row in change:
-        case = registry[_case_key(row)]
-        if case.family is None:
-            assert row["result"] == [32768, 0], row
-            continue
-        found = [pgl.oracle_parameters(pgl.make_graph(range(case.n), e)) for e in bench.edge_lists(case)]
-        assert row["result"] == _digest(found), row
+def test_a_raising_case_is_recorded_and_the_run_goes_on(tmp_path, monkeypatch):
+    cases = [c for c in bench.CASES if c.name == "clique_number"]
+    monkeypatch.setattr(bench, "CASES", [cases[0], bench.Case("boom", "lambda: 1 // 0", None, 3, None), cases[1]])
+    out = tmp_path / "layers.json"
+    assert bench.main(["--src", f"here={SRC}", "--min-seconds", "0", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["here"]["cases"]
+    assert [(row["case"], row["n"]) for row in rows] == [("clique_number", 40), ("boom", 3), ("clique_number", 44)]
+    assert all(set(row) == ROW_FIELDS for row in rows)
+    assert rows[1]["result"] == "error: ZeroDivisionError: integer division or modulo by zero"
+    assert rows[1]["median_ms"] is rows[1]["repeats"] is rows[1]["peak_rss_kib"] is None
+    assert [row["repeats"] for row in rows[::2]] == [1, 1]

@@ -517,10 +517,10 @@ def test_coloring_to_cover():
 
 
 def test_a_bool_coloring_key_is_refused_not_read_as_a_vertex():
-    # True equals 1, so a lookup of vertex 1 used to find the True key.
+    # True and 1.0 equal 1, so a lookup of vertex 1 used to find those keys.
     g = make_graph([0, 1], [(0, 1)])
     for check in (is_valid_coloring, coloring_to_cover, colors_used):
-        for f, key in (({0: 0, True: 1}, True), ({False: 0, 1: 1}, False)):
+        for f, key in (({0: 0, True: 1}, True), ({False: 0, 1: 1}, False), ({0: 0, 1.0: 1}, 1.0)):
             with pytest.raises(ValueError, match=f"vertex ids must be non-negative integers, got {key}"):
                 check(g, f)
         # Any other key that is no node is still ignored.

@@ -296,8 +296,9 @@ def test_expansion_check_builds_and_checks_each_expansion_once(monkeypatch):
     for G in perfect:
         calls.clear()
         assert _check_expansion(G) is None
-        # expand checks its own output; the sweep checks nothing twice.
-        assert calls.count("expand") == calls.count("verify") == 3**4, G
+        # The perfect all-3 host settles every smaller expansion, so it is
+        # the only one built, and only expand checks it.
+        assert calls == ["expand", "verify"], G
 
 
 def test_expansion_check_refuses_a_host_past_the_cap_after_one_expand(monkeypatch):

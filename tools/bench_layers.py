@@ -13,7 +13,8 @@ calls (at least once).  It records one row per case and tree:
 - result: bool, None, int and int tuples verbatim, a `SweepReport` as
   [graphs_checked, number of counterexamples], anything else as the first
   16 hex digits of the sha256 of its repr, so that trees which disagree
-  show it;
+  show it; a child that fails reads "error: " and the last line of its
+  stderr, and its three timing fields are null, so the run goes on;
 - median_ms, repeats: the median time of one call, over that many calls;
 - peak_rss_kib: `ru_maxrss` (KiB on Linux) above its level before the
   first call, as of the end of that call.
@@ -43,6 +44,7 @@ files come from these case sets:
 - BENCH_definition.json: --case is_perfect_by_definition --case sweep-wpgt
 - BENCH_oracle_indicators.json: --case oracle_parameters
   --case sweep-oracle-agreement
+- BENCH_expansion_host.json: --case sweep-expansion
 
 Standard library only.
 """
@@ -204,8 +206,8 @@ CASES = [
     *(
         Case(f"sweep-{prop}", f"partial(pgl.sweep, {prop!r}, n)", None, n, None)
         for prop, n in (
-            ("oracle-agreement", 6), ("expansion", 4), ("iso", 5), ("duality", 6), ("separation", 5), ("pipeline", 5),
-            ("wpgt", 6),
+            ("oracle-agreement", 6), ("expansion", 4), ("expansion", 5), ("iso", 5), ("duality", 6),
+            ("separation", 5), ("pipeline", 5), ("wpgt", 6),
         )
     ),
     *(on_graph("max_stable_sets", "matching", n) for n in (24, 28, 32)),
@@ -292,10 +294,12 @@ print(json.dumps({
 def run_case(src: str, case: Case, min_s: float) -> dict:
     """Run one case from the pgl tree at src in a fresh interpreter; return its row."""
     feed = json.dumps([src, case.call, case.n, edge_lists(case), min_s])
-    done = subprocess.run(
-        [sys.executable, "-c", _CHILD], input=feed, stdout=subprocess.PIPE, text=True, check=True
-    )
-    row = json.loads(done.stdout)
+    done = subprocess.run([sys.executable, "-c", _CHILD], input=feed, capture_output=True, text=True)
+    if done.returncode:
+        last = done.stderr.strip().rpartition("\n")[2]
+        row = {"result": f"error: {last}", "median_ms": None, "repeats": None, "peak_rss_kib": None}
+    else:
+        row = json.loads(done.stdout)
     return {"case": case.name, "family": case.family, "n": case.n, "graphs": case.graphs, **row}
 
 
@@ -315,10 +319,11 @@ def main(argv: list[str] | None = None) -> int:
         for name, path in trees[turn:] + trees[:turn]:
             row = run_case(os.path.abspath(path), case, args.min_seconds)
             runs[name].append(row)
+            timing = "" if row["median_ms"] is None else (
+                f" {row['median_ms']:12.4f} ms  x{row['repeats']:<3} peak +{row['peak_rss_kib']} KiB "
+            )
             print(
-                f"{name:>8} {case.name:>22} {case.family or '-':>22} n={case.n:<3}"
-                f" {row['median_ms']:12.4f} ms  x{row['repeats']:<3} peak +{row['peak_rss_kib']} KiB"
-                f"  result {row['result']}",
+                f"{name:>8} {case.name:>22} {case.family or '-':>22} n={case.n:<3}{timing} result {row['result']}",
                 flush=True,
             )
     machine = {"python": platform.python_version(), "machine": f"{platform.machine()}, {os.cpu_count()} CPUs"}
