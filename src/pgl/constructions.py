@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .core import Cover, Graph, _gather, _node_positions, induced_subgraph, union_over, vertex_set
+from .core import Cover, Graph, _complement_rows, _is_morphism, _node_positions, induced_subgraph, union_over, vertex_set
 from .errors import (
     EmptyGraphError,
     PartialMapError,
@@ -140,8 +140,8 @@ def _copy_rows(G: Graph, groups: Mapping[int, int], size: int) -> list[int]:
 
     Each copy is adjacent to the other copies of its origin and to every
     copy of the origin's neighbours, read from G's edge list.  Deliberately
-    not shared with verify_expansion, which reads G's bitmask rows, so that
-    it checks an independent construction.
+    not shared with verify_expansion, which reads the complement of G's
+    bitmask rows, so that it checks an independent construction.
     """
     reach = dict(groups)
     for u, v in G.edges:
@@ -162,13 +162,12 @@ def verify_expansion(G: Graph, H: Graph, back: Mapping[int, int]) -> bool:
 
     Requires back to be total on H's nodes, to map them onto G's nodes,
     to make equal-origin copies adjacent, and to transport adjacency
-    between distinct origins exactly.  Works on bitmasks: each back
-    value is looked up at its position in G, copies[o] collects the
-    copies of position o, and back is onto when no copies[o] is empty;
-    each row of H's adjacency must equal the other copies of its origin
-    together with every copy of the origin's neighbours in G.  Only a
-    back value that is not a plain int goes through vertex_set, which
-    raises ValueError on a bool, negative or non-int id.
+    between distinct origins exactly: that is, back maps the complement
+    of H onto that of G keeping edge and non-edge, copies of one origin
+    being apart in H's complement.  core._is_morphism checks this on the
+    complement rows, each back value looked up at its position in G.
+    Only a back value that is not a plain int goes through vertex_set,
+    which raises ValueError on a bool, negative or non-int id.
     """
     for x in H.nodes:
         if x not in back:
@@ -176,15 +175,7 @@ def verify_expansion(G: Graph, H: Graph, back: Mapping[int, int]) -> bool:
     origin = _node_positions(G, [back[x] for x in H.nodes])
     if origin is None:
         return False
-    copies = [0] * G.n
-    for j, o in enumerate(origin):
-        copies[o] |= 1 << j
-    if 0 in copies:
-        return False
-    # closed[o]: every copy of origin o and of its neighbours in G.  Row j
-    # of H must be closed[origin of j] without bit j itself.
-    closed = [own | near for own, near in zip(copies, _gather(G.bit_adjacency, copies))]
-    return [closed[o] ^ (1 << j) for j, o in enumerate(origin)] == list(H.bit_adjacency)
+    return _is_morphism(_complement_rows(H.bit_adjacency), _complement_rows(G.bit_adjacency), origin)
 
 
 def mk_disj(C: Cover) -> tuple[Cover, dict[int, tuple[int, int]]]:

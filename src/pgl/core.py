@@ -127,17 +127,27 @@ def _node_positions(G: Graph, ids: Sequence[int]) -> list[int] | None:
     return positions
 
 
-def _gather(rows: Sequence[int], masks: Sequence[int]) -> list[int]:
-    """For each row, the OR of masks[k] over the row's set bits k."""
-    out = []
-    for row in rows:
+def _is_morphism(rows: Sequence[int], target: Sequence[int], image: Sequence[int]) -> bool:
+    """True when i -> image[i] maps rows onto the target rows keeping edge and non-edge.
+
+    With pre[w] the mask of the positions sent to w: no pre[w] is empty,
+    and each row i is the OR of pre[w] over the target neighbours w of
+    image[i], which leaves out i and its fellow preimages (no loops).
+    """
+    pre = [0] * len(target)
+    for i, w in enumerate(image):
+        pre[w] |= 1 << i
+    if 0 in pre:
+        return False
+    reach = []
+    for row in target:
         acc = 0
         while row:
             low = row & -row
-            acc |= masks[low.bit_length() - 1]
+            acc |= pre[low.bit_length() - 1]
             row ^= low
-        out.append(acc)
-    return out
+        reach.append(acc)
+    return [reach[w] for w in image] == list(rows)
 
 
 def _complement_rows(rows: Sequence[int]) -> tuple[int, ...]:

@@ -108,21 +108,13 @@ def _graph6_encode(G: Graph) -> tuple[str, dict[int, int] | None]:
         head = chr(63 + n)
     else:
         head = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
-    chars = []
-    group = 0
-    filled = 0
-    for j in range(1, n):
-        row = G.bit_adjacency[j]
-        for i in range(j):
-            group = group << 1 | (row >> i & 1)
-            filled += 1
-            if filled == 6:
-                chars.append(chr(63 + group))
-                group = 0
-                filled = 0
-    if filled:
-        chars.append(chr(63 + (group << (6 - filled))))
-    return head + "".join(chars), relabel
+    # Column j, the neighbours i < j of vertex j, is the low j bits of row
+    # j; reversed, its binary digits spell them i = 0 first.  Zeros pad
+    # the last character.
+    rows = G.bit_adjacency
+    nbits = n * (n - 1) // 2
+    spelled = "".join(format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)) + "0" * (-nbits % 6)
+    return head + "".join(chr(63 + int(spelled[k : k + 6], 2)) for k in range(0, nbits, 6)), relabel
 
 
 def _graph6_decode(payload: str) -> Graph:

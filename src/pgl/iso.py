@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import Graph, _gather, _node_positions
+from .core import Graph, _is_morphism, _node_positions
 from .errors import PartialMapError
 
 
@@ -30,13 +30,10 @@ class IsoWitness:
 def verify_morph(f: Mapping[int, int], G: Graph, H: Graph) -> bool:
     """True when f maps G's nodes onto H's nodes preserving edge and non-edge.
 
-    Works on bitmask rows.  With pre[w] the mask of G's nodes that f
-    sends to position w of H, f preserves edge and non-edge exactly
-    when each row u of G equals the OR of pre[w] over the H-neighbours w
-    of f(u): the u-v test for each v, with u itself and its fellow
-    preimages outside the OR because H has no loops.  Only an image that
-    is not a plain int goes through vertex_set, which raises ValueError
-    on a bool, negative or non-int id.
+    Works on bitmask rows: each image is looked up at its position in H,
+    and core._is_morphism checks G's rows against H's.  Only an image
+    that is not a plain int goes through vertex_set, which raises
+    ValueError on a bool, negative or non-int id.
     """
     for v in G.nodes:
         if v not in f:
@@ -44,13 +41,7 @@ def verify_morph(f: Mapping[int, int], G: Graph, H: Graph) -> bool:
     image = _node_positions(H, [f[v] for v in G.nodes])
     if image is None:
         return False
-    pre = [0] * H.n
-    for i, w in enumerate(image):
-        pre[w] |= 1 << i
-    if 0 in pre:
-        return False
-    reach = _gather(H.bit_adjacency, pre)
-    return [reach[w] for w in image] == list(G.bit_adjacency)
+    return _is_morphism(G.bit_adjacency, H.bit_adjacency, image)
 
 
 def verify_iso_witness(w: IsoWitness, G: Graph, H: Graph) -> bool:

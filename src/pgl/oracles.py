@@ -223,21 +223,20 @@ def _max_stable_subsets(rows: Sequence[int]) -> list[int]:
     return _members(_largest(_stable_indicator(rows), len(rows)))
 
 
-def _subset_levels(rows: Sequence[int]) -> tuple[list[int], list[int]]:
+def _subset_levels(stable: int, cliques: int, n: int) -> tuple[list[int], list[int]]:
     """Level k of omega and of chi: the vertex subsets with omega <= k, and with chi <= k.
 
-    Each list stops at the level that holds every subset.  Omega passes k
-    on the supersets of a (k + 1)-clique.  For m disjoint from a stable
-    set s, m | s = m + s, so chi level k - 1 at the positions disjoint
-    from s, shifted up by s, marks sets with chi <= k.  Only maximal s
-    are shifted, and the union is closed downward: chi <= k is
-    hereditary, so the union over all stable s equals the downward
+    Both are read off the stable-set and clique indicators of a graph on
+    n vertices.  Each list stops at the level that holds every subset.
+    Omega passes k on the supersets of a (k + 1)-clique.  For m disjoint
+    from a stable set s, m | s = m + s, so chi level k - 1 at the
+    positions disjoint from s, shifted up by s, marks sets with chi <= k.
+    Only maximal s are shifted, and the union is closed downward: chi <= k
+    is hereditary, so the union over all stable s equals the downward
     closure of the union over the maximal ones.
     """
-    n = len(rows)
     clear, size = _subset_masks(n)
     full = (1 << (1 << n)) - 1
-    cliques = _stable_indicator(_complement_rows(rows))
     omega = []
     for sized in (*size[1:], 0):
         above = cliques & sized
@@ -246,12 +245,11 @@ def _subset_levels(rows: Sequence[int]) -> tuple[list[int], list[int]]:
         omega.append(full ^ above)
         if not above:
             break
-    ind = _stable_indicator(rows)
     # A stable set that takes on one more vertex is not maximal.
     extends = 0
     for i, c in enumerate(clear):
-        extends |= ind >> (1 << i) & c
-    shifts = [(reduce(and_, [clear[i] for i in _members(s)], -1), s) for s in _members(ind & ~extends)]
+        extends |= stable >> (1 << i) & c
+    shifts = [(reduce(and_, [clear[i] for i in _members(s)], -1), s) for s in _members(stable & ~extends)]
     chi = [1]
     while chi[-1] != full:
         z = 0
@@ -263,14 +261,19 @@ def _subset_levels(rows: Sequence[int]) -> tuple[list[int], list[int]]:
     return omega, chi
 
 
+def _definition_indicators(G: Graph) -> tuple[int, int]:
+    """G's stable-set and clique indicators; TooLargeError past DEFINITION_MAX_N, before either."""
+    if G.n > DEFINITION_MAX_N:
+        raise TooLargeError(f"perfection by definition capped at {DEFINITION_MAX_N} vertices")
+    return _stable_indicator(G.bit_adjacency), _stable_indicator(_complement_rows(G.bit_adjacency))
+
+
 def is_perfect_by_definition(G: Graph) -> bool:
     """True when chi equals omega on every induced subgraph, both as level bitsets.
 
     Raises TooLargeError past DEFINITION_MAX_N vertices.
     """
-    if G.n > DEFINITION_MAX_N:
-        raise TooLargeError(f"perfection by definition capped at {DEFINITION_MAX_N} vertices")
-    omega, chi = _subset_levels(G.bit_adjacency)
+    omega, chi = _subset_levels(*_definition_indicators(G), G.n)
     return omega == chi
 
 
@@ -307,13 +310,6 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     return Graph(tuple(range(1, n + 1)), tuple(rows))
 
 
-def _check_stream_bounds(n: int, count: int) -> None:
-    if n < 0:
-        raise ValueError(f"vertex count must be non-negative, got {n}")
-    if count < 0:
-        raise ValueError(f"graph count must be non-negative, got {count}")
-
-
 def check_exhaustive_cap(n: int) -> None:
     """Raise TooLargeError when n is past EXHAUSTIVE_MAX_N."""
     if n > EXHAUSTIVE_MAX_N:
@@ -333,20 +329,17 @@ def enumerate_graphs(
     check_exhaustive_cap allows n.  random: `count` draws of G(n, 1/2),
     each edge bitmask taken from the Mersenne Twister
     (random.Random(seed).getrandbits), reproducible bit for bit.  Raises
-    ValueError for a negative n or count.
+    what stream_size raises, before the first graph.
     """
-    _check_stream_bounds(n, count)
+    total = stream_size(n, mode, count)
     bits = n * (n - 1) // 2
     if mode == "exhaustive":
-        check_exhaustive_cap(n)
-        for mask in range(1 << bits):
+        for mask in range(total):
             yield graph_from_mask(n, mask)
-    elif mode == "random":
-        rng = random.Random(seed)
-        for _ in range(count):
-            yield graph_from_mask(n, rng.getrandbits(bits) if bits else 0)
     else:
-        raise ValueError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
+        rng = random.Random(seed)
+        for _ in range(total):
+            yield graph_from_mask(n, rng.getrandbits(bits) if bits else 0)
 
 
 def stream_size(n: int, mode: str, count: int = 1000) -> int:
@@ -355,7 +348,10 @@ def stream_size(n: int, mode: str, count: int = 1000) -> int:
     Raises ValueError for a negative n or count, and TooLargeError for an
     exhaustive stream past check_exhaustive_cap, before it counts anything.
     """
-    _check_stream_bounds(n, count)
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    if count < 0:
+        raise ValueError(f"graph count must be non-negative, got {count}")
     if mode == "exhaustive":
         check_exhaustive_cap(n)
         return 1 << (n * (n - 1) // 2)

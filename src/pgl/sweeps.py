@@ -17,8 +17,9 @@ from itertools import combinations, islice, product
 from typing import Callable, Sequence
 
 from .constructions import build_separated_graph, expand, replicate, verify_expansion, verify_replication
-from .core import Graph, complement, make_graph, union_over, vertex_set
+from .core import Graph, make_graph, vertex_set
 from .invariants import (
+    check_cover,
     clique_number,
     graph_parameters,
     imperfection_witness,
@@ -30,11 +31,12 @@ from .invariants import (
 )
 from .iso import find_isomorphism
 from .oracles import (
+    _definition_indicators,
     _max_stable_subsets,
+    _subset_levels,
     confirms_imperfection,
     enumerate_graphs,
     is_berge,
-    is_perfect_by_definition,
     oracle_parameters,
     stream_size,
 )
@@ -75,7 +77,12 @@ class SweepReport:
 def _check_wpgt(G: Graph) -> str | None:
     # By definition, not by is_perfect: Lovasz's alpha * omega bound is
     # symmetric under complement, which would make this check hold trivially.
-    if is_perfect_by_definition(G) != is_perfect_by_definition(complement(G)):
+    # The complement's stable-set indicator is G's clique indicator, so
+    # swapping the pair gives its levels.
+    stable, cliques = _definition_indicators(G)
+    omega, chi = _subset_levels(stable, cliques, G.n)
+    co_omega, co_chi = _subset_levels(cliques, stable, G.n)
+    if (omega == chi) != (co_omega == co_chi):
         return "perfection of graph and complement disagree"
     return None
 
@@ -154,16 +161,11 @@ def _check_separation(G: Graph) -> str | None:
     # the stability check below then rejects.
     if not verify_expansion(sep.base, sep.separated, sep.back):
         return "separated graph is not an expansion of the base"
-    seen: set[int] = set()
-    for part in sep.disjoint_parts:
-        if seen & set(part):
-            return "disjoint parts overlap"
-        seen |= set(part)
-    if union_over(sep.disjoint_parts) != sep.separated.nodes:
-        return "disjoint parts do not cover the separated graph"
-    for part in sep.disjoint_parts:
-        if not is_stable(sep.separated, part):
-            return "a disjoint part is not stable in the separated graph"
+    # Parts that cover the nodes overlap exactly when their sizes add up past n.
+    if not check_cover(sep.separated, sep.disjoint_parts, "stable"):
+        return "disjoint parts are not a stable cover of the separated graph"
+    if sum(map(len, sep.disjoint_parts)) != sep.separated.n:
+        return "disjoint parts overlap"
     # intersecting_clique lists stable sets as the parts do; the oracle does not.
     # A stable part holds one copy per origin, and an expansion keeps the
     # base's alpha, so these parts are then maximum stable sets of it too.

@@ -137,6 +137,26 @@ def test_graph6_rows_match_the_edge_built_graph_at_long_header_sizes(n):
         assert emit_graph(g, "graph6").payload == payload
 
 
+def _graph6_emission_cases():
+    for n in range(7):
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        for mask in range(1 << len(pairs)):
+            yield n, {p for k, p in enumerate(pairs) if mask >> k & 1}
+    for n in (62, 63, 64, 200):
+        rng = random.Random(n)
+        for density in (0.0, 0.5, 1.0):
+            yield n, {(i, j) for j in range(n) for i in range(j) if rng.random() < density}
+
+
+def test_graph6_emission_matches_the_reference_encoder():
+    for n, edges in _graph6_emission_cases():
+        payload = reference_graph6(n, edges)
+        assert emit_graph(make_graph(range(n), edges), "graph6").payload == payload, edges
+        # The same graph on the ids 5, 8, 11, ... relabels to the same payload.
+        shifted = make_graph(range(5, 5 + 3 * n, 3), [(5 + 3 * i, 5 + 3 * j) for i, j in edges])
+        assert emit_graph(shifted, "graph6").payload == payload, edges
+
+
 def test_dimacs_round_trip():
     g = cycle(5)
     doc = emit_graph(g, "dimacs")

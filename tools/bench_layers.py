@@ -45,6 +45,8 @@ files come from these case sets:
 - BENCH_oracle_indicators.json: --case oracle_parameters
   --case sweep-oracle-agreement
 - BENCH_expansion_host.json: --case sweep-expansion
+- BENCH_one_check.json: --case sweep-separation --case sweep-expansion
+  --case sweep-iso --case sweep-wpgt --case emit-graph6
 
 Standard library only.
 """
@@ -180,13 +182,8 @@ _ORACLE = "lambda: [pgl.oracle_parameters(H) for H in graphs]"
 _ISO = "partial(pgl.find_isomorphism, G, pgl.relabel_graph(G, {v: n - 1 - v for v in G.nodes}))"
 # The certificate is built before the timing starts; only the check is timed.
 _VERIFY = "partial(pgl.verify_certificate, G, pgl.wpgt_certificate(G))"
-# What `pgl analyze` computes on a parsed graph: the line it writes.  A
-# tree without cli._analyze_line builds the line the way its _cmd_analyze
-# did, from is_perfect and then graph_parameters.
-_ANALYZE = """(lambda cli: partial(cli._analyze_line, G) if hasattr(cli, "_analyze_line") else lambda: (
-    lambda perfect, p: f"alpha={p.alpha} omega={p.omega} chi={p.chi}"
-    f" nice={cli._bool_word(p.chi == p.omega)} perfect={cli._bool_word(perfect)}\\n"
-)(pgl.is_perfect(G), pgl.graph_parameters(G)))(__import__("pgl.cli", fromlist=["cli"]))"""
+# What `pgl analyze` computes on a parsed graph: the line it writes.
+_ANALYZE = 'partial(__import__("pgl.cli", fromlist=["cli"])._analyze_line, G)'
 _PARSE = "partial(pgl.parse_graph, pgl.emit_graph(G, {!r}))"
 # Perfection by definition is not exported by pgl; it lives in pgl.oracles.
 _DEFINITION = "__import__('pgl.oracles', fromlist=['oracles']).is_perfect_by_definition"
