@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .core import Cover, Graph, _complement_rows, _is_morphism, _node_positions, induced_subgraph, union_over, vertex_set
+from .core import Cover, Graph, _is_morphism, _node_positions, induced_subgraph, union_over, vertex_set
 from .errors import (
     EmptyGraphError,
     PartialMapError,
@@ -140,8 +140,8 @@ def _copy_rows(G: Graph, groups: Mapping[int, int], size: int) -> list[int]:
 
     Each copy is adjacent to the other copies of its origin and to every
     copy of the origin's neighbours, read from G's edge list.  Deliberately
-    not shared with verify_expansion, which reads the complement of G's
-    bitmask rows, so that it checks an independent construction.
+    not shared with verify_expansion, which reads G's bitmask rows, so
+    that it checks an independent construction.
     """
     reach = dict(groups)
     for u, v in G.edges:
@@ -162,12 +162,14 @@ def verify_expansion(G: Graph, H: Graph, back: Mapping[int, int]) -> bool:
 
     Requires back to be total on H's nodes, to map them onto G's nodes,
     to make equal-origin copies adjacent, and to transport adjacency
-    between distinct origins exactly: that is, back maps the complement
-    of H onto that of G keeping edge and non-edge, copies of one origin
-    being apart in H's complement.  core._is_morphism checks this on the
-    complement rows, each back value looked up at its position in G.
-    Only a back value that is not a plain int goes through vertex_set,
-    which raises ValueError on a bool, negative or non-int id.
+    between distinct origins exactly: that is, back maps H onto G keeping
+    edge and non-edge once every vertex is counted adjacent to itself,
+    as copies of one origin are to each other.  core._is_morphism checks
+    this on the closed rows (each row with its own bit), each back value
+    looked up at its position in G; the rows of a sparse graph stay
+    sparse, where its complement rows would not.  Only a back value that
+    is not a plain int goes through vertex_set, which raises ValueError
+    on a bool, negative or non-int id.
     """
     for x in H.nodes:
         if x not in back:
@@ -175,7 +177,9 @@ def verify_expansion(G: Graph, H: Graph, back: Mapping[int, int]) -> bool:
     origin = _node_positions(G, [back[x] for x in H.nodes])
     if origin is None:
         return False
-    return _is_morphism(_complement_rows(H.bit_adjacency), _complement_rows(G.bit_adjacency), origin)
+    closed_H = [row | 1 << j for j, row in enumerate(H.bit_adjacency)]
+    closed_G = [row | 1 << o for o, row in enumerate(G.bit_adjacency)]
+    return _is_morphism(closed_H, closed_G, origin)
 
 
 def mk_disj(C: Cover) -> tuple[Cover, dict[int, tuple[int, int]]]:

@@ -131,8 +131,9 @@ def _is_morphism(rows: Sequence[int], target: Sequence[int], image: Sequence[int
     """True when i -> image[i] maps rows onto the target rows keeping edge and non-edge.
 
     With pre[w] the mask of the positions sent to w: no pre[w] is empty,
-    and each row i is the OR of pre[w] over the target neighbours w of
-    image[i], which leaves out i and its fellow preimages (no loops).
+    and each row i is the OR of pre[w] over the set bits w of the target
+    row of image[i].  On loop-free rows that leaves out i and its fellow
+    preimages; on closed rows, each holding its own bit, it takes them in.
     """
     pre = [0] * len(target)
     for i, w in enumerate(image):

@@ -261,11 +261,20 @@ def _subset_levels(stable: int, cliques: int, n: int) -> tuple[list[int], list[i
     return omega, chi
 
 
-def _definition_indicators(G: Graph) -> tuple[int, int]:
-    """G's stable-set and clique indicators; TooLargeError past DEFINITION_MAX_N, before either."""
+def _definition_levels(G: Graph) -> Iterator[tuple[list[int], list[int]]]:
+    """The omega and chi levels of G, then those of its complement, each when asked for.
+
+    The complement's stable sets are G's cliques and its cliques G's
+    stable sets, so one pair of indicators serves both, swapped for the
+    complement.  Raises TooLargeError past DEFINITION_MAX_N at the first
+    next(), before either indicator is built.
+    """
     if G.n > DEFINITION_MAX_N:
         raise TooLargeError(f"perfection by definition capped at {DEFINITION_MAX_N} vertices")
-    return _stable_indicator(G.bit_adjacency), _stable_indicator(_complement_rows(G.bit_adjacency))
+    stable = _stable_indicator(G.bit_adjacency)
+    cliques = _stable_indicator(_complement_rows(G.bit_adjacency))
+    yield _subset_levels(stable, cliques, G.n)
+    yield _subset_levels(cliques, stable, G.n)
 
 
 def is_perfect_by_definition(G: Graph) -> bool:
@@ -273,7 +282,7 @@ def is_perfect_by_definition(G: Graph) -> bool:
 
     Raises TooLargeError past DEFINITION_MAX_N vertices.
     """
-    omega, chi = _subset_levels(*_definition_indicators(G), G.n)
+    omega, chi = next(_definition_levels(G))
     return omega == chi
 
 

@@ -31,9 +31,8 @@ from .invariants import (
 )
 from .iso import find_isomorphism
 from .oracles import (
-    _definition_indicators,
+    _definition_levels,
     _max_stable_subsets,
-    _subset_levels,
     confirms_imperfection,
     enumerate_graphs,
     is_berge,
@@ -77,11 +76,7 @@ class SweepReport:
 def _check_wpgt(G: Graph) -> str | None:
     # By definition, not by is_perfect: Lovasz's alpha * omega bound is
     # symmetric under complement, which would make this check hold trivially.
-    # The complement's stable-set indicator is G's clique indicator, so
-    # swapping the pair gives its levels.
-    stable, cliques = _definition_indicators(G)
-    omega, chi = _subset_levels(stable, cliques, G.n)
-    co_omega, co_chi = _subset_levels(cliques, stable, G.n)
+    (omega, chi), (co_omega, co_chi) = _definition_levels(G)
     if (omega == chi) != (co_omega == co_chi):
         return "perfection of graph and complement disagree"
     return None

@@ -39,17 +39,35 @@ def _case_key(row: dict) -> tuple[str, str | None, int]:
 
 
 def test_every_committed_row_names_a_registry_case():
+    # A BENCH_*.json is either a layer record, one tree of rows per source,
+    # or a record of end-to-end pairs; anything else is malformed.
     registry = {(case.name, case.family, case.n) for case in bench.CASES}
     layer_files = []
     for name in sorted(glob.glob("BENCH_*.json", root_dir=ROOT)):
         with open(os.path.join(ROOT, name)) as fh:
-            trees = json.load(fh).values()
-        if all(isinstance(tree, dict) and "cases" in tree for tree in trees):
-            layer_files.append(name)
-            rows = _committed_rows(name)
-            assert rows
-            assert [_case_key(row) for row in rows if _case_key(row) not in registry] == []
-    assert {"BENCH_layers.json", "BENCH_one_check.json"} <= set(layer_files)
+            record = json.load(fh)
+        if {"what", "runs"} <= set(record):
+            continue
+        assert all(isinstance(tree, dict) and "cases" in tree for tree in record.values()), name
+        layer_files.append(name)
+        rows = _committed_rows(name)
+        assert rows
+        assert [_case_key(row) for row in rows if _case_key(row) not in registry] == []
+    assert {
+        "BENCH_perfection.json",
+        "BENCH_oracles.json",
+        "BENCH_sweep_layers.json",
+        "BENCH_sweep_checks.json",
+        "BENCH_verify.json",
+        "BENCH_analyze.json",
+        "BENCH_pipeline.json",
+        "BENCH_sweep_once.json",
+        "BENCH_definition.json",
+        "BENCH_oracle_indicators.json",
+        "BENCH_expansion_host.json",
+        "BENCH_layers.json",
+        "BENCH_one_check.json",
+    } <= set(layer_files)
 
 
 def test_a_run_writes_the_documented_rows_and_the_in_process_results(tmp_path):

@@ -289,13 +289,13 @@ def test_imperfection_witness_breaks_ties_by_mask_past_twelve_vertices():
 def _least_subset_with_chi_above_omega(g):
     from itertools import zip_longest
 
-    from pgl.oracles import _definition_indicators, _subset_levels
+    from pgl.oracles import _definition_levels
 
     # Level k marks the subsets with omega (chi) <= k; the shorter list
     # has reached every subset, so its missing levels are full.
     full = (1 << (1 << g.n)) - 1
     differ = 0
-    for om, ch in zip_longest(*_subset_levels(*_definition_indicators(g), g.n), fillvalue=full):
+    for om, ch in zip_longest(*next(_definition_levels(g)), fillvalue=full):
         differ |= om ^ ch
     bad = [m for m in range(1 << g.n) if differ >> m & 1]
     if not bad:
@@ -576,7 +576,7 @@ def test_subset_tables_match_per_subgraph_parameters():
     from itertools import combinations
 
     from pgl import enumerate_graphs
-    from pgl.oracles import _definition_indicators, _subset_levels
+    from pgl.oracles import _definition_levels
 
     def value(levels, mask):
         # Level k marks the subsets whose value is at most k.
@@ -584,7 +584,7 @@ def test_subset_tables_match_per_subgraph_parameters():
 
     params = {}
     for g in enumerate_graphs(5):
-        om, ch = _subset_levels(*_definition_indicators(g), g.n)
+        om, ch = next(_definition_levels(g))
         for r in range(g.n + 1):
             for S in combinations(range(g.n), r):
                 mask = sum(1 << i for i in S)

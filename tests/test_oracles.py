@@ -233,6 +233,16 @@ def test_perfection_by_definition():
         is_perfect_by_definition(edgeless(DEFINITION_MAX_N + 1))
 
 
+def test_complement_levels_come_off_the_swapped_indicators():
+    # The wpgt sweep reads the complement's levels off G's own indicators.
+    from pgl.oracles import _definition_levels
+
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            levels = list(_definition_levels(g))
+            assert levels == [next(_definition_levels(g)), next(_definition_levels(complement(g)))], g
+
+
 def test_perfection_by_definition_agrees_with_alpha_omega_and_berge():
     # The wpgt sweep compares the oracle only with itself on the complement,
     # so a fault that complement cannot see (answering True throughout, say)
