@@ -4,27 +4,26 @@ Everything here is deliberately naive and shares nothing with the
 parameter module beyond the core graph type and its result record:
 alpha and omega, with their witnesses, are the largest subsets that
 the stable-set indicators of the graph and its complement mark, one
-bit per vertex subset (bit m for the subset of the set bits of m);
-chi from walking the assignments of k colors, for growing k, in
-product order, vertex 0 first, cutting a prefix as soon as it gives two
-ends of an edge the same color (no vertex order, no symmetry breaking,
-no lower bound).  Berge recognition comes from enumerating odd vertex
-subsets and testing for induced chordless cycles.  Perfection by
-definition checks chi == omega on every vertex subset directly, rather
-than through Lovasz's alpha * omega bound that invariants.is_perfect
-uses: level k of chi marks the subsets with chi <= k, built from level
-k - 1 by adding each maximal stable set, and level k of omega the
-subsets holding no (k + 1)-clique.  The maximum stable sets the
-separation sweep compares and both level bitsets come off the same
-indicator.  Fixed size caps keep the enumerations at desk scale.
+bit per vertex subset (bit m for the subset of the set bits of m).
+Chi comes off level bitsets: level k of chi marks the subsets with
+chi <= k, built from level k - 1 by adding each maximal stable set, and
+chi is the first level that holds the whole vertex set; its witness is
+peeled off the same levels, one maximal stable set per color.  Berge
+recognition comes from enumerating odd vertex subsets and testing for
+induced chordless cycles.  Perfection by definition checks chi == omega
+on every vertex subset directly, rather than through Lovasz's
+alpha * omega bound that invariants.is_perfect uses: it compares the chi
+levels with the omega levels, level k of omega marking the subsets
+holding no (k + 1)-clique.  The maximum stable sets the separation sweep
+compares and both level lists come off the same indicator.  One vertex
+cap, ORACLE_MAX_N, keeps every subset enumeration at desk scale.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
-from operator import and_
 from typing import Iterator, Sequence
 
 from .core import Graph, _complement_rows, complement, induced_subgraph
@@ -33,75 +32,38 @@ from .invariants import GraphParameters
 
 ORACLE_MAX_N = 20
 BERGE_MAX_N = 12
-# Level bitsets hold 2^n bits (2 KiB at n=14).  At n=14 a call took at most
-# 1.8 ms on disjoint cliques and 1.5 ms on seeded G(14, p), on a 2-vCPU VM.
-DEFINITION_MAX_N = 14
 EXHAUSTIVE_MAX_N = 6
-# Search nodes (calls of one vertex's color choice, summed over all k) the
-# chi walk may visit.  All graphs with n <= 6 need at most 422, the
-# benchmark's n = 7 oracle-agreement streams at most 1,435, 100,000
-# random G(7, 1/2) graphs at most 1,829 and the joined double pentagon
-# 5,066.  A node costs about 1.8 us on a 2-vCPU VM, so a walk stops
-# within about 0.4 s; dense graphs well inside the vertex cap need
-# millions of nodes (seeded G(14, 0.9): 1.5 million, 2.8 s).
-COLORING_MAX_NODES = 200_000
 DEFAULT_SEED = 42
-
-
-def _first_proper_coloring(adj: Sequence[int]) -> tuple[int, list[int]]:
-    """Least k with a proper k-coloring, and the first one in
-    product(range(k), repeat=n) order.
-
-    Tries k = 0, 1, ... in turn.  Each try walks the product order depth
-    first, vertex 0 first and colors in increasing order, and cuts a
-    prefix once it gives two ends of an edge the same color: every
-    assignment below such a prefix is improper, so the first assignment
-    the walk completes is the first proper one of the product.  Raises
-    TooLargeError once the walk has visited COLORING_MAX_NODES nodes.
-    """
-    n = len(adj)
-    earlier = [[j for j in range(i) if adj[i] >> j & 1] for i in range(n)]
-    assign = [0] * n
-    budget = COLORING_MAX_NODES
-
-    def place(i: int, k: int) -> bool:
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise TooLargeError(f"coloring search capped at {COLORING_MAX_NODES} nodes")
-        if i == n:
-            return True
-        taken = {assign[j] for j in earlier[i]}
-        for c in range(k):
-            if c not in taken:
-                assign[i] = c
-                if place(i + 1, k):
-                    return True
-        return False
-
-    k = 0
-    while not place(0, k):
-        k += 1
-    return k, assign
 
 
 def oracle_parameters(G: Graph) -> GraphParameters:
     """alpha, omega and their witnesses off the stable-set indicators of G
     and its complement, each witness the largest marked set with the least
-    sorted member tuple; chi and the first proper assignment in product
-    order, trying k = 0, 1, ... colors.  Raises TooLargeError past the
-    vertex cap, before any indicator is built, and once the chi walk
-    passes COLORING_MAX_NODES search nodes.
+    sorted member tuple; chi off the chi levels, the first that holds the
+    whole vertex set.  Color c of the chi witness is the part, among the
+    vertices not yet colored, of the first maximal stable set (by mask)
+    whose removal leaves a set with chi <= chi(G) - c - 1: the levels are
+    closed downward, so one exists, and it meets what is left.  Raises
+    TooLargeError past the vertex cap, before any indicator is built.
     """
     n = G.n
     if n > ORACLE_MAX_N:
         raise TooLargeError(f"subset enumeration capped at {ORACLE_MAX_N} vertices")
     nodes, adj = G.nodes, G.bit_adjacency
-    stable = tuple(nodes[i] for i in _first_largest(_stable_indicator(adj), n))
+    ind = _stable_indicator(adj)
+    stable = tuple(nodes[i] for i in _first_largest(ind, n))
     clique = tuple(nodes[i] for i in _first_largest(_stable_indicator(_complement_rows(adj)), n))
-    chi, assign = _first_proper_coloring(adj)
+    sets = _maximal_sets(ind, n)
+    chi = _chi_levels(sets, n)
+    assign = [0] * n
+    rest = (1 << n) - 1
+    for c, below in enumerate(reversed(chi[:-1])):
+        s = next(s for s in sets if below >> (rest & ~s) & 1)
+        for i in _members(rest & s):
+            assign[i] = c
+        rest &= ~s
     coloring = {nodes[i]: assign[i] for i in range(n)}
-    return GraphParameters(len(stable), len(clique), chi, clique, stable, coloring)
+    return GraphParameters(len(stable), len(clique), len(chi) - 1, clique, stable, coloring)
 
 
 def _cycle_order(G: Graph, S: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -223,17 +185,20 @@ def _max_stable_subsets(rows: Sequence[int]) -> list[int]:
     return _members(_largest(_stable_indicator(rows), len(rows)))
 
 
-def _subset_levels(stable: int, cliques: int, n: int) -> tuple[list[int], list[int]]:
-    """Level k of omega and of chi: the vertex subsets with omega <= k, and with chi <= k.
+def _maximal_sets(stable: int, n: int) -> list[int]:
+    """Masks of the maximal stable sets, in increasing order, read off the stable-set indicator."""
+    # A stable set that takes on one more vertex is not maximal.
+    extends = 0
+    for i, c in enumerate(_subset_masks(n)[0]):
+        extends |= stable >> (1 << i) & c
+    return _members(stable & ~extends)
 
-    Both are read off the stable-set and clique indicators of a graph on
-    n vertices.  Each list stops at the level that holds every subset.
-    Omega passes k on the supersets of a (k + 1)-clique.  For m disjoint
-    from a stable set s, m | s = m + s, so chi level k - 1 at the
-    positions disjoint from s, shifted up by s, marks sets with chi <= k.
-    Only maximal s are shifted, and the union is closed downward: chi <= k
-    is hereditary, so the union over all stable s equals the downward
-    closure of the union over the maximal ones.
+
+def _omega_levels(cliques: int, n: int) -> list[int]:
+    """Level k of omega: the vertex subsets with omega <= k, read off the clique indicator.
+
+    Omega passes k on the supersets of a (k + 1)-clique.  The list stops
+    at the level that holds every subset.
     """
     clear, size = _subset_masks(n)
     full = (1 << (1 << n)) - 1
@@ -245,20 +210,35 @@ def _subset_levels(stable: int, cliques: int, n: int) -> tuple[list[int], list[i
         omega.append(full ^ above)
         if not above:
             break
-    # A stable set that takes on one more vertex is not maximal.
-    extends = 0
-    for i, c in enumerate(clear):
-        extends |= stable >> (1 << i) & c
-    shifts = [(reduce(and_, [clear[i] for i in _members(s)], -1), s) for s in _members(stable & ~extends)]
+    return omega
+
+
+def _chi_levels(sets: Sequence[int], n: int) -> list[int]:
+    """Level k of chi: the vertex subsets with chi <= k, built from the maximal stable sets.
+
+    For m disjoint from a stable set s, m | s = m + s, so chi level k - 1
+    with the members of s masked out, shifted up by s, marks sets with
+    chi <= k.  Only maximal s are shifted, and the union is closed
+    downward: chi <= k is hereditary, so the union over all stable s
+    equals the downward closure of the union over the maximal ones.  Each
+    set is masked out of the previous level as it comes, so no mask per
+    set is held.  The list stops at the level that holds every subset.
+    """
+    clear = _subset_masks(n)[0]
+    full = (1 << (1 << n)) - 1
+    members = [(s, _members(s)) for s in sets]
     chi = [1]
     while chi[-1] != full:
         z = 0
-        for disjoint, s in shifts:
-            z |= (chi[-1] & disjoint) << s
+        for s, vertices in members:
+            disjoint = chi[-1]
+            for i in vertices:
+                disjoint &= clear[i]
+            z |= disjoint << s
         for i, c in enumerate(clear):
             z |= z >> (1 << i) & c
         chi.append(z)
-    return omega, chi
+    return chi
 
 
 def _definition_levels(G: Graph) -> Iterator[tuple[list[int], list[int]]]:
@@ -266,21 +246,20 @@ def _definition_levels(G: Graph) -> Iterator[tuple[list[int], list[int]]]:
 
     The complement's stable sets are G's cliques and its cliques G's
     stable sets, so one pair of indicators serves both, swapped for the
-    complement.  Raises TooLargeError past DEFINITION_MAX_N at the first
-    next(), before either indicator is built.
+    complement.  Raises TooLargeError past ORACLE_MAX_N at the first
+    next(), before any subset mask is built.
     """
-    if G.n > DEFINITION_MAX_N:
-        raise TooLargeError(f"perfection by definition capped at {DEFINITION_MAX_N} vertices")
+    n = G.n
     stable = _stable_indicator(G.bit_adjacency)
     cliques = _stable_indicator(_complement_rows(G.bit_adjacency))
-    yield _subset_levels(stable, cliques, G.n)
-    yield _subset_levels(cliques, stable, G.n)
+    yield _omega_levels(cliques, n), _chi_levels(_maximal_sets(stable, n), n)
+    yield _omega_levels(stable, n), _chi_levels(_maximal_sets(cliques, n), n)
 
 
 def is_perfect_by_definition(G: Graph) -> bool:
     """True when chi equals omega on every induced subgraph, both as level bitsets.
 
-    Raises TooLargeError past DEFINITION_MAX_N vertices.
+    Raises TooLargeError past ORACLE_MAX_N vertices.
     """
     omega, chi = next(_definition_levels(G))
     return omega == chi

@@ -22,7 +22,6 @@ from pgl.constructions import SEPARATION_MAX_VERTICES
 from pgl.invariants import PERFECTION_MAX_N
 from pgl.oracles import (
     BERGE_MAX_N,
-    DEFINITION_MAX_N,
     EXHAUSTIVE_MAX_N,
     ORACLE_MAX_N,
     is_perfect_by_definition,
@@ -72,9 +71,9 @@ CAPS = [
     ),
     (
         "is_perfect_by_definition",
-        lambda: is_perfect_by_definition(make_graph(range(DEFINITION_MAX_N + 1))),
+        lambda: is_perfect_by_definition(make_graph(range(ORACLE_MAX_N + 1))),
         "pgl.oracles._subset_masks",
-        "perfection by definition capped at 14 vertices",
+        "subset enumeration capped at 20 vertices",
     ),
     (
         "is_perfect",
@@ -119,6 +118,21 @@ def test_the_cheap_searches_run_at_their_cap():
     assert find_odd_hole_or_antihole(make_graph(range(BERGE_MAX_N))) is None
     assert next(enumerate_graphs(EXHAUSTIVE_MAX_N)).n == EXHAUSTIVE_MAX_N
     assert stream_size(EXHAUSTIVE_MAX_N, "exhaustive") == 32_768
+
+
+@pytest.mark.parametrize("sizes", [[3] * 6 + [2], [2] * 10], ids=["6K3+K2", "10K2"])
+def test_the_subset_enumerations_answer_many_maximal_stable_sets_at_their_cap(sizes):
+    # Six triangles and an edge have 1,458 maximal stable sets, ten edges
+    # 1,024; each is masked out of the previous chi level in turn.
+    g = _disjoint_cliques(sizes)
+    assert g.n == ORACLE_MAX_N
+    started = time.perf_counter()
+    p = oracle_parameters(g)
+    assert time.perf_counter() - started < 2.0
+    assert (p.alpha, p.omega, p.chi) == (len(sizes), max(sizes), max(sizes))
+    started = time.perf_counter()
+    assert is_perfect_by_definition(g)
+    assert time.perf_counter() - started < 2.0
 
 
 def test_expansion_at_its_cap_is_built_whole():

@@ -34,15 +34,56 @@ def test_oracle_parameters_trivial():
 
 
 def test_oracle_parameters_joined_double_pentagon():
-    # The answer of _product_oracle_parameters below, which spends about
-    # 16 s on this graph: 11 million assignments fail before chi = 6.
+    # alpha, omega, chi and the clique and stable witnesses are the answer
+    # of _product_oracle_parameters below, which spends about 16 s on this
+    # graph: 11 million assignments fail before chi = 6.  The coloring is
+    # peeled off the chi levels: color 0 is {1, 3}, the first maximal
+    # stable set by mask, and color 1 only {4}, the part of {1, 4} still
+    # uncolored, which leaves {2, 5} and the second pentagon (chi 4).
     assert oracle_parameters(joined_double_pentagon()) == GraphParameters(
         alpha=2,
         omega=4,
         chi=6,
         max_clique_witness=(1, 2, 6, 7),
         max_stable_witness=(1, 3),
-        chi_witness={1: 0, 2: 1, 3: 0, 4: 1, 5: 2, 6: 3, 7: 4, 8: 3, 9: 4, 10: 5},
+        chi_witness={1: 0, 2: 2, 3: 0, 4: 1, 5: 2, 6: 3, 7: 5, 8: 3, 9: 4, 10: 5},
+    )
+
+
+def _assert_chi_witness(g, p):
+    """The chi witness is a proper coloring that uses exactly the colors 0..chi-1."""
+    assert is_valid_coloring(g, p.chi_witness), g
+    assert sorted(p.chi_witness) == list(g.nodes), g
+    assert set(p.chi_witness.values()) == set(range(p.chi)), g
+
+
+def _seeded_graphs():
+    """Twenty seeded G(n, p) graphs for each n = 7..16, ten at p = 0.2 and ten at 0.5."""
+    import random
+    from itertools import combinations
+
+    rng = random.Random(16)
+    for n in range(7, 17):
+        for p in (0.2, 0.5):
+            for _ in range(10):
+                yield make_graph(range(n), [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def test_oracle_parameters_reproduce_the_product_order_walk_answers():
+    # SHA-256 of (alpha, omega, chi, clique witness, stable witness) over
+    # every graph with n <= 6 and the seeded graphs, as the oracle answered
+    # them when chi came from a walk of the assignments in product order.
+    import hashlib
+
+    graphs = [g for n in range(7) for g in enumerate_graphs(n)] + list(_seeded_graphs())
+    assert len(graphs) == 34_068
+    rows = []
+    for g in graphs:
+        p = oracle_parameters(g)
+        _assert_chi_witness(g, p)
+        rows.append((p.alpha, p.omega, p.chi, p.max_clique_witness, p.max_stable_witness))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "06b1216378b3ecdf741fcfdb939dbcb288e85a3955cfa0d319850728f48a1c3a"
     )
 
 
@@ -84,6 +125,7 @@ def _product_oracle_parameters(g):
 
 def test_oracle_parameters_match_the_product_enumeration():
     import random
+    from dataclasses import replace
     from itertools import combinations
 
     graphs = [g for n in range(6) for g in enumerate_graphs(n)]
@@ -95,7 +137,9 @@ def test_oracle_parameters_match_the_product_enumeration():
             graphs.append(make_graph(ids, [e for e in combinations(ids, 2) if rng.random() < 0.5]))
     graphs += [cycle(5), cycle(7), complement(cycle(7)), complement(cycle(9))]
     for g in graphs:
-        assert oracle_parameters(g) == _product_oracle_parameters(g), (g.nodes, g.edges)
+        p = oracle_parameters(g)
+        assert replace(p, chi_witness=None) == replace(_product_oracle_parameters(g), chi_witness=None), g
+        _assert_chi_witness(g, p)
 
 
 def _combinations_alpha_omega(g):
@@ -127,16 +171,10 @@ def _combinations_alpha_omega(g):
     return len(best_stable), len(best_clique), tuple(nodes[i] for i in best_clique), tuple(nodes[i] for i in best_stable)
 
 
-def test_oracle_witnesses_match_the_combinations_scan_past_the_product_reference(monkeypatch):
+def test_oracle_witnesses_match_the_combinations_scan_past_the_product_reference():
     import random
     from itertools import combinations
 
-    import pgl.oracles
-
-    # Only alpha, omega and their witnesses are compared; the chi walk is
-    # the one the product test checks, and dense graphs near n = 16 pass
-    # its node budget.
-    monkeypatch.setattr(pgl.oracles, "_first_proper_coloring", lambda adj: (0, [0] * len(adj)))
     rng = random.Random(1912)
     for n in range(10, 17):
         for p in (0.2, 0.8):
@@ -223,14 +261,14 @@ def test_nice_but_imperfect_graph_is_detected():
 
 
 def test_perfection_by_definition():
-    from pgl.oracles import DEFINITION_MAX_N, is_perfect_by_definition
+    from pgl.oracles import ORACLE_MAX_N, is_perfect_by_definition
 
     assert is_perfect_by_definition(house())
     assert not is_perfect_by_definition(cycle(5))
     assert not is_perfect_by_definition(nice_but_imperfect())
     assert is_perfect_by_definition(make_graph([]))
     with pytest.raises(TooLargeError):
-        is_perfect_by_definition(edgeless(DEFINITION_MAX_N + 1))
+        is_perfect_by_definition(edgeless(ORACLE_MAX_N + 1))
 
 
 def test_complement_levels_come_off_the_swapped_indicators():
@@ -416,17 +454,15 @@ def test_row_built_stream_graphs_match_the_make_graph_route():
                 _assert_same_graph(g, _pairwise_graph_from_mask(n, draws.getrandbits(bits)))
 
 
-def test_coloring_walk_on_a_dense_graph_fails_fast_past_its_node_budget():
+def test_oracle_answers_a_dense_graph_the_coloring_walk_gave_up_on():
+    # The product-order walk this chi replaced passed its node budget of
+    # 200,000 on this graph, and ran for more than 30 s without one.
     import random
-    import time
     from itertools import combinations
-
-    from pgl.oracles import COLORING_MAX_NODES
 
     rng = random.Random(16)
     g = make_graph(range(16), [e for e in combinations(range(16), 2) if rng.random() < 0.9])
-    started = time.perf_counter()
-    with pytest.raises(TooLargeError, match=f"coloring search capped at {COLORING_MAX_NODES} nodes"):
-        oracle_parameters(g)
-    # Without the budget this walk ran for more than 30 s.
-    assert time.perf_counter() - started < 10
+    p = oracle_parameters(g)
+    q = graph_parameters(g)
+    assert (p.alpha, p.omega, p.chi) == (q.alpha, q.omega, q.chi)
+    _assert_chi_witness(g, p)

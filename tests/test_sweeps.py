@@ -83,6 +83,17 @@ def test_separation_sweep_refuses_past_the_subset_cap():
         sweep("separation", ORACLE_MAX_N + 1, "random", count=1)
 
 
+def test_wpgt_and_oracle_agreement_sweeps_run_at_the_subset_cap():
+    # Both read the chi levels, which one vertex cap bounds.
+    from pgl import TooLargeError
+    from pgl.oracles import ORACLE_MAX_N
+
+    assert sweep(("wpgt", "oracle-agreement"), ORACLE_MAX_N, "random", count=3).ok
+    for prop in ("wpgt", "oracle-agreement"):
+        with pytest.raises(TooLargeError, match="subset enumeration capped at 20 vertices"):
+            sweep(prop, ORACLE_MAX_N + 1, "random", count=1)
+
+
 def test_iso_sweep_small():
     assert sweep("iso", 4).ok
 
@@ -203,8 +214,10 @@ def test_duality_sweep_catches_a_faulty_complement(monkeypatch):
 
 
 def test_oracle_agreement_sweep_catches_a_faulty_stable_set_indicator(monkeypatch):
-    # alpha and omega come off this one indicator, which the separation
-    # and wpgt sweeps read too: a fault in it must show against invariants.
+    # alpha, omega and chi come off this one indicator, which the
+    # separation and wpgt sweeps read too: a fault in it must show against
+    # invariants.  With chi read off it as well, 358 of the 1,024 graphs
+    # show it (288 when chi came from a coloring walk of the rows).
     import pgl.oracles
 
     indicator = pgl.oracles._stable_indicator
@@ -217,7 +230,7 @@ def test_oracle_agreement_sweep_catches_a_faulty_stable_set_indicator(monkeypatc
         return indicator(out)
 
     monkeypatch.setattr(pgl.oracles, "_stable_indicator", blind_to_the_last_pair)
-    assert len(sweep("oracle-agreement", 5).counterexamples) == 288
+    assert len(sweep("oracle-agreement", 5).counterexamples) == 358
 
 
 def test_an_empty_property_list_is_rejected():

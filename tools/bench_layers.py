@@ -47,6 +47,9 @@ files come from these case sets:
 - BENCH_expansion_host.json: --case sweep-expansion
 - BENCH_one_check.json: --case sweep-separation --case sweep-expansion
   --case sweep-iso --case sweep-wpgt --case emit-graph6
+- BENCH_oracle_chi.json: --case oracle_parameters
+  --case is_perfect_by_definition --case sweep-oracle-agreement
+  --case sweep-wpgt
 
 Standard library only.
 """
@@ -178,7 +181,11 @@ def on_graph(name: str, family: str, n: int) -> Case:
 _PERFECTION = [(family, n) for n in (7, 8, 12, 15, 20) for family in ("bipartite", "split", "interval")]
 _PERFECTION += [("random", 7), ("random", 20), ("expansion-host", 12)]
 _PERFECTION += [("planted-hole", n) for n in (14, 18, 20)]
-_ORACLE = "lambda: [pgl.oracle_parameters(H) for H in graphs]"
+# alpha, omega, chi and the clique and stable witnesses of each graph.
+_ORACLE = (
+    "lambda: [(p.alpha, p.omega, p.chi, p.max_clique_witness, p.max_stable_witness)"
+    " for p in map(pgl.oracle_parameters, graphs)]"
+)
 _ISO = "partial(pgl.find_isomorphism, G, pgl.relabel_graph(G, {v: n - 1 - v for v in G.nodes}))"
 # The certificate is built before the timing starts; only the check is timed.
 _VERIFY = "partial(pgl.verify_certificate, G, pgl.wpgt_certificate(G))"
@@ -195,10 +202,12 @@ CASES = [
     Case("oracle_parameters", _ORACLE, "joined-double-pentagon", 10),
     Case("oracle_parameters", _ORACLE, "antihole", 7),
     Case("oracle_parameters", _ORACLE, "antihole", 9),
-    # The seeded G(20, 1/2) passes the chi walk's node budget, so gnp stops at n = 19.
     *(
         Case("oracle_parameters", _ORACLE, family, n)
-        for family, n in (("sparse-bipartite", 16), ("sparse-bipartite", 20), ("gnp", 16), ("gnp", 19))
+        for family, n in (
+            ("sparse-bipartite", 16), ("sparse-bipartite", 20), ("gnp", 16), ("gnp", 19), ("gnp", 20),
+            ("split", 20), ("interval", 16), ("interval", 20), ("disjoint-triangles", 20), ("matching", 20),
+        )
     ),
     *(
         Case(f"sweep-{prop}", f"partial(pgl.sweep, {prop!r}, n)", None, n, None)
@@ -234,7 +243,7 @@ CASES = [
     *(
         Case("is_perfect_by_definition", f"partial({_DEFINITION}, G)", family, n)
         for family in ("edgeless", "complete", "disjoint-triangles")
-        for n in (12, 14)
+        for n in (12, 14, 16, 20)
     ),
     *(
         on_graph("wpgt_certificate", family, n)
