@@ -2,9 +2,12 @@
 
 Clique and stable numbers, together with the lexicographically least
 maximum clique and stable set, come from one branch-and-bound over
-vertex-ordered subsets with a greedy coloring bound; the chromatic
+vertex-ordered subsets with a greedy coloring bound, whose first-fit
+classes are peeled off the candidate mask one greedy stable set at a
+time (peeling gives exactly first fit's partition); the chromatic
 number from iterative deepening over a backtracking proper-coloring
-search with the first vertex pinned to color 0.  Perfection uses
+search with the first vertex pinned to color 0, which keeps one mask
+per color class and so tests each color with one AND.  Perfection uses
 Lovasz's criterion (1972): G is perfect iff |S| <= alpha(G[S]) *
 omega(G[S]) for every vertex set S.  Both numbers come from one O(2^n)
 subset recurrence, held as level tables (one int per value, one bit
@@ -85,23 +88,24 @@ def colors_used(G: Graph, f: Coloring) -> tuple[int, ...]:
 
 
 def _greedy_color_classes(adj: Sequence[int], cand: int) -> int:
-    """Greedy partition of cand into pairwise non-adjacent classes.
+    """Number of classes of the first-fit partition of cand into pairwise non-adjacent classes.
 
-    The class count bounds the largest clique inside cand from above.
+    The count bounds the largest clique inside cand from above.  The
+    classes are peeled off one at a time: class k is the greedy maximal
+    stable set, in index order, of what the earlier classes leave.  A
+    vertex joins class k under first fit exactly when it is in no
+    earlier class and no earlier member of class k is adjacent to it, so
+    peeling yields first fit's partition, at one step per vertex.
     """
-    classes: list[int] = []
-    m = cand
-    while m:
-        v = m & -m
-        i = v.bit_length() - 1
-        m ^= v
-        for k, cls in enumerate(classes):
-            if not cls & adj[i]:
-                classes[k] = cls | v
-                break
-        else:
-            classes.append(v)
-    return len(classes)
+    count = 0
+    while cand:
+        count += 1
+        free = cand
+        while free:
+            v = free & -free
+            cand ^= v
+            free &= ~(adj[v.bit_length() - 1] | v)
+    return count
 
 
 def _max_clique(adj: Sequence[int], universe: int) -> tuple[int, int]:
@@ -134,8 +138,12 @@ def _max_clique(adj: Sequence[int], universe: int) -> tuple[int, int]:
             m ^= v
             extend(size + 1, chosen | v, m & adj[i])
 
-    extend(0, 0, universe)
-    return best, best_mask
+    try:
+        extend(0, 0, universe)
+        return best, best_mask
+    finally:
+        # extend holds its own cell: drop it so no reference cycle is left.
+        del extend
 
 
 def _try_color(adj: Sequence[int], order: Sequence[int], k: int) -> list[int] | None:
@@ -144,29 +152,34 @@ def _try_color(adj: Sequence[int], order: Sequence[int], k: int) -> list[int] | 
     Colors the subgraph induced by the indices in order; the result is
     indexed by node position, with -1 off the order.  New colors are
     introduced in index order, which pins the first vertex to color 0
-    and prunes color permutations.
+    and prunes color permutations.  classes[c] is the mask of the
+    vertices colored c so far, so color c is free for vertex i when
+    classes[c] & adj[i] is 0.
     """
     n = len(order)
     assign = [-1] * len(adj)
+    classes = [0] * k
 
     def rec(pos: int, used: int) -> bool:
         if pos == n:
             return True
         i = order[pos]
-        forbidden = 0
+        v = 1 << i
         neigh = adj[i]
-        for j in order[:pos]:
-            if neigh >> j & 1:
-                forbidden |= 1 << assign[j]
         for c in range(min(k, used + 1)):
-            if not forbidden >> c & 1:
+            if not classes[c] & neigh:
                 assign[i] = c
+                classes[c] |= v
                 if rec(pos + 1, used if c < used else used + 1):
                     return True
+                classes[c] ^= v
         assign[i] = -1
         return False
 
-    return assign if rec(0, 0) else None
+    try:
+        return assign if rec(0, 0) else None
+    finally:
+        del rec
 
 
 def _color_order(adj: Sequence[int], universe: int) -> list[int]:
@@ -263,6 +276,8 @@ def _max_stable_masks(co: Sequence[int], universe: int, alpha: int, limit: int |
         extend(0, universe, alpha)
     except _ListingFull:
         pass
+    finally:
+        del extend
     return out
 
 

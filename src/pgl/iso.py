@@ -7,9 +7,10 @@ bitmask rows: each row of the source must equal the OR of the preimage
 masks of its image's neighbours.  The search backtracks over
 degree-compatible bijections only, pruned further by neighborhood
 degree multisets read off the rows' popcounts, and tests each candidate
-pair against the pairs placed so far by row bits.  It shares no state
-with the morphism check, which re-checks its witness from the maps
-alone.
+with one mask comparison: its row, cut to the vertices of H mapped so
+far, must equal the mask of the images of the source vertex's mapped
+neighbours.  The search shares no state with the morphism check, which
+re-checks its witness from the maps alone.
 """
 
 from __future__ import annotations
@@ -83,33 +84,45 @@ def find_isomorphism(G: Graph, H: Graph) -> IsoWitness | None:
     ph = _degree_profile(H)
     if sorted(pg.values()) != sorted(ph.values()):
         return None
-    candidates = {v: tuple(w for w in H.nodes if ph[w] == pg[v]) for v in G.nodes}
-    order = sorted(G.nodes, key=lambda v: (len(candidates[v]), -G.degree(v), v))
-    gpos, hpos = G.index, H.index
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+    grows, hrows = G.bit_adjacency, H.bit_adjacency
+    # The candidates of a vertex of G: the positions in H, in H's order,
+    # of the vertices with its degree profile.
+    same_profile: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for j, w in enumerate(H.nodes):
+        same_profile.setdefault(ph[w], []).append(j)
+    candidates = [same_profile[pg[v]] for v in G.nodes]
+    order = sorted(range(G.n), key=lambda i: (len(candidates[i]), -grows[i].bit_count(), i))
+    # image[i] is the bit in H of the image of G's vertex at position i,
+    # read only while bit i is in mapped_g.
+    image = [0] * G.n
 
-    def rec(pos: int) -> bool:
+    def rec(pos: int, mapped_g: int, mapped_h: int) -> bool:
         if pos == len(order):
             return True
-        v = order[pos]
-        gv = G.bit_adjacency[gpos[v]]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            hw = H.bit_adjacency[hpos[w]]
-            if all(gv >> gpos[u] & 1 == hw >> hpos[x] & 1 for u, x in mapping.items()):
-                mapping[v] = w
-                used.add(w)
-                if rec(pos + 1):
+        i = order[pos]
+        # The images of i's mapped neighbours: a candidate must be adjacent
+        # to exactly these among the mapped vertices of H.
+        want = 0
+        m = grows[i] & mapped_g
+        while m:
+            low = m & -m
+            want |= image[low.bit_length() - 1]
+            m ^= low
+        for j in candidates[i]:
+            w = 1 << j
+            if not mapped_h & w and hrows[j] & mapped_h == want:
+                image[i] = w
+                if rec(pos + 1, mapped_g | 1 << i, mapped_h | w):
                     return True
-                del mapping[v]
-                used.discard(w)
         return False
 
-    if not rec(0):
-        return None
-    forward = {v: mapping[v] for v in G.nodes}
+    try:
+        if not rec(0, 0, 0):
+            return None
+    finally:
+        # rec holds its own cell: drop it so no reference cycle is left.
+        del rec
+    forward = {v: H.nodes[image[i].bit_length() - 1] for i, v in enumerate(G.nodes)}
     backward = {w: v for v, w in forward.items()}
     witness = IsoWitness(forward, backward)
     if not verify_iso_witness(witness, G, H):

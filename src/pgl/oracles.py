@@ -47,14 +47,13 @@ def oracle_parameters(G: Graph) -> GraphParameters:
     TooLargeError past the vertex cap, before any indicator is built.
     """
     n = G.n
-    if n > ORACLE_MAX_N:
-        raise TooLargeError(f"subset enumeration capped at {ORACLE_MAX_N} vertices")
+    clear, size = _capped_masks(n)
     nodes, adj = G.nodes, G.bit_adjacency
-    ind = _stable_indicator(adj)
-    stable = tuple(nodes[i] for i in _first_largest(ind, n))
-    clique = tuple(nodes[i] for i in _first_largest(_stable_indicator(_complement_rows(adj)), n))
-    sets = _maximal_sets(ind, n)
-    chi = _chi_levels(sets, n)
+    ind = _stable_indicator(adj, clear)
+    stable = tuple(nodes[i] for i in _first_largest(ind, clear, size))
+    clique = tuple(nodes[i] for i in _first_largest(_stable_indicator(_complement_rows(adj), clear), clear, size))
+    sets = _maximal_sets(ind, clear)
+    chi = _chi_levels(sets, clear)
     assign = [0] * n
     rest = (1 << n) - 1
     for c, below in enumerate(reversed(chi[:-1])):
@@ -127,23 +126,40 @@ def is_berge(G: Graph) -> bool:
     return find_odd_hole_or_antihole(G) is None
 
 
-@lru_cache(maxsize=16)
-def _subset_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+_Masks = tuple[tuple[int, ...], tuple[int, ...]]
+
+# The subset masks depend on n alone.  Those of n <= _SHARED_N vertices
+# are kept once built (0.5 MiB in all); past that they are built per
+# call, since those of n = 20 alone hold 5 MiB.
+_SHARED_N = 16
+_SHARED_MASKS: dict[int, _Masks] = {}
+
+
+def _subset_masks(n: int) -> _Masks:
     """clear[i] marks the subsets of n vertices without vertex i, size[r] those of r vertices."""
-    clear: tuple[int, ...] = ()
-    size = (1,)
-    for t in range(n):
-        half = 1 << t
-        clear = (*(c | c << half for c in clear), (1 << half) - 1)
-        size = tuple(a | b << half for a, b in zip((*size, 0), (0, *size)))
-    return clear, size
+    masks = _SHARED_MASKS.get(n)
+    if masks is None:
+        clear: tuple[int, ...] = ()
+        size = (1,)
+        for t in range(n):
+            half = 1 << t
+            clear = (*(c | c << half for c in clear), (1 << half) - 1)
+            size = tuple(a | b << half for a, b in zip((*size, 0), (0, *size)))
+        masks = clear, size
+        if n <= _SHARED_N:
+            _SHARED_MASKS[n] = masks
+    return masks
 
 
-def _stable_indicator(rows: Sequence[int]) -> int:
-    """The subsets that hold no edge of the graph with these adjacency rows."""
-    if len(rows) > ORACLE_MAX_N:
+def _capped_masks(n: int) -> _Masks:
+    """The subset masks of n vertices; TooLargeError past ORACLE_MAX_N, before any is built."""
+    if n > ORACLE_MAX_N:
         raise TooLargeError(f"subset enumeration capped at {ORACLE_MAX_N} vertices")
-    clear = _subset_masks(len(rows))[0]
+    return _subset_masks(n)
+
+
+def _stable_indicator(rows: Sequence[int], clear: tuple[int, ...]) -> int:
+    """The subsets that hold no edge of the graph with these adjacency rows; clear as in _subset_masks."""
     ind = 1
     for t, row in enumerate(rows):
         # The stable sets that avoid the earlier neighbours of t take t on.
@@ -164,44 +180,44 @@ def _members(x: int) -> list[int]:
     return out
 
 
-def _largest(ind: int, n: int) -> int:
-    """The subsets of the largest size among those the indicator ind of n vertices marks."""
-    return next(ind & z for z in reversed(_subset_masks(n)[1]) if ind & z)
+def _largest(ind: int, size: tuple[int, ...]) -> int:
+    """The subsets of the largest size among those the indicator ind marks."""
+    return next(ind & z for z in reversed(size) if ind & z)
 
 
-def _first_largest(ind: int, n: int) -> list[int]:
+def _first_largest(ind: int, clear: tuple[int, ...], size: tuple[int, ...]) -> list[int]:
     """Members of the largest subset ind marks whose sorted member tuple is least.
 
     Among equal-size subsets that agree below vertex i, those holding i come first.
     """
-    marked = _largest(ind, n)
-    for c in _subset_masks(n)[0]:
+    marked = _largest(ind, size)
+    for c in clear:
         marked = marked & ~c or marked
     return _members(marked.bit_length() - 1)
 
 
 def _max_stable_subsets(rows: Sequence[int]) -> list[int]:
     """Masks of the maximum stable sets, in increasing order, read off the stable-set indicator."""
-    return _members(_largest(_stable_indicator(rows), len(rows)))
+    clear, size = _capped_masks(len(rows))
+    return _members(_largest(_stable_indicator(rows, clear), size))
 
 
-def _maximal_sets(stable: int, n: int) -> list[int]:
+def _maximal_sets(stable: int, clear: tuple[int, ...]) -> list[int]:
     """Masks of the maximal stable sets, in increasing order, read off the stable-set indicator."""
     # A stable set that takes on one more vertex is not maximal.
     extends = 0
-    for i, c in enumerate(_subset_masks(n)[0]):
+    for i, c in enumerate(clear):
         extends |= stable >> (1 << i) & c
     return _members(stable & ~extends)
 
 
-def _omega_levels(cliques: int, n: int) -> list[int]:
+def _omega_levels(cliques: int, clear: tuple[int, ...], size: tuple[int, ...]) -> list[int]:
     """Level k of omega: the vertex subsets with omega <= k, read off the clique indicator.
 
     Omega passes k on the supersets of a (k + 1)-clique.  The list stops
     at the level that holds every subset.
     """
-    clear, size = _subset_masks(n)
-    full = (1 << (1 << n)) - 1
+    full = (1 << (1 << len(clear))) - 1
     omega = []
     for sized in (*size[1:], 0):
         above = cliques & sized
@@ -213,7 +229,7 @@ def _omega_levels(cliques: int, n: int) -> list[int]:
     return omega
 
 
-def _chi_levels(sets: Sequence[int], n: int) -> list[int]:
+def _chi_levels(sets: Sequence[int], clear: tuple[int, ...]) -> list[int]:
     """Level k of chi: the vertex subsets with chi <= k, built from the maximal stable sets.
 
     For m disjoint from a stable set s, m | s = m + s, so chi level k - 1
@@ -224,8 +240,7 @@ def _chi_levels(sets: Sequence[int], n: int) -> list[int]:
     set is masked out of the previous level as it comes, so no mask per
     set is held.  The list stops at the level that holds every subset.
     """
-    clear = _subset_masks(n)[0]
-    full = (1 << (1 << n)) - 1
+    full = (1 << (1 << len(clear))) - 1
     members = [(s, _members(s)) for s in sets]
     chi = [1]
     while chi[-1] != full:
@@ -249,11 +264,11 @@ def _definition_levels(G: Graph) -> Iterator[tuple[list[int], list[int]]]:
     complement.  Raises TooLargeError past ORACLE_MAX_N at the first
     next(), before any subset mask is built.
     """
-    n = G.n
-    stable = _stable_indicator(G.bit_adjacency)
-    cliques = _stable_indicator(_complement_rows(G.bit_adjacency))
-    yield _omega_levels(cliques, n), _chi_levels(_maximal_sets(stable, n), n)
-    yield _omega_levels(stable, n), _chi_levels(_maximal_sets(cliques, n), n)
+    clear, size = _capped_masks(G.n)
+    stable = _stable_indicator(G.bit_adjacency, clear)
+    cliques = _stable_indicator(_complement_rows(G.bit_adjacency), clear)
+    yield _omega_levels(cliques, clear, size), _chi_levels(_maximal_sets(stable, clear), clear)
+    yield _omega_levels(stable, clear, size), _chi_levels(_maximal_sets(cliques, clear), clear)
 
 
 def is_perfect_by_definition(G: Graph) -> bool:

@@ -122,7 +122,11 @@ def _least_clique_meeting_all(adj: Sequence[int], stables: Sequence[int]) -> int
                     return found
         return None
 
-    return extend(0, 0, (1 << len(adj)) - 1)
+    try:
+        return extend(0, 0, (1 << len(adj)) - 1)
+    finally:
+        # extend holds its own cell: drop it so no reference cycle is left.
+        del extend
 
 
 def _most_sets_met(adj: Sequence[int], stables: Sequence[int]) -> int:
@@ -152,8 +156,11 @@ def _most_sets_met(adj: Sequence[int], stables: Sequence[int]) -> int:
             i = v.bit_length() - 1
             extend(met + weight[i], m & adj[i])
 
-    extend(0, union)
-    return best
+    try:
+        extend(0, union)
+        return best
+    finally:
+        del extend
 
 
 def clique_cover_alpha(G: Graph) -> Cover | PerfectnessFailure:

@@ -43,6 +43,24 @@ def nice_but_imperfect() -> Graph:
     return make_graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (2, 6), (3, 6), (4, 6)])
 
 
+def pinned_graphs():
+    """Every graph on n <= 6 vertices, then 2,000 seeded G(n, p) with n = 7..14.
+
+    The witness digests of the searches are pinned on these 35,868 graphs.
+    """
+    import random
+
+    from pgl.oracles import enumerate_graphs
+
+    for n in range(7):
+        yield from enumerate_graphs(n)
+    rng = random.Random(25)
+    for _ in range(2000):
+        n = rng.randint(7, 14)
+        p = rng.choice((0.2, 0.5, 0.8))
+        yield make_graph(range(n), [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
 def run_fresh(source: str, *options: str) -> str:
     """Run source in a fresh interpreter with this checkout's pgl importable; return stdout."""
     import os

@@ -79,6 +79,7 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_layers.json",
         "BENCH_one_check.json",
         "BENCH_oracle_chi.json",
+        "BENCH_color_classes.json",
     } <= layer_files
 
 
@@ -130,6 +131,13 @@ def _definition(case, graphs):
     return _digest(verdicts) if case.graphs > 1 else verdicts[0]
 
 
+def _parameters_or_analyze(case, graphs):
+    if case.name == "analyze":
+        return _analyze_or_parse(case, graphs)
+    params = [pgl.graph_parameters(H) for H in graphs]
+    return _digest(params if case.graphs > 1 else params[0])
+
+
 # Each committed parent-vs-change file, the case names it holds, its row
 # count per tree, and what a row of a case with graphs must read (each
 # sweep case reads every labelled graph on n vertices and no counterexample).
@@ -145,6 +153,11 @@ COMMITTED = {
     # must agree on their digests.
     "BENCH_one_check.json": (
         {"sweep-separation", "sweep-expansion", "sweep-iso", "sweep-wpgt", "emit-graph6"}, 7, None
+    ),
+    # The find_isomorphism and clique_number rows (n >= 40) are not
+    # reproduced here; the two trees must agree on their results.
+    "BENCH_color_classes.json": (
+        {"graph_parameters", "find_isomorphism", "clique_number", "analyze"}, 24, _parameters_or_analyze
     ),
 }
 

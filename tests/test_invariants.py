@@ -1,5 +1,7 @@
 """Parameters, covers, colorings, niceness and perfection."""
 
+import gc
+import hashlib
 import random
 from itertools import combinations
 
@@ -12,12 +14,14 @@ from pgl import (
     NotAStableCoverError,
     TooLargeError,
     check_cover,
+    clique_cover_alpha,
     clique_number,
     coloring_to_cover,
     colors_used,
     complement,
     cover_to_coloring,
     enumerate_graphs,
+    find_isomorphism,
     graph_parameters,
     imperfection_witness,
     induced_subgraph,
@@ -32,9 +36,10 @@ from pgl import (
     max_stable_witness,
     replicate,
     stable_number,
+    wpgt_certificate,
 )
 
-from conftest import complete, cycle, edgeless, house, joined_double_pentagon, path, run_optimized
+from conftest import complete, cycle, edgeless, house, joined_double_pentagon, path, pinned_graphs, run_optimized
 
 
 def test_is_stable():
@@ -219,6 +224,67 @@ def test_clique_search_skips_the_color_bound_while_it_cannot_prune(monkeypatch):
     # Past the first maximal clique the bound runs again.
     assert clique_number(joined_double_pentagon()) == 4
     assert calls
+
+
+def _first_fit_classes(adj, cand):
+    """Classes of cand when each vertex, in index order, joins the first class it has no neighbour in."""
+    classes = []
+    for i in range(cand.bit_length()):
+        if cand >> i & 1:
+            k = next((k for k, cls in enumerate(classes) if not cls & adj[i]), len(classes))
+            if k == len(classes):
+                classes.append(0)
+            classes[k] |= 1 << i
+    return len(classes)
+
+
+def test_peeled_color_classes_count_the_first_fit_partition():
+    from pgl.invariants import _greedy_color_classes
+
+    rng = random.Random(87)
+    for _ in range(5000):
+        n = rng.randint(0, 24)
+        g = _random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+        cand = rng.getrandbits(n)
+        assert _greedy_color_classes(g.bit_adjacency, cand) == _first_fit_classes(g.bit_adjacency, cand)
+
+
+def test_graph_parameters_and_niceness_are_pinned():
+    # sha256 of the parameters, witnesses included, and of is_nice, as the
+    # searches gave them before their candidate tests became mask tests.
+    digest = hashlib.sha256()
+    for g in pinned_graphs():
+        digest.update(repr((graph_parameters(g), is_nice(g))).encode())
+    assert digest.hexdigest()[:16] == "def6d62a337dc6e2"
+
+
+def _listing_and_clique_gap():
+    # The listing stops at its first 2 of 256 sets; the pentagon fails
+    # with a clique gap, which counts the sets one clique meets.
+    assert len(max_stable_sets(make_graph(range(16), [(2 * i, 2 * i + 1) for i in range(8)]), 8)) == 2
+    assert clique_cover_alpha(cycle(5)).kind == "clique-gap"
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: graph_parameters(joined_double_pentagon()),
+        lambda: is_nice(cycle(7)),
+        _listing_and_clique_gap,
+        lambda: wpgt_certificate(house()),
+        lambda: find_isomorphism(cycle(7), make_graph(range(7), [(i, (i + 3) % 7) for i in range(7)])),
+    ],
+    ids=["parameters", "nice", "listing-and-clique-gap", "certificate", "isomorphism"],
+)
+def test_the_searches_leave_no_reference_cycles(search):
+    search()
+    gc.collect()
+    gc.disable()
+    try:
+        search()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_graph_parameters_checks_itself_under_python_O():

@@ -1,5 +1,7 @@
 """Isomorphism witnesses: verification, search, transport of structure."""
 
+import hashlib
+
 import pytest
 
 from pgl import (
@@ -19,7 +21,7 @@ from pgl import (
     verify_morph,
 )
 
-from conftest import complete, cycle, edgeless, house, path, run_optimized
+from conftest import complete, cycle, edgeless, house, path, pinned_graphs, run_optimized
 
 
 def relabel(g, offset):
@@ -81,6 +83,17 @@ def test_find_isomorphism_absent():
     # Same degree sequence, different graphs: two triangles vs a hexagon.
     two_triangles = make_graph(range(1, 7), [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     assert find_isomorphism(two_triangles, cycle(6)) is None
+
+
+def test_the_witnesses_onto_relabeled_twins_are_pinned():
+    from pgl.sweeps import _relabeled_twin
+
+    # sha256 of the forward maps as the search found them before its
+    # candidate test became one mask comparison.
+    digest = hashlib.sha256()
+    for g in pinned_graphs():
+        digest.update(repr(find_isomorphism(g, _relabeled_twin(g)).forward).encode())
+    assert digest.hexdigest()[:16] == "e5eea0a5f20c5d4c"
 
 
 def test_witness_composition_is_transitive():

@@ -271,6 +271,26 @@ def test_perfection_by_definition():
         is_perfect_by_definition(edgeless(ORACLE_MAX_N + 1))
 
 
+def test_no_subset_masks_past_sixteen_vertices_stay_after_a_call():
+    import tracemalloc
+
+    from pgl import oracles
+
+    # The masks of 20 vertices hold 5 MiB; only those of n <= 16 are kept.
+    g = edgeless(oracles.ORACLE_MAX_N)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert oracle_parameters(g).chi == 1
+        assert oracles.is_perfect_by_definition(g)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
+    assert oracles._SHARED_N == 16 and oracles._subset_masks(16) is oracles._subset_masks(16)
+    assert sorted(oracles._SHARED_MASKS)[-1] == 16
+
+
 def test_complement_levels_come_off_the_swapped_indicators():
     # The wpgt sweep reads the complement's levels off G's own indicators.
     from pgl.oracles import _definition_levels

@@ -222,12 +222,12 @@ def test_oracle_agreement_sweep_catches_a_faulty_stable_set_indicator(monkeypatc
 
     indicator = pgl.oracles._stable_indicator
 
-    def blind_to_the_last_pair(rows):
+    def blind_to_the_last_pair(rows, clear):
         out = list(rows)
         if len(out) > 1:
             out[-2] &= ~(1 << len(out) - 1)
             out[-1] &= ~(1 << len(out) - 2)
-        return indicator(out)
+        return indicator(out, clear)
 
     monkeypatch.setattr(pgl.oracles, "_stable_indicator", blind_to_the_last_pair)
     assert len(sweep("oracle-agreement", 5).counterexamples) == 358

@@ -50,6 +50,8 @@ files come from these case sets:
 - BENCH_oracle_chi.json: --case oracle_parameters
   --case is_perfect_by_definition --case sweep-oracle-agreement
   --case sweep-wpgt
+- BENCH_color_classes.json: --case graph_parameters --case find_isomorphism
+  --case clique_number --case analyze
 
 Standard library only.
 """
@@ -219,6 +221,17 @@ CASES = [
     *(on_graph("max_stable_sets", "matching", n) for n in (24, 28, 32)),
     *(on_graph("max_stable_sets", "sparse-bipartite", n) for n in (40, 60)),
     *(on_graph("clique_number", "gnp", n) for n in (40, 44, 48)),
+    # The antiholes and the joined double pentagon have chi > omega, so the
+    # coloring search fails at omega colors before it succeeds; this
+    # family's planted holes close a triangle, so chi = omega = 3 there.
+    *(
+        on_graph("graph_parameters", family, n)
+        for family, n in (
+            ("planted-hole", 14), ("planted-hole", 18), ("planted-hole", 20), ("antihole", 9), ("antihole", 11),
+            ("joined-double-pentagon", 10),
+        )
+    ),
+    Case("graph_parameters", "lambda: [pgl.graph_parameters(H) for H in graphs]", "gnp", 7, 88),
     *(
         on_graph(name, family, n)
         for family, n in (("matching", 16), ("matching", 20), ("sparse-bipartite", 40))
