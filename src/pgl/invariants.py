@@ -13,7 +13,12 @@ omega(G[S]) for every vertex set S.  Both numbers come from one O(2^n)
 subset recurrence, held as level tables (one int per value, one bit
 per subset) and grown a vertex at a time, so no coloring is searched
 and is_perfect stops at the first vertex that completes a violating
-set; graphs past PERFECTION_MAX_N vertices raise TooLargeError.  A walk
+set; graphs past PERFECTION_MAX_N vertices raise TooLargeError.  A new
+vertex gathers each level at its neighbours by one AND with the table
+of their subsets, then one shift-OR per non-neighbour (the other way
+round for alpha).  No set of fewer than five vertices breaks the bound,
+so a walk starts from the tables of its first four vertices, kept in a
+module-level table keyed by the six adjacency bits among them.  A walk
 that finds no violating set has built the tables of the whole vertex
 set too, so it also yields alpha(G) and omega(G); `pgl analyze` reads
 them there and takes chi = omega on a perfect graph, and only an
@@ -23,6 +28,7 @@ imperfect graph goes through graph_parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_
 from typing import Iterable, Mapping, Sequence
 
 from .core import Cover, Graph, VertexSet, _complement_rows, _mask_vertices, union_over, vertex_set
@@ -33,7 +39,7 @@ Coloring = Mapping[int, int]
 COVER_KINDS = ("stable", "clique")
 
 # The perfection check keeps one bit per vertex subset and level: at the
-# cap a call peaks at 4.4-5.3 MiB above its starting ru_maxrss on
+# cap a call peaks at 2.8-3.8 MiB above its starting ru_maxrss on
 # bipartite, split and interval graphs.
 PERFECTION_MAX_N = 20
 
@@ -316,47 +322,68 @@ def is_nice(G: Graph) -> bool:
 # sets S | {t}.  As omega(S | {t}) = max(omega(S), 1 + omega(S & N(t))),
 # the new half of W[k] is W[k] | W[k-1] gathered at S & N(t); A gathers
 # at the non-neighbours of t instead.
+#
+# A level is gathered at S & N by mask, then spread: the AND with keep,
+# the table of the subsets of N, leaves the sets inside N, and
+# z |= z << (1 << i) for each earlier non-neighbour i copies each of them
+# to the sets that add i, all of which miss i already.  Level 1 needs
+# neither: S & N is nonempty exactly when S is no subset of the
+# non-neighbours, so it gathers to ones ^ (the subsets of those).
+#
+# No set of fewer than five vertices breaks the bound, and the merged
+# tables of the first four vertices depend on the six adjacency bits
+# among them alone: a walk starts from _PREFIXES, filled on first use.
 
 
-_Shape = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
-
-
-def _next_shape(P: tuple[int, ...], drops: tuple[tuple[int, int], ...], t: int) -> _Shape:
-    """P and the gather steps over the first t + 1 vertices, from those over t.
-
-    A gather step (clear, 1 << i) drops vertex i: clear marks the table
-    positions whose bit i is clear.
-    """
+def _next_sizes(P: tuple[int, ...], t: int) -> tuple[int, ...]:
+    """The size levels P over the first t + 1 vertices, from those over t."""
     half = 1 << t
-    grown = ((1 << 2 * half) - 1, *(P[r] | P[r - 1] << half for r in range(1, t + 1)), P[t] << half)
-    return grown, (*((c | c << half, i) for c, i in drops), (P[0], half))
+    return ((1 << 2 * half) - 1, *(P[r] | P[r - 1] << half for r in range(1, t + 1)), P[t] << half)
 
 
-# P and the gather steps depend on t alone.  _SHAPES[t] holds them over
-# the first t vertices for t <= _SHARED_T (28 KB in all); past that they
-# are grown per call.
+# P depends on t alone.  _SIZES[t] holds it over the first t vertices for
+# t <= _SHARED_T (16 KB in all); past that it is grown per call.
 _SHARED_T = 12
-_SHAPES: list[_Shape] = [((1,), ())]
+# Shifting by _BITS[i] moves bit S of a level to bit S | {i}.
+_BITS = tuple(1 << i for i in range(PERFECTION_MAX_N))
+_SIZES: list[tuple[int, ...]] = [(1,)]
 for _t in range(_SHARED_T):
-    _SHAPES.append(_next_shape(*_SHAPES[-1], _t))
+    _SIZES.append(_next_sizes(_SIZES[-1], _t))
 
 
-def _grown(levels: list[int], drops: list[tuple[int, int]], ones: int) -> list[int]:
-    """Levels of S | {t}, from the levels over S and the vertices to drop."""
+def _grown(levels: Sequence[int], keep: int, spread: list[int], first: int, ones: int) -> list[int]:
+    """Levels of S | {t}, from the levels over S.
+
+    New level k + 1 is levels[k + 1] or levels[k] gathered: the AND with
+    keep, then a shift-OR by each shift in spread.  first is level 1
+    gathered, which needs neither.
+    """
     new = [ones, ones]
-    top = len(levels)
-    for k in range(1, top):
-        z = levels[k]
-        # Bit S of z becomes bit S - i of z for each dropped vertex i.
-        for clear, shift in drops:
-            z &= clear
+    z = first
+    for k in range(2, len(levels)):
+        y = levels[k]
+        new.append(z | y)
+        z = y & keep
+        for shift in spread:
             z |= z << shift
-        if k + 1 < top:
-            z |= levels[k + 1]
-        elif not z:
-            break
+    if z:
         new.append(z)
     return new
+
+
+def _halves(W: Sequence[int], A: Sequence[int], t: int, row: int, ones: int) -> tuple[list[int], list[int]]:
+    """The new halves of W and A for vertex t, whose bit i < t in row marks a neighbour."""
+    near, far = [], []
+    # The subsets of the neighbours, and of the non-neighbours.
+    keep_w = keep_a = 1
+    for shift in _BITS[:t]:
+        if row & shift:
+            near.append(shift)
+            keep_w |= keep_w << shift
+        else:
+            far.append(shift)
+            keep_a |= keep_a << shift
+    return _grown(W, keep_w, far, ones ^ keep_a, ones), _grown(A, keep_a, near, ones ^ keep_w, ones)
 
 
 def _merge(levels: list[int], new: list[int], half: int) -> None:
@@ -365,6 +392,29 @@ def _merge(levels: list[int], new: list[int], half: int) -> None:
             levels[k] |= z << half
         else:
             levels.append(z << half)
+
+
+_Tables = tuple[tuple[int, ...], tuple[int, ...]]
+# W and A merged over the first len(rows) <= 4 vertices, keyed by rows,
+# each vertex's row cut to its earlier neighbours: at most 1 + 2 + 8 + 64.
+_PREFIXES: dict[tuple[int, ...], _Tables] = {}
+# _EARLIER[t] marks the vertices before t.
+_EARLIER = (0, 1, 3, 7)
+
+
+def _prefix_tables(rows: tuple[int, ...]) -> _Tables:
+    """W and A merged over the vertices of rows, built by the walk's own step."""
+    if not rows:
+        return (1,), (1,)
+    tables = _PREFIXES.get(rows)
+    if tables is None:
+        t = len(rows) - 1
+        W, A = map(list, _prefix_tables(rows[:t]))
+        new_w, new_a = _halves(W, A, t, rows[t], _SIZES[t][0])
+        _merge(W, new_w, 1 << t)
+        _merge(A, new_a, 1 << t)
+        tables = _PREFIXES[rows] = tuple(W), tuple(A)
+    return tables
 
 
 def _violations(W: list[int], A: list[int], size: tuple[int, ...], t: int) -> int:
@@ -389,32 +439,30 @@ def _violations(W: list[int], A: list[int], size: tuple[int, ...], t: int) -> in
 def _lovasz_walk(G: Graph, early: bool) -> tuple[VertexSet | None, int | None, int | None]:
     """The least S by (size, mask) with |S| > alpha(G[S]) * omega(G[S]), then alpha(G) and omega(G).
 
-    Adds the vertices one at a time and checks each new half of the
-    level tables as it is built.  With early set, returns the least
-    violating set of the first half that has one.  alpha and omega are
-    read off the last half, whose top bit is the whole vertex set; they
-    are None only when an early walk stops before that half, so a walk
-    that returns no violating set always carries them.
+    Starts from the prefix tables of the first min(4, n - 1) vertices,
+    adds the others one at a time and checks each new half of the level
+    tables as it is built.  With early set, returns the least violating
+    set of the first half that has one.  alpha and omega are read off the
+    last half, whose top bit is the whole vertex set; they are None only
+    when an early walk stops before that half, so a walk that returns no
+    violating set always carries them.
     """
     n = G.n
     if n > PERFECTION_MAX_N:
         raise TooLargeError(f"perfection check capped at {PERFECTION_MAX_N} vertices")
+    if n == 0:
+        return None, 0, 0
     adj = G.bit_adjacency
-    W, A = [1], [1]
-    P, drops = _SHAPES[0]
+    start = min(4, n - 1)
+    W, A = map(list, _prefix_tables(tuple(map(and_, adj, _EARLIER[:start]))))
+    P = _SIZES[start]
     best_size, best_mask = n + 1, 0
-    alpha = omega = 0 if n == 0 else None
-    for t in range(n):
+    alpha = omega = None
+    for t in range(start, n):
         half = 1 << t
         ones = P[0]
-        row = adj[t]
-        to_clique = []
-        to_stable = []
-        for i, step in enumerate(drops):
-            (to_stable if row >> i & 1 else to_clique).append(step)
         # Bit S of level k of the new half: S | {t} reaches k.
-        new_w = _grown(W, to_clique, ones)
-        new_a = _grown(A, to_stable, ones)
+        new_w, new_a = _halves(W, A, t, adj[t], ones)
         if t >= 4:
             size = (ones, *P, 0)
             bad = _violations(new_w, new_a, size, t)
@@ -442,7 +490,7 @@ def _lovasz_walk(G: Graph, early: bool) -> tuple[VertexSet | None, int | None, i
         # This half is merged; drop it (size holds the old P) before the
         # next vertex builds twice as much.
         new_w = new_a = size = bad = None
-        P, drops = _SHAPES[t + 1] if t < _SHARED_T else _next_shape(P, drops, t)
+        P = _SIZES[t + 1] if t < _SHARED_T else _next_sizes(P, t)
     return (_mask_vertices(G, best_mask) if best_mask else None), alpha, omega
 
 

@@ -5,6 +5,15 @@ from __future__ import annotations
 from pgl import Graph, make_graph
 
 
+class SealedTable(dict):
+    """A stand-in for the perfection walk's prefix table that fails on any read or write."""
+
+    def _touched(self, *args):
+        raise AssertionError("the prefix table was used")
+
+    get = __getitem__ = __setitem__ = __contains__ = _touched
+
+
 def cycle(n: int) -> Graph:
     return make_graph(range(1, n + 1), [(i, i % n + 1) for i in range(1, n + 1)])
 

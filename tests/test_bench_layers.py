@@ -80,6 +80,8 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_one_check.json",
         "BENCH_oracle_chi.json",
         "BENCH_color_classes.json",
+        "BENCH_walk.json",
+        "BENCH_graph6.json",
     } <= layer_files
 
 
@@ -92,11 +94,45 @@ def test_a_run_writes_the_documented_rows_and_the_in_process_results(tmp_path):
         ("clique_number", 40), ("clique_number", 44), ("clique_number", 48),
         ("emit-graph6", 200), ("emit-graph6", 400),
     ]
-    assert all(set(row) == ROW_FIELDS and row["repeats"] == 1 and row["graphs"] == 1 for row in rows)
+    assert all(set(row) == ROW_FIELDS and row["repeats"] == bench.CHILDREN and row["graphs"] == 1 for row in rows)
     for row, case in zip(rows[:3], [c for c in bench.CASES if c.name == "clique_number"]):
         (edges,) = bench.edge_lists(case)
         assert row["result"] == pgl.clique_number(pgl.make_graph(range(case.n), edges))
     assert all(len(row["result"]) == 16 for row in rows[3:])
+
+
+def test_each_pair_runs_in_three_children_that_alternate_the_trees(tmp_path, monkeypatch):
+    children = []
+
+    def run_case(src, case, min_s):
+        children.append((os.path.basename(src), case.n))
+        # The three children of each tree read 5, 1 and 3 ms, and peaks of 50, 10 and 30 KiB.
+        ms = {0: 5.0, 1: 1.0, 2: 3.0}[sum(n == case.n for _, n in children[:-1]) // 2]
+        return {"case": case.name, "family": case.family, "n": case.n, "graphs": case.graphs,
+                "result": 7, "median_ms": ms, "repeats": 2, "peak_rss_kib": int(ms * 10)}
+
+    monkeypatch.setattr(bench, "run_case", run_case)
+    out = tmp_path / "layers.json"
+    argv = ["--src", "a=/x/parent", "--src", "b=/x/change", "--case", "clique_number", "--out", str(out)]
+    assert bench.main(argv) == 0
+    assert bench.CHILDREN == 3
+    assert children == [
+        ("parent", 40), ("change", 40), ("change", 40), ("parent", 40), ("parent", 40), ("change", 40),
+        ("change", 44), ("parent", 44), ("parent", 44), ("change", 44), ("change", 44), ("parent", 44),
+        ("parent", 48), ("change", 48), ("change", 48), ("parent", 48), ("parent", 48), ("change", 48),
+    ]
+    runs = json.loads(out.read_text())
+    for tree in ("a", "b"):
+        rows = runs[tree]["cases"]
+        assert [(row["n"], row["result"], row["median_ms"], row["repeats"], row["peak_rss_kib"]) for row in rows] == [
+            (n, 7, 3.0, 6, 30) for n in (40, 44, 48)
+        ]
+
+
+def test_a_pair_whose_children_disagree_reads_as_an_error():
+    rows = [{"case": "c", "result": r, "median_ms": 1.0, "repeats": 1, "peak_rss_kib": 0} for r in (1, 1, 2)]
+    assert bench.merged(rows) == {"case": "c", "result": "error: the children disagree",
+                                  "median_ms": None, "repeats": None, "peak_rss_kib": None}
 
 
 def test_the_committed_perfection_results_are_reproduced_up_to_twelve_vertices():
@@ -138,6 +174,16 @@ def _parameters_or_analyze(case, graphs):
     return _digest(params if case.graphs > 1 else params[0])
 
 
+def _walk(case, graphs):
+    if case.name == "analyze":
+        return _analyze_or_parse(case, graphs)
+    (G,) = graphs
+    if case.name == "is_perfect":
+        return pgl.is_perfect(G)
+    witness = pgl.imperfection_witness(G)
+    return None if witness is None else list(witness)
+
+
 # Each committed parent-vs-change file, the case names it holds, its row
 # count per tree, and what a row of a case with graphs must read (each
 # sweep case reads every labelled graph on n vertices and no counterexample).
@@ -159,6 +205,8 @@ COMMITTED = {
     "BENCH_color_classes.json": (
         {"graph_parameters", "find_isomorphism", "clique_number", "analyze"}, 24, _parameters_or_analyze
     ),
+    "BENCH_walk.json": ({"is_perfect", "imperfection_witness", "analyze"}, 54, _walk),
+    "BENCH_graph6.json": ({"parse-graph6"}, 4, _analyze_or_parse),
 }
 
 
@@ -198,4 +246,4 @@ def test_a_raising_case_is_recorded_and_the_run_goes_on(tmp_path, monkeypatch):
     assert all(set(row) == ROW_FIELDS for row in rows)
     assert rows[1]["result"] == "error: ZeroDivisionError: integer division or modulo by zero"
     assert rows[1]["median_ms"] is rows[1]["repeats"] is rows[1]["peak_rss_kib"] is None
-    assert [row["repeats"] for row in rows[::2]] == [1, 1]
+    assert [row["repeats"] for row in rows[::2]] == [bench.CHILDREN, bench.CHILDREN]

@@ -28,6 +28,8 @@ from pgl.oracles import (
     stream_size,
 )
 
+from conftest import SealedTable
+
 
 def _disjoint_cliques(sizes):
     """Disjoint cliques: prod(sizes) maximum stable sets, each of size len(sizes)."""
@@ -112,6 +114,17 @@ def test_one_past_each_cap_is_refused_before_any_search(monkeypatch, call, searc
     with pytest.raises(TooLargeError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_a_walk_past_the_perfection_cap_neither_reads_nor_fills_the_prefix_table(monkeypatch):
+    from pgl import invariants
+
+    monkeypatch.setattr(invariants, "_PREFIXES", SealedTable())
+    with pytest.raises(AssertionError, match="^the prefix table was used$"):
+        is_perfect(make_graph(range(PERFECTION_MAX_N)))
+    for check in (is_perfect, imperfection_witness):
+        with pytest.raises(TooLargeError, match="^perfection check capped at 20 vertices$"):
+            check(make_graph(range(PERFECTION_MAX_N + 1)))
 
 
 def test_the_cheap_searches_run_at_their_cap():

@@ -137,6 +137,30 @@ def test_graph6_rows_match_the_edge_built_graph_at_long_header_sizes(n):
         assert emit_graph(g, "graph6").payload == payload
 
 
+def test_graph6_rows_match_the_edge_built_graph_on_both_sides_of_the_edge_loop_limit():
+    from pgl.formats import _G6_BITS, _G6_EDGE_LOOP_MAX_N, _g6_rows_by_transpose
+
+    rng = random.Random(6)
+    for n in [*range(8), _G6_EDGE_LOOP_MAX_N, _G6_EDGE_LOOP_MAX_N + 1, 40]:
+        for density in (0.0, 0.3, 0.7, 1.0):
+            edges = {(i, j) for j in range(n) for i in range(j) if rng.random() < density}
+            payload = reference_graph6(n, edges)
+            rows = make_graph(range(n), edges).bit_adjacency
+            assert parse_graph(GraphDocument("graph6", payload)).bit_adjacency == rows, (n, edges)
+            # The transposition also reads the graphs that the edge loop takes.
+            assert _g6_rows_by_transpose(payload[1:].translate(_G6_BITS), n) == rows, (n, edges)
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_graph6_round_trips_at_thousands_of_vertices(n):
+    rng = random.Random(n)
+    g = make_graph(range(n), [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5])
+    payload = emit_graph(g, "graph6").payload
+    back = parse_graph(GraphDocument("graph6", payload))
+    assert (back.nodes, back.bit_adjacency) == (g.nodes, g.bit_adjacency)
+    assert emit_graph(back, "graph6").payload == payload
+
+
 def _graph6_emission_cases():
     for n in range(7):
         pairs = [(i, j) for j in range(1, n) for i in range(j)]

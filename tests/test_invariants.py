@@ -3,7 +3,7 @@
 import gc
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -39,7 +39,17 @@ from pgl import (
     wpgt_certificate,
 )
 
-from conftest import complete, cycle, edgeless, house, joined_double_pentagon, path, pinned_graphs, run_optimized
+from conftest import (
+    SealedTable,
+    complete,
+    cycle,
+    edgeless,
+    house,
+    joined_double_pentagon,
+    path,
+    pinned_graphs,
+    run_optimized,
+)
 
 
 def test_is_stable():
@@ -551,9 +561,50 @@ def test_perfection_cap(monkeypatch):
         raise AssertionError("a level table was built past the cap")
 
     monkeypatch.setattr(invariants, "_grown", no_table)
+    monkeypatch.setattr(invariants, "_PREFIXES", SealedTable())
+    # At the cap the walk starts from the prefix table; one past it, it
+    # neither reads nor fills that table.
+    with pytest.raises(AssertionError, match="^the prefix table was used$"):
+        is_perfect(edgeless(20))
     for check in (is_perfect, imperfection_witness):
         with pytest.raises(TooLargeError, match="^perfection check capped at 20 vertices$"):
             check(edgeless(21))
+
+
+def _levels_by_definition(g):
+    """W and A of g: level k marks the vertex sets S with omega(G[S]) >= k, or alpha(G[S]) >= k."""
+    params = [graph_parameters(induced_subgraph(g, [v for v in g.nodes if S >> v & 1])) for S in range(1 << g.n)]
+
+    def levels(value):
+        return tuple(sum(1 << S for S, p in enumerate(params) if value(p) >= k) for k in range(max(map(value, params)) + 1))
+
+    return levels(lambda p: p.omega), levels(lambda p: p.alpha)
+
+
+def test_the_prefix_table_holds_every_prefix_of_at_most_four_vertices_as_the_step_builds_it(monkeypatch):
+    from pgl import invariants
+
+    monkeypatch.setattr(invariants, "_PREFIXES", {})
+    # A walk on n <= 4 vertices starts after its first n - 1; a fifth
+    # vertex makes it start after all four.
+    for n in range(5):
+        for g in enumerate_graphs(n):
+            invariants._lovasz_walk(g, early=False)
+            if n == 4:
+                invariants._lovasz_walk(make_graph(range(1, 6), [*g.edges, (1, 5)]), early=True)
+    # Row t of a prefix keeps its t bits below t.
+    expected = {rows for m in range(1, 5) for rows in product(*(range(1 << t) for t in range(m)))}
+    assert len(expected) == 1 + 2 + 8 + 64
+    assert set(invariants._PREFIXES) == expected
+    for rows, tables in invariants._PREFIXES.items():
+        W, A = [1], [1]
+        for t, row in enumerate(rows):
+            new_w, new_a = invariants._halves(W, A, t, row, (1 << (1 << t)) - 1)
+            invariants._merge(W, new_w, 1 << t)
+            invariants._merge(A, new_a, 1 << t)
+        assert tables == (tuple(W), tuple(A)), rows
+        g = make_graph(range(len(rows)), [(i, t) for t, row in enumerate(rows) for i in range(t) if row >> i & 1])
+        assert tables == _levels_by_definition(g), rows
 
 
 def test_perfection_is_hereditary():

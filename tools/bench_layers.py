@@ -3,25 +3,30 @@
 Each case of the registry below names a call into pgl's public API, a
 graph family, a vertex count n and a graph count.  The script runs every
 case from one or more pgl source trees, so that a parent checkout and a
-change can be measured side by side.  Each (case, tree) pair runs in a
-fresh interpreter, which reads its input on stdin (graphs of a few
-hundred vertices do not fit in one argv entry), builds the graphs, and
-then calls the case until it has spent the timing budget or made 200
-calls (at least once).  It records one row per case and tree:
+change can be measured side by side.  Each (case, tree) pair runs in
+CHILDREN = 3 fresh interpreters.  A child reads its input on stdin
+(graphs of a few hundred vertices do not fit in one argv entry), builds
+the graphs, and then calls the case until it has spent the timing budget
+or made 200 calls (at least once).  The script records one row per case
+and tree:
 
 - case, family, n, graphs: the case (graphs is None for a sweep);
 - result: bool, None, int and int tuples verbatim, a `SweepReport` as
   [graphs_checked, number of counterexamples], anything else as the first
   16 hex digits of the sha256 of its repr, so that trees which disagree
-  show it; a child that fails reads "error: " and the last line of its
-  stderr, and its three timing fields are null, so the run goes on;
-- median_ms, repeats: the median time of one call, over that many calls;
-- peak_rss_kib: `ru_maxrss` (KiB on Linux) above its level before the
-  first call, as of the end of that call.
+  show it; a pair whose children fail, or disagree, reads "error: " and
+  the last line of a failing child's stderr (or "the children disagree"),
+  and its three timing fields are null, so the run goes on;
+- median_ms: the median of the children's median times of one call;
+- repeats: the calls made by the children in all;
+- peak_rss_kib: the median of the children's `ru_maxrss` (KiB on Linux)
+  above its level before the first call, as of the end of that call.
 
-The trees take turns case by case, so slow drift of the machine's speed
-hits them alike.  Graphs are drawn here from `random.Random` streams
-seeded by family and n, so every tree sees the same edges.
+The trees take turns child by child, so slow drift of the machine's
+speed hits them alike: with two trees, each child runs them in the order
+opposite to the child before, within a pair and across pairs.  Graphs
+are drawn here from `random.Random` streams seeded by family and n, so
+every tree sees the same edges.
 
     python3 tools/bench_layers.py --src parent=../parent/src --src change=src \
         --out BENCH_layers.json
@@ -52,6 +57,8 @@ files come from these case sets:
   --case sweep-wpgt
 - BENCH_color_classes.json: --case graph_parameters --case find_isomorphism
   --case clique_number --case analyze
+- BENCH_walk.json: --case is_perfect --case imperfection_witness --case analyze
+- BENCH_graph6.json: --case parse-graph6
 
 Standard library only.
 """
@@ -63,6 +70,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 from typing import NamedTuple
@@ -322,21 +330,44 @@ def run_case(src: str, case: Case, min_s: float) -> dict:
     return {"case": case.name, "family": case.family, "n": case.n, "graphs": case.graphs, **row}
 
 
+# The fresh children that time each (case, tree) pair.
+CHILDREN = 3
+
+
+def merged(rows: list[dict]) -> dict:
+    """The row of a (case, tree) pair, from the rows of its children."""
+    failed = [row for row in rows if row["median_ms"] is None]
+    if failed or any(row["result"] != rows[0]["result"] for row in rows):
+        result = failed[0]["result"] if failed else "error: the children disagree"
+        return {**rows[0], "result": result, "median_ms": None, "repeats": None, "peak_rss_kib": None}
+    return {
+        **rows[0],
+        "median_ms": statistics.median(row["median_ms"] for row in rows),
+        "repeats": sum(row["repeats"] for row in rows),
+        "peak_rss_kib": statistics.median(row["peak_rss_kib"] for row in rows),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", required=True, help="NAME=PATH of a directory holding pgl")
     ap.add_argument("--out", help="write the runs to this JSON file, keyed by NAME")
-    ap.add_argument("--min-seconds", type=float, default=0.3, help="timing budget per case")
+    ap.add_argument("--min-seconds", type=float, default=0.3, help="timing budget per child")
     names = sorted({c.name for c in CASES})
     ap.add_argument("--case", action="append", choices=names, help="run only the cases of this name")
     args = ap.parse_args(argv)
     trees = [spec.partition("=")[::2] if "=" in spec else (spec, spec) for spec in args.src]
     runs = {name: [] for name, _ in trees}
     cases = [c for c in CASES if args.case is None or c.name in args.case]
-    for k, case in enumerate(cases):
-        turn = k % len(trees)
-        for name, path in trees[turn:] + trees[:turn]:
-            row = run_case(os.path.abspath(path), case, args.min_seconds)
+    turn = 0
+    for case in cases:
+        children = {name: [] for name, _ in trees}
+        for _ in range(CHILDREN):
+            for name, path in trees[turn:] + trees[:turn]:
+                children[name].append(run_case(os.path.abspath(path), case, args.min_seconds))
+            turn = (turn + 1) % len(trees)
+        for name, _ in trees:
+            row = merged(children[name])
             runs[name].append(row)
             timing = "" if row["median_ms"] is None else (
                 f" {row['median_ms']:12.4f} ms  x{row['repeats']:<3} peak +{row['peak_rss_kib']} KiB "
