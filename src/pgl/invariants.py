@@ -22,7 +22,10 @@ module-level table keyed by the six adjacency bits among them.  A walk
 that finds no violating set has built the tables of the whole vertex
 set too, so it also yields alpha(G) and omega(G); `pgl analyze` reads
 them there and takes chi = omega on a perfect graph, and only an
-imperfect graph goes through graph_parameters.
+imperfect graph goes through graph_parameters.  A walk's merged tables
+extend by one trailing vertex: the step that vertex takes on them is
+the one the walk of the larger graph takes, so the replication sweep
+walks G once and decides each replica G + a' by one step.
 """
 
 from __future__ import annotations
@@ -395,6 +398,8 @@ def _merge(levels: list[int], new: list[int], half: int) -> None:
 
 
 _Tables = tuple[tuple[int, ...], tuple[int, ...]]
+# W, A and P of a walk, merged over its first len(P) - 1 vertices.
+_Walked = tuple[list[int], list[int], tuple[int, ...]]
 # W and A merged over the first len(rows) <= 4 vertices, keyed by rows,
 # each vertex's row cut to its earlier neighbours: at most 1 + 2 + 8 + 64.
 _PREFIXES: dict[tuple[int, ...], _Tables] = {}
@@ -436,22 +441,24 @@ def _violations(W: list[int], A: list[int], size: tuple[int, ...], t: int) -> in
     return bad
 
 
-def _lovasz_walk(G: Graph, early: bool) -> tuple[VertexSet | None, int | None, int | None]:
-    """The least S by (size, mask) with |S| > alpha(G[S]) * omega(G[S]), then alpha(G) and omega(G).
+def _walk(G: Graph, early: bool, whole: bool) -> tuple[int, int | None, int | None, _Walked]:
+    """The least violating set's mask (0 when none), alpha(G), omega(G) and the walk's tables.
 
     Starts from the prefix tables of the first min(4, n - 1) vertices,
     adds the others one at a time and checks each new half of the level
-    tables as it is built.  With early set, returns the least violating
-    set of the first half that has one.  alpha and omega are read off the
-    last half, whose top bit is the whole vertex set; they are None only
-    when an early walk stops before that half, so a walk that returns no
-    violating set always carries them.
+    tables as it is built.  With early set, stops at the first half that
+    holds a violating set.  alpha and omega are read off the last half,
+    whose top bit is the whole vertex set; they are None only when an
+    early walk stops before that half.  With whole set, a walk that does
+    not stop early merges the last half too, so the tables W, A and P it
+    returns cover all n vertices; otherwise they cover the vertices before
+    the last half it built.
     """
     n = G.n
     if n > PERFECTION_MAX_N:
         raise TooLargeError(f"perfection check capped at {PERFECTION_MAX_N} vertices")
     if n == 0:
-        return None, 0, 0
+        return 0, 0, 0, ([1], [1], _SIZES[0])
     adj = G.bit_adjacency
     start = min(4, n - 1)
     W, A = map(list, _prefix_tables(tuple(map(and_, adj, _EARLIER[:start]))))
@@ -482,7 +489,8 @@ def _lovasz_walk(G: Graph, early: bool) -> tuple[VertexSet | None, int | None, i
             full = half - 1
             alpha = sum(z >> full & 1 for z in new_a) - 1
             omega = sum(z >> full & 1 for z in new_w) - 1
-            break
+            if not whole:
+                break
         if early and best_mask:
             break
         _merge(W, new_w, half)
@@ -491,7 +499,46 @@ def _lovasz_walk(G: Graph, early: bool) -> tuple[VertexSet | None, int | None, i
         # next vertex builds twice as much.
         new_w = new_a = size = bad = None
         P = _SIZES[t + 1] if t < _SHARED_T else _next_sizes(P, t)
+    return best_mask, alpha, omega, (W, A, P)
+
+
+def _lovasz_walk(G: Graph, early: bool) -> tuple[VertexSet | None, int | None, int | None]:
+    """The least S by (size, mask) with |S| > alpha(G[S]) * omega(G[S]), then alpha(G) and omega(G).
+
+    With early set, returns the least violating set of the first half
+    that has one.  A walk that returns no violating set always carries
+    alpha and omega.
+    """
+    best_mask, alpha, omega, _ = _walk(G, early, whole=False)
     return (_mask_vertices(G, best_mask) if best_mask else None), alpha, omega
+
+
+def _perfect_tables(G: Graph) -> _Walked | None:
+    """W, A and P merged over every vertex of G when G is perfect, else None.
+
+    The walk is is_perfect's, run on past the last vertex's check to merge
+    its half, so the tables extend by one trailing vertex (_breaks_bound).
+    """
+    best_mask, _, _, tables = _walk(G, early=True, whole=True)
+    return None if best_mask else tables
+
+
+def _breaks_bound(tables: _Walked, row: int) -> bool:
+    """True when a vertex t appended to the graph of tables completes a set that breaks the bound.
+
+    tables are W, A and P merged over vertices 0..t-1 (_perfect_tables),
+    and bit i < t of row marks a neighbour of t.  This is the step the
+    walk of the graph with t appended takes for t, on the same tables, so
+    on a perfect graph it decides that graph as is_perfect does; past
+    PERFECTION_MAX_N it raises TooLargeError, as is_perfect does.
+    """
+    W, A, P = tables
+    t = len(P) - 1
+    if t >= PERFECTION_MAX_N:
+        raise TooLargeError(f"perfection check capped at {PERFECTION_MAX_N} vertices")
+    ones = P[0]
+    new_w, new_a = _halves(W, A, t, row, ones)
+    return t >= 4 and _violations(new_w, new_a, (ones, *P, 0), t) != 0
 
 
 def imperfection_witness(G: Graph) -> VertexSet | None:

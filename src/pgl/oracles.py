@@ -9,9 +9,11 @@ Chi comes off level bitsets: level k of chi marks the subsets with
 chi <= k, built from level k - 1 by adding each maximal stable set, and
 chi is the first level that holds the whole vertex set; its witness is
 peeled off the same levels, one maximal stable set per color.  Berge
-recognition comes from enumerating odd vertex subsets and testing for
-induced chordless cycles.  Perfection by definition checks chi == omega
-on every vertex subset directly, rather than through Lovasz's
+recognition reads a 2-regular indicator, marking the subsets in which
+every member has exactly two neighbours inside, and walks its odd
+subsets of five or more vertices, shortest and then least first, until
+one is a single chordless cycle.  Perfection by definition checks chi ==
+omega on every vertex subset directly, rather than through Lovasz's
 alpha * omega bound that invariants.is_perfect uses: it compares the chi
 levels with the omega levels, level k of omega marking the subsets
 holding no (k + 1)-clique.  The maximum stable sets the separation sweep
@@ -31,7 +33,6 @@ from .errors import TooLargeError
 from .invariants import GraphParameters
 
 ORACLE_MAX_N = 20
-BERGE_MAX_N = 12
 EXHAUSTIVE_MAX_N = 6
 DEFAULT_SEED = 42
 
@@ -87,20 +88,46 @@ def _cycle_order(G: Graph, S: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(order) if len(order) == len(S) else None
 
 
-def _find_odd_induced_cycle(G: Graph) -> tuple[int, ...] | None:
-    # Subsets come in combinations order; one with a member that does not
-    # have exactly two neighbours inside it (a popcount of its masked
-    # row) cannot be a cycle, so _cycle_order walks only the others.
-    nodes, adj = G.nodes, G.bit_adjacency
-    for length in range(5, G.n + 1, 2):
-        for S in combinations(range(G.n), length):
-            mask = 0
-            for i in S:
-                mask |= 1 << i
-            if all((adj[i] & mask).bit_count() == 2 for i in S):
-                cycle = _cycle_order(G, tuple(nodes[i] for i in S))
-                if cycle is not None:
-                    return cycle
+def _two_regular_indicator(rows: Sequence[int], clear: tuple[int, ...]) -> int:
+    """The subsets in which every member has exactly two neighbours; clear as in _subset_masks."""
+    full = (1 << (1 << len(clear))) - 1
+    ind = full
+    for i, row in enumerate(rows):
+        # e0, e1, e2: the subsets holding none, one, or exactly two of i's
+        # neighbours seen so far.
+        e0, e1, e2 = full, 0, 0
+        while row:
+            low = row & -row
+            row ^= low
+            out = clear[low.bit_length() - 1]
+            into = ~out
+            e2 = e2 & out | e1 & into
+            e1 = e1 & out | e0 & into
+            e0 &= out
+        ind &= clear[i] | e2
+    return ind
+
+
+def _find_odd_induced_cycle(G: Graph, masks: _Masks, shortest: int = 5) -> tuple[int, ...] | None:
+    """Walk of the least odd chordless cycle of G of length >= shortest, or None.
+
+    Least means shortest, then least in combinations order.  A cycle's
+    members each have exactly two neighbours inside it, so only the
+    subsets the 2-regular indicator marks go to _cycle_order, each
+    length's in combinations order, least first, as _first_largest picks.
+    masks are _subset_masks(G.n).
+    """
+    clear, size = masks
+    nodes = G.nodes
+    ind = _two_regular_indicator(G.bit_adjacency, clear)
+    for length in range(shortest, G.n + 1, 2):
+        marked = ind & size[length]
+        # Equal-size subsets in combinations order are in the order of their
+        # sorted member tuples.
+        for mask in sorted(_members(marked), key=_members):
+            cycle = _cycle_order(G, tuple(nodes[i] for i in _members(mask)))
+            if cycle is not None:
+                return cycle
     return None
 
 
@@ -108,14 +135,19 @@ def find_odd_hole_or_antihole(G: Graph) -> tuple[str, tuple[int, ...]] | None:
     """Shortest odd induced cycle of length >= 5 in G, else in complement(G).
 
     Returns ("hole", cycle) or ("antihole", cycle); the antihole cycle
-    is listed in complement order.  None when the graph is Berge.
+    is listed in complement order.  None when the graph is Berge.  The
+    subset masks are built once and serve both scans.  The complement's
+    starts at 7, since C5 is its own complement and the scan of G has
+    found every 5-hole, so a graph on fewer vertices has none.  Raises
+    TooLargeError past ORACLE_MAX_N vertices, before any mask is built.
     """
-    if G.n > BERGE_MAX_N:
-        raise TooLargeError(f"hole search capped at {BERGE_MAX_N} vertices")
-    hole = _find_odd_induced_cycle(G)
+    masks = _capped_masks(G.n)
+    hole = _find_odd_induced_cycle(G, masks)
     if hole is not None:
         return "hole", hole
-    antihole = _find_odd_induced_cycle(complement(G))
+    if G.n < 7:
+        return None
+    antihole = _find_odd_induced_cycle(complement(G), masks, 7)
     if antihole is not None:
         return "antihole", antihole
     return None

@@ -19,6 +19,8 @@ from typing import Callable, Sequence
 from .constructions import build_separated_graph, expand, replicate, verify_expansion, verify_replication
 from .core import Graph, make_graph, vertex_set
 from .invariants import (
+    _breaks_bound,
+    _perfect_tables,
     check_cover,
     clique_number,
     graph_parameters,
@@ -113,12 +115,17 @@ def _check_oracle_agreement(G: Graph) -> str | None:
 
 
 def _check_replication(G: Graph) -> str | None:
-    perfect = is_perfect(G)
+    # replicate puts the clone last and leaves G's rows below it, so the
+    # walk of each replica H repeats G's walk vertex for vertex and then
+    # takes one step for the clone.  G's tables are walked once, and each
+    # replica is decided by that last step on its clone's row in H: on a
+    # perfect G this is is_perfect(H), from the same tables.
+    tables = _perfect_tables(G)
     for a in G.nodes:
         H, w = replicate(G, a)
         if not verify_replication(G, w, H):
             return f"replication witness rejected at vertex {a}"
-        if perfect and not is_perfect(H):
+        if tables is not None and _breaks_bound(tables, H.bit_adjacency[G.n]):
             return f"replicating vertex {a} broke perfection"
     return None
 

@@ -82,6 +82,7 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_color_classes.json",
         "BENCH_walk.json",
         "BENCH_graph6.json",
+        "BENCH_berge_replication.json",
     } <= layer_files
 
 

@@ -21,7 +21,6 @@ from pgl import (
 from pgl.constructions import SEPARATION_MAX_VERTICES
 from pgl.invariants import PERFECTION_MAX_N
 from pgl.oracles import (
-    BERGE_MAX_N,
     EXHAUSTIVE_MAX_N,
     ORACLE_MAX_N,
     is_perfect_by_definition,
@@ -55,9 +54,9 @@ CAPS = [
     ),
     (
         "find_odd_hole_or_antihole",
-        lambda: find_odd_hole_or_antihole(make_graph(range(BERGE_MAX_N + 1))),
-        "pgl.oracles._find_odd_induced_cycle",
-        "hole search capped at 12 vertices",
+        lambda: find_odd_hole_or_antihole(make_graph(range(ORACLE_MAX_N + 1))),
+        "pgl.oracles._subset_masks",
+        "subset enumeration capped at 20 vertices",
     ),
     (
         "enumerate_graphs",
@@ -128,7 +127,7 @@ def test_a_walk_past_the_perfection_cap_neither_reads_nor_fills_the_prefix_table
 
 
 def test_the_cheap_searches_run_at_their_cap():
-    assert find_odd_hole_or_antihole(make_graph(range(BERGE_MAX_N))) is None
+    assert find_odd_hole_or_antihole(make_graph(range(ORACLE_MAX_N))) is None
     assert next(enumerate_graphs(EXHAUSTIVE_MAX_N)).n == EXHAUSTIVE_MAX_N
     assert stream_size(EXHAUSTIVE_MAX_N, "exhaustive") == 32_768
 

@@ -571,6 +571,35 @@ def test_perfection_cap(monkeypatch):
             check(edgeless(21))
 
 
+def test_one_step_on_the_merged_tables_decides_each_graph_with_one_more_vertex():
+    from pgl.invariants import _breaks_bound, _perfect_tables
+
+    extended = 0
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            tables = _perfect_tables(g)
+            assert (tables is None) == (not is_perfect(g)), g
+            if tables is None:
+                continue
+            # Vertex n + 1 joins the vertices at the set bits of row.
+            for row in range(1 << n):
+                joined = [(v, n + 1) for i, v in enumerate(g.nodes) if row >> i & 1]
+                h = make_graph((*g.nodes, n + 1), [*g.edges, *joined])
+                assert _breaks_bound(tables, row) == (not is_perfect(h)), (g, row)
+                extended += 1
+    assert extended > 30_000
+
+
+def test_the_merged_tables_refuse_a_vertex_past_the_cap():
+    from pgl.invariants import PERFECTION_MAX_N, _breaks_bound, _perfect_tables
+
+    tables = _perfect_tables(edgeless(PERFECTION_MAX_N - 1))
+    assert _breaks_bound(tables, 0) is False
+    tables = _perfect_tables(edgeless(PERFECTION_MAX_N))
+    with pytest.raises(TooLargeError, match="^perfection check capped at 20 vertices$"):
+        _breaks_bound(tables, 0)
+
+
 def _levels_by_definition(g):
     """W and A of g: level k marks the vertex sets S with omega(G[S]) >= k, or alpha(G[S]) >= k."""
     params = [graph_parameters(induced_subgraph(g, [v for v in g.nodes if S >> v & 1])) for S in range(1 << g.n)]

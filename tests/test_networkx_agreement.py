@@ -13,6 +13,7 @@ from pgl import (
     emit_graph,
     enumerate_graphs,
     find_isomorphism,
+    find_odd_hole_or_antihole,
     is_berge,
     is_perfect,
     make_graph,
@@ -44,6 +45,38 @@ def test_perfection_matches_networkx_on_random_graphs():
                 _assert_agrees(
                     make_graph(range(n), [e for e in combinations(range(n), 2) if rng.random() < density])
                 )
+
+
+def test_berge_recognition_matches_networkx_past_twelve_vertices():
+    rng = random.Random(2005)
+    verdicts = {True: 0, False: 0}
+    kinds = set()
+    for n in range(13, 17):
+        pairs = list(combinations(range(n), 2))
+        for k in range(8):
+            if k < 2:
+                g = make_graph(range(n), [e for e in pairs if rng.random() < (0.15, 0.85)[k]])
+            else:
+                # Bipartite, split, then the complement of bipartite; every
+                # other one with a planted 7-hole.
+                side = set(rng.sample(range(n), n // 2))
+                if k not in (4, 5):
+                    edges = [(u, v) for u, v in pairs if (u in side) != (v in side) and rng.random() < 0.5]
+                else:
+                    edges = [(u, v) for u, v in pairs if u in side and (v in side or rng.random() < 0.5)]
+                if k % 2:
+                    hole = rng.sample(range(n), 7)
+                    edges = [e for e in edges if not set(e) <= set(hole)]
+                    edges += [tuple(sorted((hole[i - 1], hole[i]))) for i in range(7)]
+                g = make_graph(range(n), edges)
+                if k >= 6:
+                    g = make_graph(range(n), [e for e in pairs if e not in set(g.edges)])
+            expected = nx.is_perfect_graph(_nx_graph(g))
+            assert is_berge(g) == expected, g.edges
+            verdicts[expected] += 1
+            kinds.add((find_odd_hole_or_antihole(g) or ("berge",))[0])
+    assert min(verdicts.values()) >= 8, verdicts
+    assert kinds == {"berge", "hole", "antihole"}
 
 
 def _nx_graph(g):

@@ -403,13 +403,14 @@ def _reference_odd_induced_cycle(g):
 
 
 def _assert_same_cycles(g):
-    from pgl.oracles import _find_odd_induced_cycle
+    from pgl.oracles import _find_odd_induced_cycle, _subset_masks
 
     comp = complement(g)
     hole = _reference_odd_induced_cycle(g)
     antihole = _reference_odd_induced_cycle(comp)
-    assert _find_odd_induced_cycle(g) == hole, g
-    assert _find_odd_induced_cycle(comp) == antihole, g
+    masks = _subset_masks(g.n)
+    assert _find_odd_induced_cycle(g, masks) == hole, g
+    assert _find_odd_induced_cycle(comp, masks) == antihole, g
     expected = ("hole", hole) if hole else ("antihole", antihole) if antihole else None
     assert find_odd_hole_or_antihole(g) == expected, g
     return expected
@@ -433,6 +434,29 @@ def test_filtered_hole_search_returns_the_reference_cycles():
         found = _assert_same_cycles(g)
         kinds.add(found and found[0])
     assert kinds == {None, "hole", "antihole"}
+    # Past the old 12-vertex cap: sparse and dense graphs, bipartite ones,
+    # which are Berge and so make both scans read every subset, and the
+    # complements of bipartite ones with a planted 7-hole.
+    large = set()
+    for k in range(24):
+        n = 13 + k % 2
+        ids = sorted(rng.sample(range(60), n))
+        pairs = list(combinations(ids, 2))
+        if k % 3 == 2:
+            side = {v for v in ids if rng.random() < 0.5}
+            edges = [(u, v) for u, v in pairs if (u in side) != (v in side) and rng.random() < 0.5]
+            if k % 4 == 3:
+                hole = rng.sample(ids, 7)
+                edges = [e for e in edges if not set(e) <= set(hole)]
+                edges += [tuple(sorted((hole[i - 1], hole[i]))) for i in range(7)]
+            g = make_graph(ids, edges)
+            g = complement(g) if k % 4 == 3 else g
+        else:
+            p = (0.15, 0.85)[k % 3]
+            g = make_graph(ids, [e for e in pairs if rng.random() < p])
+        found = _assert_same_cycles(g)
+        large.add(found and found[0])
+    assert large == {None, "hole", "antihole"}
 
 
 def _pairwise_graph_from_mask(n, mask):

@@ -21,6 +21,7 @@ from pgl import (
     is_stable,
     make_graph,
     max_clique_witness,
+    replicate,
     stable_number,
     sweep,
     union_over,
@@ -29,7 +30,7 @@ from pgl import (
     wpgt_certificate,
 )
 from pgl.pipeline import CLIQUE_GAP
-from pgl.sweeps import EXPANSION_MAX_MULTIPLICITY, PROPERTIES, Counterexample, _check_expansion
+from pgl.sweeps import EXPANSION_MAX_MULTIPLICITY, PROPERTIES, Counterexample, _check_expansion, _check_replication
 
 from conftest import cycle, run_fresh
 
@@ -62,6 +63,27 @@ def test_multiple_properties_in_one_pass():
 
 def test_replication_sweep_small():
     assert sweep("replication", 4).ok
+
+
+def test_replication_check_matches_a_walk_per_replica_on_six_vertices(monkeypatch):
+    from pgl import sweeps
+    from pgl.invariants import _perfect_tables
+
+    replicas = 0
+    for G in enumerate_graphs(6):
+        tables = _perfect_tables(G)
+        assert (tables is None) == (not is_perfect(G)), G
+        if tables is None:
+            continue
+        for a in G.nodes:
+            H, _ = replicate(G, a)
+            assert sweeps._breaks_bound(tables, H.bit_adjacency[G.n]) == (not is_perfect(H)), (G, a)
+            replicas += 1
+    assert replicas > 6 * 30_000
+    # A replica that broke perfection would be reported at its vertex.
+    monkeypatch.setattr(sweeps, "_breaks_bound", lambda tables, row: row == 0b10101)
+    G = make_graph(range(1, 7), [(1, 3), (1, 5)])
+    assert _check_replication(G) == "replicating vertex 1 broke perfection"
 
 
 def test_expansion_sweep_small():

@@ -59,6 +59,8 @@ files come from these case sets:
   --case clique_number --case analyze
 - BENCH_walk.json: --case is_perfect --case imperfection_witness --case analyze
 - BENCH_graph6.json: --case parse-graph6
+- BENCH_berge_replication.json: --case find_odd_hole_or_antihole
+  --case sweep-replication --case sweep-berge
 
 Standard library only.
 """
@@ -223,7 +225,15 @@ CASES = [
         Case(f"sweep-{prop}", f"partial(pgl.sweep, {prop!r}, n)", None, n, None)
         for prop, n in (
             ("oracle-agreement", 6), ("expansion", 4), ("expansion", 5), ("iso", 5), ("duality", 6),
-            ("separation", 5), ("pipeline", 5), ("wpgt", 6),
+            ("separation", 5), ("pipeline", 5), ("wpgt", 6), ("replication", 5), ("replication", 6),
+            ("berge", 5), ("berge", 6),
+        )
+    ),
+    Case("find_odd_hole_or_antihole", "lambda: [pgl.find_odd_hole_or_antihole(H) for H in graphs]", "gnp", 7, 88),
+    *(
+        on_graph("find_odd_hole_or_antihole", family, n)
+        for family, n in (
+            ("sparse-bipartite", 12), ("sparse-bipartite", 16), ("sparse-bipartite", 20), ("disjoint-triangles", 20),
         )
     ),
     *(on_graph("max_stable_sets", "matching", n) for n in (24, 28, 32)),
