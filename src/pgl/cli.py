@@ -38,7 +38,7 @@ import functools
 import json
 import re
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import Graph
 from .errors import GraphError, ParseError
@@ -101,15 +101,25 @@ def _bool_word(flag: bool) -> str:
 
 
 def _certificate_json(cert: WpgtCertificate) -> str:
-    doc = {
-        "alpha": cert.alpha,
-        "stable_set": list(cert.stable_set),
-        "clique_cover": [list(part) for part in cert.clique_cover],
-        "complement_coloring": {
-            str(v): cert.complement_coloring[v] for v in sorted(cert.complement_coloring)
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The bytes of json.dumps(doc, indent=2) + "\n" for the certificate's document, written directly.
+
+    The document holds ints, lists of ints and one object keyed by the
+    coloring's vertices in increasing order.
+    """
+    f = cert.complement_coloring
+    cover = (_json_block("[]", map(str, part), "    ") for part in cert.clique_cover)
+    coloring = (f'"{v}": {f[v]}' for v in sorted(f))
+    return (
+        f'{{\n  "alpha": {cert.alpha},\n  "stable_set": {_json_block("[]", map(str, cert.stable_set), "  ")},\n'
+        f'  "clique_cover": {_json_block("[]", cover, "  ")},\n'
+        f'  "complement_coloring": {_json_block("{}", coloring, "  ")}\n}}\n'
+    )
+
+
+def _json_block(brackets: str, items: Iterable[str], pad: str) -> str:
+    """The items inside brackets as json.dumps(indent=2) writes them at the indent pad: one per line, or bare brackets."""
+    inner = (",\n  " + pad).join(items)
+    return f"{brackets[0]}\n  {pad}{inner}\n{pad}{brackets[1]}" if inner else brackets
 
 
 # A coloring key is a vertex id written the way certify writes it.

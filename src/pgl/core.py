@@ -161,31 +161,52 @@ def make_graph(nodes: Iterable[int], edges: Iterable[Sequence[int]] = ()) -> Gra
     """Build a canonical graph from permissive input.
 
     Nodes are sorted and deduplicated, and repeated or reversed edges
-    collapse into one.  Raises ValueError for an edge that is not a pair
-    of integers, SelfLoopError for a pair (v, v) and DanglingEdgeError
-    when an endpoint is missing from the node set.
+    collapse into one.  The edges are checked in order, and the first bad
+    one raises: ValueError for an edge that is not a pair of integers,
+    SelfLoopError for a pair (v, v) and DanglingEdgeError when an
+    endpoint is missing from the node set.
     """
     ns = vertex_set(nodes)
-    idx = {v: i for i, v in enumerate(ns)}
-    rows = [0] * len(ns)
+    us: list[int] = []
+    vs: list[int] = []
     for e in edges:
         try:
             u, v = e
         except (TypeError, ValueError):
+            # The pairs before this edge are checked first.
+            _pair_rows(ns, us, vs)
             raise ValueError(f"edge must be a pair of vertex ids, got {e!r}") from None
         if (type(u) is not int or type(v) is not int) and (
             isinstance(u, bool) or isinstance(v, bool) or not isinstance(u, int) or not isinstance(v, int)
         ):
+            _pair_rows(ns, us, vs)
             raise ValueError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
+        us.append(u)
+        vs.append(v)
+    return Graph(ns, _pair_rows(ns, us, vs))
+
+
+def _pair_rows(nodes: VertexSet, us: Sequence[int], vs: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows on the sorted ids nodes, with an edge us[k] ~ vs[k] for each k.
+
+    Repeated and reversed pairs collapse into one edge.  The pairs are
+    checked in order: the first (v, v) raises SelfLoopError and the first
+    with an endpoint outside nodes raises DanglingEdgeError.
+    """
+    idx = {v: i for i, v in enumerate(nodes)}
+    rows = [0] * len(nodes)
+    for u, v in zip(us, vs):
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        if u not in idx or v not in idx:
+        try:
+            i = idx[u]
+            j = idx[v]
+        except KeyError:
             missing = u if u not in idx else v
-            raise DanglingEdgeError(f"edge ({u}, {v}) endpoint {missing} not in nodes")
-        i, j = idx[u], idx[v]
+            raise DanglingEdgeError(f"edge ({u}, {v}) endpoint {missing} not in nodes") from None
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return Graph(ns, tuple(rows))
+    return tuple(rows)
 
 
 def induced_subgraph(G: Graph, S: Iterable[int]) -> Graph:

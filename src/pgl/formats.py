@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph, make_graph
+from .core import Graph, _pair_rows, make_graph, vertex_set
 from .errors import ParseError
 
 GRAPH6 = "graph6"
@@ -218,33 +218,46 @@ def _dimacs_encode(G: Graph) -> tuple[str, dict[int, int] | None]:
 
 
 def _dimacs_decode(payload: str) -> Graph:
+    """One pass per line: edge lines take the first test, and their integer
+    pairs go to the row builder that make_graph uses."""
     n = None
     declared = 0
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     for lineno, raw in enumerate(payload.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if tokens[0] == "p":
+        head = tokens[0]
+        if head == "e" and len(tokens) == 3 and n is not None:
+            try:
+                u = int(tokens[1])
+                v = int(tokens[2])
+            except ValueError:
+                # Read again token by token, which raises at the first bad one.
+                u, v = _int_token(tokens[1], lineno), _int_token(tokens[2], lineno)
+            us.append(u)
+            vs.append(v)
+        elif head[0] == "c":
+            continue
+        elif head == "p":
             if n is not None:
                 raise ParseError("duplicate problem line", line=lineno)
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError("problem line must be 'p edge <n> <m>'", line=lineno)
             n, declared = _count_token(tokens[2], lineno), _int_token(tokens[3], lineno)
-        elif tokens[0] == "e":
+        elif head == "e":
             if n is None:
                 raise ParseError("edge line before problem line", line=lineno)
-            if len(tokens) != 3:
-                raise ParseError("edge line must be 'e <u> <v>'", line=lineno)
-            edges.append((_int_token(tokens[1], lineno), _int_token(tokens[2], lineno)))
+            raise ParseError("edge line must be 'e <u> <v>'", line=lineno)
         else:
-            raise ParseError(f"unrecognized line {line!r}", line=lineno)
+            raise ParseError(f"unrecognized line {raw.strip()!r}", line=lineno)
     if n is None:
         raise ParseError("missing problem line")
-    if len(edges) != declared:
-        raise ParseError(f"declared {declared} edges, found {len(edges)}")
-    return make_graph(range(1, n + 1), edges)
+    if len(us) != declared:
+        raise ParseError(f"declared {declared} edges, found {len(us)}")
+    nodes = tuple(range(1, n + 1))
+    return Graph(nodes, _pair_rows(nodes, us, vs))
 
 
 def _int_token(token: str, lineno: int) -> int:
@@ -281,27 +294,35 @@ def _edgelist_encode(G: Graph) -> tuple[str, dict[int, int] | None]:
 
 
 def _edgelist_decode(payload: str) -> Graph:
+    """One pass per line, as _dimacs_decode; without a header the nodes are the endpoints."""
     declared = None
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     seen_any = False
     for lineno, raw in enumerate(payload.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
-        if not seen_any and tokens[0] == "n":
+        if len(tokens) == 2 and (seen_any or tokens[0] != "n"):
+            try:
+                u = int(tokens[0])
+                v = int(tokens[1])
+            except ValueError:
+                u, v = _int_token(tokens[0], lineno), _int_token(tokens[1], lineno)
+            us.append(u)
+            vs.append(v)
+        elif not seen_any and tokens[0] == "n":
             if len(tokens) != 2:
                 raise ParseError("header must be 'n <count>'", line=lineno)
             declared = _count_token(tokens[1], lineno)
-            seen_any = True
-            continue
+        else:
+            raise ParseError(f"expected 'u v', got {raw.strip()!r}", line=lineno)
         seen_any = True
-        if len(tokens) != 2:
-            raise ParseError(f"expected 'u v', got {line!r}", line=lineno)
-        edges.append((_int_token(tokens[0], lineno), _int_token(tokens[1], lineno)))
     if declared is not None:
-        return make_graph(range(1, declared + 1), edges)
-    return make_graph({v for e in edges for v in e}, edges)
+        nodes = tuple(range(1, declared + 1))
+    else:
+        nodes = vertex_set({*us, *vs})
+    return Graph(nodes, _pair_rows(nodes, us, vs))
 
 
 # ---------------------------------------------------------------------------

@@ -61,16 +61,14 @@ class GraphParameters:
 
 def is_stable(G: Graph, I: Iterable[int]) -> bool:
     """True when I is a subset of the nodes with no two members adjacent."""
-    vs, idx = vertex_set(I), G.index
-    mask = sum(1 << idx[v] for v in vs if v in idx)
-    return mask.bit_count() == len(vs) and not any(G.bit_adjacency[idx[v]] & mask for v in vs)
+    masks = _part_masks(G, (tuple(I),))
+    return masks is not None and _stable_mask(G.bit_adjacency, masks[0])
 
 
 def is_clique(G: Graph, K: Iterable[int]) -> bool:
     """True when K is a subset of the nodes with every distinct pair adjacent."""
-    vs, idx = vertex_set(K), G.index
-    mask = sum(1 << idx[v] for v in vs if v in idx)
-    return mask.bit_count() == len(vs) and all(mask & ~G.bit_adjacency[idx[v]] == 1 << idx[v] for v in vs)
+    masks = _part_masks(G, (tuple(K),))
+    return masks is not None and _clique_mask(G.bit_adjacency, masks[0])
 
 
 def _refuse_aliasing_keys(G: Graph, f: Coloring) -> None:
@@ -569,14 +567,72 @@ def is_perfect(G: Graph) -> bool:
 # Covers and their exchange with colorings.
 
 
-def check_cover(G: Graph, C: Cover, kind: str) -> bool:
-    """True when C's parts union to the nodes and each part is stable or a clique."""
+def _part_masks(G: Graph, C: Sequence[Iterable[int]], checked: bool = False) -> list[int] | None:
+    """Each part of C as a mask of node positions of G; None when an id is not a node of G.
+
+    Plain ints are looked up directly.  At the first id that is no plain
+    int naming a node, the whole cover goes through union_over, which
+    raises ValueError on a bool, negative or non-int id in any part, and
+    is then read again as checked: an int subclass that passed is looked
+    up like the int it equals.
+    """
+    index = G.index
+    masks = []
+    for part in C:
+        mask = 0
+        for v in part:
+            if (not checked and type(v) is not int) or v not in index:
+                if checked:
+                    return None
+                union_over(C)
+                return _part_masks(G, C, checked=True)
+            mask |= 1 << index[v]
+        masks.append(mask)
+    return masks
+
+
+def _stable_mask(rows: Sequence[int], mask: int) -> bool:
+    """True when no two positions of mask are adjacent in rows."""
+    m = mask
+    while m:
+        low = m & -m
+        if rows[low.bit_length() - 1] & mask:
+            return False
+        m ^= low
+    return True
+
+
+def _clique_mask(rows: Sequence[int], mask: int) -> bool:
+    """True when every two positions of mask are adjacent in rows."""
+    m = mask
+    while m:
+        low = m & -m
+        if mask & ~rows[low.bit_length() - 1] != low:
+            return False
+        m ^= low
+    return True
+
+
+def _cover_masks(G: Graph, C: Cover, kind: str) -> list[int] | None:
+    """The parts of C as masks when they union to the nodes and each is of the kind, else None."""
     if kind not in COVER_KINDS:
         raise ValueError(f"kind must be one of {COVER_KINDS}, got {kind!r}")
-    if union_over(C) != G.nodes:
-        return False
-    pred = is_stable if kind == "stable" else is_clique
-    return all(pred(G, part) for part in C)
+    masks = _part_masks(G, C)
+    if masks is None:
+        return None
+    union = 0
+    for mask in masks:
+        union |= mask
+    if union != (1 << G.n) - 1:
+        return None
+    rows = G.bit_adjacency
+    test = _stable_mask if kind == "stable" else _clique_mask
+    return masks if all(test(rows, mask) for mask in masks) else None
+
+
+def check_cover(G: Graph, C: Cover, kind: str) -> bool:
+    """True when C's parts union to the nodes and each part is stable or a clique."""
+    return _cover_masks(G, C, kind) is not None
 
 
 def coloring_to_cover(G: Graph, f: Coloring) -> Cover:
@@ -595,12 +651,16 @@ def cover_to_coloring(G: Graph, C: Cover) -> dict[int, int]:
     Uses at most len(C) colors; exactly len(C) when the parts are
     pairwise disjoint and nonempty.
     """
-    if not check_cover(G, C, "stable"):
+    masks = _cover_masks(G, C, "stable")
+    if masks is None:
         raise NotAStableCoverError("parts must be stable sets covering all nodes")
-    coloring: dict[int, int] = {}
-    for v in G.nodes:
-        for i, part in enumerate(C):
-            if v in part:
-                coloring[v] = i
-                break
-    return coloring
+    first = [0] * G.n
+    seen = 0
+    for i, mask in enumerate(masks):
+        new = mask & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            first[low.bit_length() - 1] = i
+            new ^= low
+    return dict(zip(G.nodes, first))

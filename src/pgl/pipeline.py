@@ -27,8 +27,10 @@ from typing import Sequence
 from .core import Cover, Graph, VertexSet, _complement_rows, _mask_vertices, induced_subgraph
 from .errors import EmptyGraphError
 from .invariants import (
+    _clique_mask,
     _max_clique,
     _max_stable_masks,
+    _refuse_aliasing_keys,
     check_cover,
     clique_number,
     cover_to_coloring,
@@ -218,14 +220,22 @@ def verify_certificate(G: Graph, cert: WpgtCertificate) -> bool:
         return False
     if not check_cover(G, cert.clique_cover, "clique"):
         return False
-    if cert.complement_coloring.keys() != set(G.nodes):
+    coloring = cert.complement_coloring
+    if coloring.keys() != set(G.nodes):
         return False
-    classes: dict[int, list[int]] = {}
-    for v, c in cert.complement_coloring.items():
-        classes.setdefault(c, []).append(v)
+    index = G.index
+    classes: dict[int, int] = {}
+    for v, c in coloring.items():
+        classes[c] = classes.get(c, 0) | 1 << index[v]
     # The stable set gives alpha(G) >= alpha and the cover alpha(G) <= alpha,
     # so the complement's omega is alpha and alpha colors are optimal.
-    return len(classes) == cert.alpha and check_cover(G, tuple(classes.values()), "clique")
+    if len(classes) != cert.alpha:
+        return False
+    # The keys are the nodes, so the classes cover them; a key that only
+    # equals a node (True for 1) is refused as a cover's id would be.
+    _refuse_aliasing_keys(G, coloring)
+    rows = G.bit_adjacency
+    return all(_clique_mask(rows, mask) for mask in classes.values())
 
 
 def recheck_failure(G: Graph, failure: PerfectnessFailure) -> bool:

@@ -83,6 +83,7 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_walk.json",
         "BENCH_graph6.json",
         "BENCH_berge_replication.json",
+        "BENCH_certify_io.json",
     } <= layer_files
 
 
@@ -185,6 +186,22 @@ def _walk(case, graphs):
     return None if witness is None else list(witness)
 
 
+def _certify_io(case, graphs):
+    from pgl import cli
+
+    (G,) = graphs
+    if case.name.startswith("parse-"):
+        return _analyze_or_parse(case, graphs)
+    cert = pgl.wpgt_certificate(G)
+    if case.name == "verify_certificate":
+        return pgl.verify_certificate(G, cert)
+    if case.name == "wpgt_certificate":
+        return _digest(cert)
+    if case.name == "certificate-json":
+        return _digest(cli._certificate_json(cert))
+    return _digest(pgl.cover_to_coloring(pgl.complement(G), cert.clique_cover))
+
+
 # Each committed parent-vs-change file, the case names it holds, its row
 # count per tree, and what a row of a case with graphs must read (each
 # sweep case reads every labelled graph on n vertices and no counterexample).
@@ -208,6 +225,12 @@ COMMITTED = {
     ),
     "BENCH_walk.json": ({"is_perfect", "imperfection_witness", "analyze"}, 54, _walk),
     "BENCH_graph6.json": ({"parse-graph6"}, 4, _analyze_or_parse),
+    "BENCH_certify_io.json": (
+        {"certificate-json", "cover_to_coloring", "parse-dimacs", "parse-edgelist", "verify_certificate",
+         "wpgt_certificate"},
+        24,
+        _certify_io,
+    ),
 }
 
 

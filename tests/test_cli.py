@@ -134,6 +134,57 @@ def test_certify_and_verify_house(house_file, tmp_path, capsys):
     assert "certificate ok" in capsys.readouterr().out
 
 
+def _encoded_certificate(cert):
+    """The certificate as the generic JSON encoder writes it."""
+    doc = {
+        "alpha": cert.alpha,
+        "stable_set": list(cert.stable_set),
+        "clique_cover": [list(part) for part in cert.clique_cover],
+        "complement_coloring": {str(v): cert.complement_coloring[v] for v in sorted(cert.complement_coloring)},
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _certified_graphs():
+    """Every labeled graph on at most five vertices, then seeded G(n, p) on 6-14 ids below 60."""
+    for n in range(6):
+        yield from enumerate_graphs(n)
+    rng = random.Random(28)
+    for n in range(6, 15):
+        for p in (0.15, 0.5, 0.85):
+            for _ in range(4):
+                ids = sorted(rng.sample(range(60), n))
+                yield make_graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :] if rng.random() < p])
+
+
+def test_the_certificate_is_written_byte_for_byte_as_the_json_encoder_writes_it():
+    from pgl.pipeline import PerfectnessFailure, wpgt_certificate
+
+    written = 0
+    for G in _certified_graphs():
+        cert = wpgt_certificate(G)
+        if not isinstance(cert, PerfectnessFailure):
+            assert cli._certificate_json(cert) == _encoded_certificate(cert), G
+            written += 1
+    assert written > 1100
+    # The empty graph: alpha 0, empty lists and an empty object.
+    empty = wpgt_certificate(make_graph([]))
+    assert cli._certificate_json(empty) == _encoded_certificate(empty)
+    assert cli._certificate_json(empty) == (
+        '{\n  "alpha": 0,\n  "stable_set": [],\n  "clique_cover": [],\n  "complement_coloring": {}\n}\n'
+    )
+
+
+def test_the_readme_shows_the_certificate_certify_writes_for_the_house(house_file, tmp_path):
+    import pathlib
+
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    shown = readme.split("Certificates are JSON.", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    cert_path = tmp_path / "cert.json"
+    assert run_command(["certify", "--in", house_file, "--out", str(cert_path)]) == 0
+    assert cert_path.read_bytes() == shown.encode()
+
+
 def test_certify_pentagon_fails_with_evidence(c5_file, capsys):
     assert run_command(["certify", "--in", c5_file]) == 1
     out = capsys.readouterr().out

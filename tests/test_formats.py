@@ -319,3 +319,166 @@ def test_round_trip_over_exhaustive_four_vertex_corpus():
             assert parsed == expected
             # Emission is byte-stable.
             assert emit_graph(g, fmt).payload == doc.payload
+
+
+# ---------------------------------------------------------------------------
+# The text decoders against the per-token loop they replaced, which built
+# the graph through make_graph.
+
+
+def _reference_int(token, lineno):
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {token!r}", line=lineno) from None
+
+
+def _reference_count(token, lineno):
+    count = _reference_int(token, lineno)
+    if count < 0:
+        raise ParseError(f"vertex count must be non-negative, got {count}", line=lineno)
+    if count > 258047:
+        raise ParseError(f"vertex count capped at 258047, got {count}", line=lineno)
+    return count
+
+
+def _reference_dimacs(payload):
+    n = None
+    declared = 0
+    edges = []
+    for lineno, raw in enumerate(payload.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        tokens = line.split()
+        if tokens[0] == "p":
+            if n is not None:
+                raise ParseError("duplicate problem line", line=lineno)
+            if len(tokens) != 4 or tokens[1] != "edge":
+                raise ParseError("problem line must be 'p edge <n> <m>'", line=lineno)
+            n, declared = _reference_count(tokens[2], lineno), _reference_int(tokens[3], lineno)
+        elif tokens[0] == "e":
+            if n is None:
+                raise ParseError("edge line before problem line", line=lineno)
+            if len(tokens) != 3:
+                raise ParseError("edge line must be 'e <u> <v>'", line=lineno)
+            edges.append((_reference_int(tokens[1], lineno), _reference_int(tokens[2], lineno)))
+        else:
+            raise ParseError(f"unrecognized line {line!r}", line=lineno)
+    if n is None:
+        raise ParseError("missing problem line")
+    if len(edges) != declared:
+        raise ParseError(f"declared {declared} edges, found {len(edges)}")
+    return make_graph(range(1, n + 1), edges)
+
+
+def _reference_edgelist(payload):
+    declared = None
+    edges = []
+    seen_any = False
+    for lineno, raw in enumerate(payload.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if not seen_any and tokens[0] == "n":
+            if len(tokens) != 2:
+                raise ParseError("header must be 'n <count>'", line=lineno)
+            declared = _reference_count(tokens[1], lineno)
+            seen_any = True
+            continue
+        seen_any = True
+        if len(tokens) != 2:
+            raise ParseError(f"expected 'u v', got {line!r}", line=lineno)
+        edges.append((_reference_int(tokens[0], lineno), _reference_int(tokens[1], lineno)))
+    if declared is not None:
+        return make_graph(range(1, declared + 1), edges)
+    return make_graph({v for e in edges for v in e}, edges)
+
+
+# Lines that break a document, by kind; a line is put in at a random place.
+_DIMACS_FAULTS = {
+    "bad integer": ["e 1 x", "e y 2", "e 1 2.0", "p edge a 1", "p edge 3 b"],
+    "wrong arity": ["e 1", "e 1 2 3", "p edge 3", "p edge 3 1 1", "p node 3 1"],
+    "unrecognized line": ["x 1 2", "edge 1 2", "1 2"],
+    "self-loop": ["e 2 2", "e 9 9"],
+    "dangling endpoint": ["e 1 99", "e 0 1", "e -1 2"],
+    "negative count": ["p edge -2 0"],
+    "over-cap count": ["p edge 258048 0", "p edge 100000000 0"],
+}
+_EDGELIST_FAULTS = {
+    "bad integer": ["1 x", "y 2", "n q", "3 2.5"],
+    "wrong arity": ["1 2 3", "1", "n", "n 3 4"],
+    "self-loop": ["2 2", "7 7"],
+    "dangling endpoint": ["1 99"],
+    "negative id": ["-1 2", "3 -4"],
+    "negative count": ["n -4"],
+    "over-cap count": ["n 258048"],
+}
+
+
+def _text_document(rng, dimacs, header):
+    """Lines of a seeded document: repeated and reversed pairs, declared isolated vertices."""
+    n = rng.randrange(0, 9)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
+    pairs += rng.sample(pairs, min(len(pairs), rng.randrange(3)))
+    pairs = [(v, u) if rng.random() < 0.3 else (u, v) for u, v in pairs]
+    rng.shuffle(pairs)
+    declared = n + rng.randrange(3)
+    if dimacs:
+        return [f"p edge {declared} {len(pairs)}"] + [f"e {u} {v}" for u, v in pairs]
+    return ([f"n {declared}"] if header else []) + [f"{u} {v}" for u, v in pairs]
+
+
+def _dressed(rng, lines, comment):
+    """The lines with comments, blank lines and stray whitespace, joined by LF or CRLF."""
+    out = []
+    for line in lines:
+        if rng.random() < 0.2:
+            out.append(rng.choice([comment, f"{comment} a comment", "", "   ", "\t"]))
+        out.append(rng.choice(["", " ", "\t"]) + line.replace(" ", rng.choice([" ", "  ", "\t"])) + rng.choice(["", " "]))
+    eol = rng.choice(["\n", "\r\n"])
+    return eol.join(out) + rng.choice([eol, ""])
+
+
+def _decoded(decode, payload):
+    try:
+        return decode(payload)
+    except (ValueError, ParseError, SelfLoopError, DanglingEdgeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+def test_text_decoders_match_the_per_token_reference(fmt):
+    dimacs = fmt == "dimacs"
+    reference = _reference_dimacs if dimacs else _reference_edgelist
+    faults = _DIMACS_FAULTS if dimacs else _EDGELIST_FAULTS
+    comment = "c" if dimacs else "#"
+    rng = random.Random(f"decoders-{fmt}")
+    raised = {kind: 0 for kind in faults}
+    structural = {"edge before p", "duplicate p", "wrong edge count", "missing p"} if dimacs else set()
+    raised.update(dict.fromkeys(structural, 0))
+    graphs = 0
+    for trial in range(1500):
+        lines = _text_document(rng, dimacs, header=trial % 2 == 0)
+        kind = None if rng.random() < 0.4 else rng.choice(list(raised))
+        if kind in faults:
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(faults[kind]))
+        elif kind == "edge before p" and len(lines) > 1:
+            lines.insert(0, lines.pop())
+        elif kind == "duplicate p":
+            lines.insert(rng.randrange(1, len(lines) + 1), lines[0])
+        elif kind == "wrong edge count":
+            lines[0] = f"p edge 9 {len(lines) - 1 + rng.choice([-1, 1, 5])}"
+        elif kind == "missing p":
+            lines.pop(0)
+        payload = _dressed(rng, lines, comment)
+        want = _decoded(reference, payload)
+        assert _decoded(lambda text: parse_graph(GraphDocument(fmt, text)), payload) == want, payload
+        if isinstance(want, tuple):
+            raised[kind] = raised.get(kind, 0) + 1
+        else:
+            graphs += 1
+    # Every kind of fault was met and raised, and most documents parsed.
+    assert all(raised.values()), raised
+    assert graphs > 400

@@ -698,6 +698,107 @@ def test_cover_to_coloring_rejects_non_stable_cover():
         cover_to_coloring(cycle(4), ((1, 2), (3, 4)))
 
 
+# The mask checks against a set-based reference that reads every part as
+# a set of ids and tests its pairs against the edge list.
+
+
+def _reference_ids(C):
+    """The ValueError union_over raises for a bool, non-int or negative id in any part."""
+    ids = [v for part in C for v in part]
+    for v in ids:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"vertex ids must be non-negative integers, got {v!r}")
+    if ids and min(ids) < 0:
+        raise ValueError(f"vertex ids must be non-negative integers, got {min(ids)!r}")
+
+
+def _reference_part(G, part, kind):
+    _reference_ids([part])
+    members = set(part)
+    if not members <= set(G.nodes):
+        return False
+    edges = set(G.edges)
+    joined = [(min(u, v), max(u, v)) in edges for u, v in combinations(members, 2)]
+    return not any(joined) if kind == "stable" else all(joined)
+
+
+def _reference_cover(G, C, kind, part_ok=_reference_part):
+    _reference_ids(C)
+    if set().union(*map(set, C)) != set(G.nodes):
+        return False
+    return all(part_ok(G, part, kind) for part in C)
+
+
+def _reference_coloring(G, C, part_ok=_reference_part):
+    if not _reference_cover(G, C, "stable", part_ok):
+        raise NotAStableCoverError("parts must be stable sets covering all nodes")
+    return [(v, next(i for i, part in enumerate(C) if v in part)) for v in G.nodes]
+
+
+def _outcome(check, *args):
+    try:
+        out = check(*args)
+    except (ValueError, NotAStableCoverError) as exc:
+        return type(exc), str(exc)
+    return list(out.items()) if isinstance(out, dict) else out
+
+
+class _Id(int):
+    """An int subclass: read like the int it equals, as union_over reads it."""
+
+
+def _assert_cover_checks_agree(G, C, part_ok=_reference_part):
+    for kind in ("stable", "clique"):
+        assert _outcome(check_cover, G, C, kind) == _outcome(_reference_cover, G, C, kind, part_ok), (G, C, kind)
+    assert _outcome(cover_to_coloring, G, C) == _outcome(_reference_coloring, G, C, part_ok), (G, C)
+
+
+def test_the_mask_checks_match_the_set_based_reference():
+    covers = 0
+    for n in range(5):
+        for G in enumerate_graphs(n):
+            subsets = [S for r in range(n + 1) for S in combinations(G.nodes, r)]
+            for part in subsets + [S[::-1] + S[:1] for S in subsets] + [(0,), (n + 1, *G.nodes), (99,)]:
+                for check, kind in ((is_stable, "stable"), (is_clique, "clique")):
+                    assert check(G, part) == _reference_part(G, part, kind), (G, part, kind)
+                    assert check(G, iter(part)) == _reference_part(G, part, kind), (G, part, kind)
+            # Every cover of at most three parts.  Their parts hold plain
+            # ints only, so the reference verdict on each part is kept.
+            verdicts = {}
+
+            def part_ok(G, part, kind):
+                if (part, kind) not in verdicts:
+                    verdicts[part, kind] = _reference_part(G, part, kind)
+                return verdicts[part, kind]
+
+            for k in range(4):
+                for C in product(subsets, repeat=k):
+                    if set().union(*C) == set(G.nodes):
+                        _assert_cover_checks_agree(G, C, part_ok)
+                        covers += 1
+            whole = G.nodes
+            for C in (
+                (whole, ()),
+                ((), whole, (n + 1,)),
+                (whole + whole[:1], whole[::-1]),
+                ((0, *whole),),
+                (whole, (True,)),
+                ((n + 1,), (False,)),
+                (whole, (-1,)),
+                (whole[:1], (whole[1:] if n > 1 else ()) + (-2,), (3.0,)),
+                (whole, ("1",)),
+                (tuple(map(_Id, whole)),),
+                (whole[:1], tuple(map(_Id, whole[1:]))),
+            ):
+                _assert_cover_checks_agree(G, C)
+                for check, kind in ((is_stable, "stable"), (is_clique, "clique")):
+                    part = C[-1]
+                    assert _outcome(check, G, part) == _outcome(_reference_part, G, part, kind), (G, part)
+    assert covers > 150_000
+    with pytest.raises(ValueError, match="kind must be one of"):
+        check_cover(house(), (house().nodes,), "chromatic")
+
+
 def test_optimal_coloring_round_trip():
     for g in (house(), cycle(5), path(4), complete(3)):
         p = graph_parameters(g)

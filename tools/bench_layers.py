@@ -61,6 +61,9 @@ files come from these case sets:
 - BENCH_graph6.json: --case parse-graph6
 - BENCH_berge_replication.json: --case find_odd_hole_or_antihole
   --case sweep-replication --case sweep-berge
+- BENCH_certify_io.json: --case certificate-json --case cover_to_coloring
+  --case parse-dimacs --case parse-edgelist --case verify_certificate
+  --case wpgt_certificate
 
 Standard library only.
 """
@@ -204,6 +207,12 @@ _VERIFY = "partial(pgl.verify_certificate, G, pgl.wpgt_certificate(G))"
 # What `pgl analyze` computes on a parsed graph: the line it writes.
 _ANALYZE = 'partial(__import__("pgl.cli", fromlist=["cli"])._analyze_line, G)'
 _PARSE = "partial(pgl.parse_graph, pgl.emit_graph(G, {!r}))"
+# What `pgl certify` writes, and the self-check that reads the clique cover
+# as a coloring of the complement; the certificate is built before the
+# timing starts.
+_CERTIFICATE_JSON = 'partial(__import__("pgl.cli", fromlist=["cli"])._certificate_json, pgl.wpgt_certificate(G))'
+_COVER_COLORING = "partial(pgl.cover_to_coloring, pgl.complement(G), pgl.wpgt_certificate(G).clique_cover)"
+_CERTIFIED = (("bipartite", 20), ("split", 20), ("interval", 20), ("matching", 16))
 # Perfection by definition is not exported by pgl; it lives in pgl.oracles.
 _DEFINITION = "__import__('pgl.oracles', fromlist=['oracles']).is_perfect_by_definition"
 
@@ -262,6 +271,7 @@ CASES = [
         for n in (200, 400)
     ),
     *(Case(f"parse-{fmt}", _PARSE.format(fmt), "gnp", n) for fmt in ("graph6", "dimacs", "edgelist") for n in (12, 20)),
+    *(Case("parse-edgelist", _PARSE.format("edgelist"), "gnp", n) for n in (200, 400)),
     Case("find_isomorphism", _ISO, "gnp", 100),
     Case("find_isomorphism", _ISO, "matching", 40),
     *(
@@ -282,6 +292,8 @@ CASES = [
             ("bipartite", 20), ("split", 20), ("interval", 20), ("matching", 16), ("sparse-bipartite", 40)
         )
     ),
+    *(Case("certificate-json", _CERTIFICATE_JSON, family, n) for family, n in _CERTIFIED),
+    *(Case("cover_to_coloring", _COVER_COLORING, family, n) for family, n in _CERTIFIED),
 ]
 
 
