@@ -51,7 +51,7 @@ from .formats import (
     infer_format,
     parse_graph,
 )
-from .invariants import _lovasz_walk, graph_parameters
+from .invariants import _walk, graph_parameters
 
 # analyze no longer calls is_perfect, but perfbench's tracer rebinds
 # pgl.cli.is_perfect, so the name stays bound here.
@@ -191,15 +191,15 @@ def _analyze_line(G: Graph) -> str:
     and omega, and chi = omega by perfection; only an imperfect graph
     runs the clique searches and the coloring search of graph_parameters.
     """
-    witness, alpha, omega = _lovasz_walk(G, early=True)
-    if witness is None:
-        chi = omega
-    else:
+    violating, alpha, omega, _ = _walk(G, early=True, whole=False)
+    if violating:
         p = graph_parameters(G)
         alpha, omega, chi = p.alpha, p.omega, p.chi
+    else:
+        chi = omega
     return (
         f"alpha={alpha} omega={omega} chi={chi}"
-        f" nice={_bool_word(chi == omega)} perfect={_bool_word(witness is None)}\n"
+        f" nice={_bool_word(chi == omega)} perfect={_bool_word(not violating)}\n"
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .core import Cover, Graph, _is_morphism, _node_positions, induced_subgraph, union_over, vertex_set
+from .core import Cover, Graph, _is_morphism, _node_positions, _refuse_aliasing_keys, induced_subgraph, union_over, vertex_set
 from .errors import (
     EmptyGraphError,
     PartialMapError,
@@ -104,10 +104,12 @@ def expand(G: Graph, mult: Mapping[int, int]) -> tuple[Graph, ExpansionWitness]:
     adjacent in G.  The witness's back map sends each fresh vertex to
     its origin and always satisfies verify_expansion.  A multiplicity
     keyed by a vertex outside G raises VertexNotFoundError, and one that
-    is not an int (bool included) raises ValueError.  More than
+    is not an int (bool included), or keyed by an id that only equals a
+    vertex (True for 1), raises ValueError.  More than
     SEPARATION_MAX_VERTICES copies in all, the row cost a separated
     graph may have, raise TooLargeError before any copy is made.
     """
+    _refuse_aliasing_keys(G, mult)
     for v in mult:
         if not G.has_node(v):
             raise VertexNotFoundError(f"multiplicity given for vertex {v}, which is not in graph")
@@ -169,8 +171,10 @@ def verify_expansion(G: Graph, H: Graph, back: Mapping[int, int]) -> bool:
     looked up at its position in G; the rows of a sparse graph stay
     sparse, where its complement rows would not.  Only a back value that
     is not a plain int goes through vertex_set, which raises ValueError
-    on a bool, negative or non-int id.
+    on a bool, negative or non-int id; so does a key of back that only
+    equals a node of H (True for 1).
     """
+    _refuse_aliasing_keys(H, back)
     for x in H.nodes:
         if x not in back:
             raise PartialMapError(f"backward map undefined on vertex {x}")

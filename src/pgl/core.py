@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DanglingEdgeError, NotSubsetError, SelfLoopError
 
@@ -125,6 +125,16 @@ def _node_positions(G: Graph, ids: Sequence[int]) -> list[int] | None:
         if None in positions:
             return None
     return positions
+
+
+def _refuse_aliasing_keys(G: Graph, f: Mapping) -> None:
+    """vertex_set's ValueError on a key of f that is no plain int but equals a node (True, 1.0).
+
+    Only such keys go through vertex_set; an int subclass among them passes.
+    """
+    aliases = [v for v in f if type(v) is not int and v in G.index]
+    if aliases:
+        vertex_set(aliases)
 
 
 def _is_morphism(rows: Sequence[int], target: Sequence[int], image: Sequence[int]) -> bool:

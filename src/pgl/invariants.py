@@ -16,16 +16,17 @@ and is_perfect stops at the first vertex that completes a violating
 set; graphs past PERFECTION_MAX_N vertices raise TooLargeError.  A new
 vertex gathers each level at its neighbours by one AND with the table
 of their subsets, then one shift-OR per non-neighbour (the other way
-round for alpha).  No set of fewer than five vertices breaks the bound,
-so a walk starts from the tables of its first four vertices, kept in a
-module-level table keyed by the six adjacency bits among them.  A walk
-that finds no violating set has built the tables of the whole vertex
-set too, so it also yields alpha(G) and omega(G); `pgl analyze` reads
-them there and takes chi = omega on a perfect graph, and only an
-imperfect graph goes through graph_parameters.  A walk's merged tables
-extend by one trailing vertex: the step that vertex takes on them is
-the one the walk of the larger graph takes, so the replication sweep
-walks G once and decides each replica G + a' by one step.
+round for alpha).  One step adds a vertex: it builds both new halves
+and returns the sets they complete that break the bound, none before
+the fifth vertex.  So a walk starts from the tables of its first four
+vertices, kept in a module-level table keyed by the six adjacency bits
+among them and built by that step.  A walk that finds no violating set
+has built the tables of the whole vertex set too, so it also yields
+alpha(G) and omega(G); `pgl analyze` reads them there and takes
+chi = omega on a perfect graph, and only an imperfect graph goes
+through graph_parameters.  A walk's merged tables extend by one
+trailing vertex through the same step, so the replication sweep walks
+G once and decides each replica G + a' by one step.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from operator import and_
 from typing import Iterable, Mapping, Sequence
 
-from .core import Cover, Graph, VertexSet, _complement_rows, _mask_vertices, union_over, vertex_set
+from .core import Cover, Graph, VertexSet, _complement_rows, _mask_vertices, _refuse_aliasing_keys, union_over
 from .errors import InvalidColoringError, NotAStableCoverError, TooLargeError
 
 Coloring = Mapping[int, int]
@@ -69,11 +70,6 @@ def is_clique(G: Graph, K: Iterable[int]) -> bool:
     """True when K is a subset of the nodes with every distinct pair adjacent."""
     masks = _part_masks(G, (tuple(K),))
     return masks is not None and _clique_mask(G.bit_adjacency, masks[0])
-
-
-def _refuse_aliasing_keys(G: Graph, f: Coloring) -> None:
-    """vertex_set's ValueError on a key of f that is no plain int but equals a node (True, 1.0)."""
-    vertex_set(v for v in f if type(v) is not int and v in G.index)
 
 
 def is_valid_coloring(G: Graph, f: Coloring) -> bool:
@@ -372,8 +368,33 @@ def _grown(levels: Sequence[int], keep: int, spread: list[int], first: int, ones
     return new
 
 
-def _halves(W: Sequence[int], A: Sequence[int], t: int, row: int, ones: int) -> tuple[list[int], list[int]]:
-    """The new halves of W and A for vertex t, whose bit i < t in row marks a neighbour."""
+def _violations(W: list[int], A: list[int], size: tuple[int, ...], t: int) -> int:
+    """The S whose S | {t} has more than alpha * omega vertices.
+
+    W and A are the levels of the sets S | {t}, and size[r] marks the S
+    with |S| + 1 >= r.  omega = 1 or alpha = 1 makes S | {t} a stable set
+    or a clique, which never breaks the bound.
+    """
+    bad = 0
+    top_w, top_a = len(W) - 1, len(A) - 1
+    for w in range(2, top_w + 1):
+        exact_w = W[w] ^ W[w + 1] if w < top_w else W[w]
+        for a in range(2, top_a + 1):
+            if w * a > t:
+                break
+            exact_a = A[a] ^ A[a + 1] if a < top_a else A[a]
+            bad |= exact_w & exact_a & size[w * a + 1]
+    return bad
+
+
+def _halves(W: Sequence[int], A: Sequence[int], P: Sequence[int], t: int, row: int) -> tuple[list[int], list[int], int]:
+    """The step for vertex t: the new halves of W and A, and the S whose S | {t} breaks the bound.
+
+    W, A and P are merged over the vertices before t, and bit i < t of row
+    marks a neighbour of t.  The third value is 0 before t = 4, as no set
+    of fewer than five vertices breaks the bound.  The walk, the prefix
+    tables and the replica check (_breaks_bound) all take this one step.
+    """
     near, far = [], []
     # The subsets of the neighbours, and of the non-neighbours.
     keep_w = keep_a = 1
@@ -384,7 +405,10 @@ def _halves(W: Sequence[int], A: Sequence[int], t: int, row: int, ones: int) -> 
         else:
             far.append(shift)
             keep_a |= keep_a << shift
-    return _grown(W, keep_w, far, ones ^ keep_a, ones), _grown(A, keep_a, near, ones ^ keep_w, ones)
+    ones = P[0]
+    new_w = _grown(W, keep_w, far, ones ^ keep_a, ones)
+    new_a = _grown(A, keep_a, near, ones ^ keep_w, ones)
+    return new_w, new_a, _violations(new_w, new_a, (ones, *P, 0), t) if t >= 4 else 0
 
 
 def _merge(levels: list[int], new: list[int], half: int) -> None:
@@ -413,30 +437,11 @@ def _prefix_tables(rows: tuple[int, ...]) -> _Tables:
     if tables is None:
         t = len(rows) - 1
         W, A = map(list, _prefix_tables(rows[:t]))
-        new_w, new_a = _halves(W, A, t, rows[t], _SIZES[t][0])
+        new_w, new_a, _ = _halves(W, A, _SIZES[t], t, rows[t])
         _merge(W, new_w, 1 << t)
         _merge(A, new_a, 1 << t)
         tables = _PREFIXES[rows] = tuple(W), tuple(A)
     return tables
-
-
-def _violations(W: list[int], A: list[int], size: tuple[int, ...], t: int) -> int:
-    """The S whose S | {t} has more than alpha * omega vertices.
-
-    W and A are the levels of the sets S | {t}, and size[r] marks the S
-    with |S| + 1 >= r.  omega = 1 or alpha = 1 makes S | {t} a stable set
-    or a clique, which never breaks the bound.
-    """
-    bad = 0
-    top_w, top_a = len(W) - 1, len(A) - 1
-    for w in range(2, top_w + 1):
-        exact_w = W[w] ^ W[w + 1] if w < top_w else W[w]
-        for a in range(2, top_a + 1):
-            if w * a > t:
-                break
-            exact_a = A[a] ^ A[a + 1] if a < top_a else A[a]
-            bad |= exact_w & exact_a & size[w * a + 1]
-    return bad
 
 
 def _walk(G: Graph, early: bool, whole: bool) -> tuple[int, int | None, int | None, _Walked]:
@@ -465,21 +470,17 @@ def _walk(G: Graph, early: bool, whole: bool) -> tuple[int, int | None, int | No
     alpha = omega = None
     for t in range(start, n):
         half = 1 << t
-        ones = P[0]
         # Bit S of level k of the new half: S | {t} reaches k.
-        new_w, new_a = _halves(W, A, t, adj[t], ones)
-        if t >= 4:
-            size = (ones, *P, 0)
-            bad = _violations(new_w, new_a, size, t)
+        new_w, new_a, bad = _halves(W, A, P, t, adj[t])
+        if bad:
             # Halves come in increasing mask order: a later half wins only
             # with a strictly smaller set.
-            r = 5
-            while bad and r < best_size:
+            size = (P[0], *P, 0)
+            for r in range(5, best_size):
                 found = bad & (size[r] ^ size[r + 1])
                 if found:
                     best_size, best_mask = r, half | ((found & -found).bit_length() - 1)
                     break
-                r += 1
         if t + 1 == n:
             # Level k holds the sets that reach k, and the last bit of this
             # half is the whole vertex set: the levels past 0 holding it
@@ -500,43 +501,20 @@ def _walk(G: Graph, early: bool, whole: bool) -> tuple[int, int | None, int | No
     return best_mask, alpha, omega, (W, A, P)
 
 
-def _lovasz_walk(G: Graph, early: bool) -> tuple[VertexSet | None, int | None, int | None]:
-    """The least S by (size, mask) with |S| > alpha(G[S]) * omega(G[S]), then alpha(G) and omega(G).
-
-    With early set, returns the least violating set of the first half
-    that has one.  A walk that returns no violating set always carries
-    alpha and omega.
-    """
-    best_mask, alpha, omega, _ = _walk(G, early, whole=False)
-    return (_mask_vertices(G, best_mask) if best_mask else None), alpha, omega
-
-
-def _perfect_tables(G: Graph) -> _Walked | None:
-    """W, A and P merged over every vertex of G when G is perfect, else None.
-
-    The walk is is_perfect's, run on past the last vertex's check to merge
-    its half, so the tables extend by one trailing vertex (_breaks_bound).
-    """
-    best_mask, _, _, tables = _walk(G, early=True, whole=True)
-    return None if best_mask else tables
-
-
 def _breaks_bound(tables: _Walked, row: int) -> bool:
     """True when a vertex t appended to the graph of tables completes a set that breaks the bound.
 
-    tables are W, A and P merged over vertices 0..t-1 (_perfect_tables),
-    and bit i < t of row marks a neighbour of t.  This is the step the
-    walk of the graph with t appended takes for t, on the same tables, so
-    on a perfect graph it decides that graph as is_perfect does; past
-    PERFECTION_MAX_N it raises TooLargeError, as is_perfect does.
+    tables are W, A and P of a whole walk that found no violating set, so
+    merged over vertices 0..t-1, and bit i < t of row marks a neighbour of
+    t.  This is the step the walk of the graph with t appended takes for
+    t, on the same tables, so it decides that graph as is_perfect does;
+    past PERFECTION_MAX_N it raises TooLargeError, as is_perfect does.
     """
     W, A, P = tables
     t = len(P) - 1
     if t >= PERFECTION_MAX_N:
         raise TooLargeError(f"perfection check capped at {PERFECTION_MAX_N} vertices")
-    ones = P[0]
-    new_w, new_a = _halves(W, A, t, row, ones)
-    return t >= 4 and _violations(new_w, new_a, (ones, *P, 0), t) != 0
+    return _halves(W, A, P, t, row)[2] != 0
 
 
 def imperfection_witness(G: Graph) -> VertexSet | None:
@@ -551,7 +529,8 @@ def imperfection_witness(G: Graph) -> VertexSet | None:
     smaller subset can.  Raises TooLargeError past PERFECTION_MAX_N
     vertices.
     """
-    return _lovasz_walk(G, early=False)[0]
+    best_mask = _walk(G, early=False, whole=False)[0]
+    return _mask_vertices(G, best_mask) if best_mask else None
 
 
 def is_perfect(G: Graph) -> bool:
@@ -560,7 +539,7 @@ def is_perfect(G: Graph) -> bool:
     Stops at the first vertex whose new sets break the bound.  Raises
     TooLargeError past PERFECTION_MAX_N vertices.
     """
-    return _lovasz_walk(G, early=True)[0] is None
+    return not _walk(G, early=True, whole=False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import Graph, _is_morphism, _node_positions
+from .core import Graph, _is_morphism, _node_positions, _refuse_aliasing_keys
 from .errors import PartialMapError
 
 
@@ -34,8 +34,10 @@ def verify_morph(f: Mapping[int, int], G: Graph, H: Graph) -> bool:
     Works on bitmask rows: each image is looked up at its position in H,
     and core._is_morphism checks G's rows against H's.  Only an image
     that is not a plain int goes through vertex_set, which raises
-    ValueError on a bool, negative or non-int id.
+    ValueError on a bool, negative or non-int id; so does a key of f
+    that only equals a node (True for 1).
     """
+    _refuse_aliasing_keys(G, f)
     for v in G.nodes:
         if v not in f:
             raise PartialMapError(f"map undefined on vertex {v}")

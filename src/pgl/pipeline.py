@@ -24,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Cover, Graph, VertexSet, _complement_rows, _mask_vertices, induced_subgraph
+from .core import Cover, Graph, VertexSet, _complement_rows, _mask_vertices, _refuse_aliasing_keys, induced_subgraph
 from .errors import EmptyGraphError
 from .invariants import (
     _clique_mask,
     _max_clique,
     _max_stable_masks,
-    _refuse_aliasing_keys,
     check_cover,
     clique_number,
     cover_to_coloring,

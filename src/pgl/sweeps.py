@@ -18,9 +18,10 @@ from typing import Callable, Sequence
 
 from .constructions import build_separated_graph, expand, replicate, verify_expansion, verify_replication
 from .core import Graph, make_graph, vertex_set
+from .formats import relabel_graph
 from .invariants import (
     _breaks_bound,
-    _perfect_tables,
+    _walk,
     check_cover,
     clique_number,
     graph_parameters,
@@ -120,12 +121,12 @@ def _check_replication(G: Graph) -> str | None:
     # takes one step for the clone.  G's tables are walked once, and each
     # replica is decided by that last step on its clone's row in H: on a
     # perfect G this is is_perfect(H), from the same tables.
-    tables = _perfect_tables(G)
+    imperfect, _, _, tables = _walk(G, early=True, whole=True)
     for a in G.nodes:
         H, w = replicate(G, a)
         if not verify_replication(G, w, H):
             return f"replication witness rejected at vertex {a}"
-        if tables is not None and _breaks_bound(tables, H.bit_adjacency[G.n]):
+        if not imperfect and _breaks_bound(tables, H.bit_adjacency[G.n]):
             return f"replicating vertex {a} broke perfection"
     return None
 
@@ -210,8 +211,7 @@ def _check_pipeline(G: Graph) -> str | None:
 def _relabeled_twin(G: Graph) -> Graph:
     """Copy of G on fresh ids with the vertex order reversed."""
     shift = G.nodes[-1] + 1 if G.n else 0
-    mapping = {v: shift + (G.n - 1 - i) for i, v in enumerate(G.nodes)}
-    return make_graph(mapping.values(), [(mapping[u], mapping[v]) for u, v in G.edges])
+    return relabel_graph(G, {v: shift + (G.n - 1 - i) for i, v in enumerate(G.nodes)})
 
 
 def _check_iso(G: Graph) -> str | None:

@@ -84,6 +84,7 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_graph6.json",
         "BENCH_berge_replication.json",
         "BENCH_certify_io.json",
+        "BENCH_walk_step.json",
     } <= layer_files
 
 
@@ -186,6 +187,17 @@ def _walk(case, graphs):
     return None if witness is None else list(witness)
 
 
+def _walk_step(case, graphs):
+    from pgl.oracles import oracle_parameters
+
+    if case.name == "is_perfect_by_definition":
+        return _definition(case, graphs)
+    if case.name == "oracle_parameters":
+        params = map(oracle_parameters, graphs)
+        return _digest([(p.alpha, p.omega, p.chi, p.max_clique_witness, p.max_stable_witness) for p in params])
+    return _walk(case, graphs)
+
+
 def _certify_io(case, graphs):
     from pgl import cli
 
@@ -230,6 +242,12 @@ COMMITTED = {
          "wpgt_certificate"},
         24,
         _certify_io,
+    ),
+    "BENCH_walk_step.json": (
+        {"is_perfect", "imperfection_witness", "analyze", "sweep-replication", "oracle_parameters",
+         "is_perfect_by_definition"},
+        84,
+        _walk_step,
     ),
 }
 

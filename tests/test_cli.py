@@ -8,7 +8,7 @@ import pytest
 
 from pgl import cli, enumerate_graphs, graph_parameters, invariants, is_perfect, make_graph, parse_graph, GraphDocument
 from pgl.cli import run_command
-from pgl.invariants import _lovasz_walk
+from pgl.invariants import _walk
 
 from conftest import run_fresh
 
@@ -69,12 +69,12 @@ def test_the_analyze_line_matches_graph_parameters_and_is_perfect():
     checked = perfect = 0
     for g in _analyze_graphs():
         p, line = _reference_line(g)
-        witness, alpha, omega = _lovasz_walk(g, early=False)
+        violating, alpha, omega, _ = _walk(g, early=False, whole=False)
         assert (alpha, omega) == (p.alpha, p.omega), g
         assert cli._analyze_line(g) == line, g
-        if witness is None:
+        if not violating:
             perfect += 1
-            assert _lovasz_walk(g, early=True) == (None, p.alpha, p.omega)
+            assert _walk(g, early=True, whole=False)[:3] == (0, p.alpha, p.omega)
         checked += 1
     assert checked == 33868 + 3000
     assert perfect > 33868 // 2 + 1500

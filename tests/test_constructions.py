@@ -126,6 +126,19 @@ def test_expand_rejects_a_multiplicity_that_is_not_an_int(bad):
         expand(make_graph([1, 2], [(1, 2)]), {1: 1, 2: bad})
 
 
+def test_expand_refuses_a_multiplicity_key_that_only_equals_a_vertex():
+    # True equals 1, so a lookup of vertex 1 used to find it and build copies.
+    for key in (True, 1.0):
+        with pytest.raises(ValueError, match=f"vertex ids must be non-negative integers, got {key!r}"):
+            expand(house(), {key: 2, 2: 1, 3: 1, 4: 1, 5: 1})
+
+
+def test_verify_expansion_refuses_a_back_key_that_only_equals_a_vertex():
+    g = house()
+    with pytest.raises(ValueError, match="vertex ids must be non-negative integers, got True"):
+        verify_expansion(g, g, {True: 1, 2: 2, 3: 3, 4: 4, 5: 5})
+
+
 def test_verify_expansion_trivial_identity():
     g = house()
     assert verify_expansion(g, g, {v: v for v in g.nodes})

@@ -542,6 +542,39 @@ def test_is_perfect_stops_at_the_first_violating_vertex_prefix(monkeypatch):
     assert checked == list(range(4, 20))
 
 
+def test_the_bound_is_checked_only_in_the_step_and_the_step_taken_only_by_its_three_callers():
+    import ast
+    import os
+
+    import pgl
+
+    # (name, the function that names it) for each use of the step or the
+    # bound check in pgl, a call or any other; "<file>" outside a function.
+    uses = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None) or getattr(child, "name", None)
+            if isinstance(child, (ast.Name, ast.Attribute, ast.alias)) and name in ("_halves", "_violations"):
+                uses.add((name, where))
+            visit(child, where)
+
+    root = os.path.dirname(pgl.__file__)
+    for file in sorted(os.listdir(root)):
+        if file.endswith(".py"):
+            with open(os.path.join(root, file)) as fh:
+                visit(ast.parse(fh.read()), f"<{file}>")
+    assert uses == {
+        ("_violations", "_halves"),
+        ("_halves", "_walk"),
+        ("_halves", "_prefix_tables"),
+        ("_halves", "_breaks_bound"),
+    }
+
+
 def test_perfection_cap(monkeypatch):
     from pgl import invariants
     from pgl.invariants import PERFECTION_MAX_N
@@ -572,14 +605,14 @@ def test_perfection_cap(monkeypatch):
 
 
 def test_one_step_on_the_merged_tables_decides_each_graph_with_one_more_vertex():
-    from pgl.invariants import _breaks_bound, _perfect_tables
+    from pgl.invariants import _breaks_bound, _walk
 
     extended = 0
     for n in range(6):
         for g in enumerate_graphs(n):
-            tables = _perfect_tables(g)
-            assert (tables is None) == (not is_perfect(g)), g
-            if tables is None:
+            violating, _, _, tables = _walk(g, early=True, whole=True)
+            assert (not violating) == is_perfect(g), g
+            if violating:
                 continue
             # Vertex n + 1 joins the vertices at the set bits of row.
             for row in range(1 << n):
@@ -591,11 +624,11 @@ def test_one_step_on_the_merged_tables_decides_each_graph_with_one_more_vertex()
 
 
 def test_the_merged_tables_refuse_a_vertex_past_the_cap():
-    from pgl.invariants import PERFECTION_MAX_N, _breaks_bound, _perfect_tables
+    from pgl.invariants import PERFECTION_MAX_N, _breaks_bound, _walk
 
-    tables = _perfect_tables(edgeless(PERFECTION_MAX_N - 1))
+    tables = _walk(edgeless(PERFECTION_MAX_N - 1), early=True, whole=True)[3]
     assert _breaks_bound(tables, 0) is False
-    tables = _perfect_tables(edgeless(PERFECTION_MAX_N))
+    tables = _walk(edgeless(PERFECTION_MAX_N), early=True, whole=True)[3]
     with pytest.raises(TooLargeError, match="^perfection check capped at 20 vertices$"):
         _breaks_bound(tables, 0)
 
@@ -618,9 +651,9 @@ def test_the_prefix_table_holds_every_prefix_of_at_most_four_vertices_as_the_ste
     # vertex makes it start after all four.
     for n in range(5):
         for g in enumerate_graphs(n):
-            invariants._lovasz_walk(g, early=False)
+            invariants._walk(g, early=False, whole=False)
             if n == 4:
-                invariants._lovasz_walk(make_graph(range(1, 6), [*g.edges, (1, 5)]), early=True)
+                invariants._walk(make_graph(range(1, 6), [*g.edges, (1, 5)]), early=True, whole=False)
     # Row t of a prefix keeps its t bits below t.
     expected = {rows for m in range(1, 5) for rows in product(*(range(1 << t) for t in range(m)))}
     assert len(expected) == 1 + 2 + 8 + 64
@@ -628,7 +661,8 @@ def test_the_prefix_table_holds_every_prefix_of_at_most_four_vertices_as_the_ste
     for rows, tables in invariants._PREFIXES.items():
         W, A = [1], [1]
         for t, row in enumerate(rows):
-            new_w, new_a = invariants._halves(W, A, t, row, (1 << (1 << t)) - 1)
+            new_w, new_a, bad = invariants._halves(W, A, invariants._SIZES[t], t, row)
+            assert bad == 0
             invariants._merge(W, new_w, 1 << t)
             invariants._merge(A, new_a, 1 << t)
         assert tables == (tuple(W), tuple(A)), rows

@@ -56,6 +56,19 @@ def test_partial_map_raises():
         verify_morph({1: 1}, complete(2), complete(2))
 
 
+def test_a_map_key_that_only_equals_a_node_is_refused():
+    # True equals 1, so a lookup of node 1 used to find it and accept the map.
+    g = house()
+    ident = {v: v for v in g.nodes}
+    aliased = {True: 1, 2: 2, 3: 3, 4: 4, 5: 5}
+    refused = "vertex ids must be non-negative integers, got True"
+    with pytest.raises(ValueError, match=refused):
+        verify_morph(aliased, g, g)
+    for w in (IsoWitness(aliased, ident), IsoWitness(ident, aliased)):
+        with pytest.raises(ValueError, match=refused):
+            verify_iso_witness(w, g, g)
+
+
 def test_wrong_inverse_is_rejected():
     g = cycle(5)
     h, mapping = relabel(g, 10)

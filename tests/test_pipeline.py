@@ -426,7 +426,7 @@ def test_verify_certificate_runs_no_search(monkeypatch):
     def searched(*args, **kwargs):
         raise AssertionError("verify_certificate ran a search")
 
-    for name in ("_max_clique", "_max_stable_masks", "_chromatic", "_try_color", "_lovasz_walk"):
+    for name in ("_max_clique", "_max_stable_masks", "_chromatic", "_try_color", "_walk"):
         monkeypatch.setattr(invariants, name, searched)
     for name in ("_max_clique", "_max_stable_masks"):
         monkeypatch.setattr(pipeline, name, searched)

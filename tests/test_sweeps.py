@@ -67,13 +67,13 @@ def test_replication_sweep_small():
 
 def test_replication_check_matches_a_walk_per_replica_on_six_vertices(monkeypatch):
     from pgl import sweeps
-    from pgl.invariants import _perfect_tables
+    from pgl.invariants import _walk
 
     replicas = 0
     for G in enumerate_graphs(6):
-        tables = _perfect_tables(G)
-        assert (tables is None) == (not is_perfect(G)), G
-        if tables is None:
+        violating, _, _, tables = _walk(G, early=True, whole=True)
+        assert (not violating) == is_perfect(G), G
+        if violating:
             continue
         for a in G.nodes:
             H, _ = replicate(G, a)

@@ -64,6 +64,9 @@ files come from these case sets:
 - BENCH_certify_io.json: --case certificate-json --case cover_to_coloring
   --case parse-dimacs --case parse-edgelist --case verify_certificate
   --case wpgt_certificate
+- BENCH_walk_step.json: --case is_perfect --case imperfection_witness
+  --case analyze --case sweep-replication --case oracle_parameters
+  --case is_perfect_by_definition
 
 Standard library only.
 """
