@@ -11,7 +11,10 @@ deterministic: identical inputs and flags give byte-identical output.
 run_command may be called any number of times in one process.  The
 argument parser is built on the first call and reused after it; argparse
 makes a fresh namespace and help formatter on every parse, so reuse
-changes no output.  Importing this module builds nothing, and `sweep
+changes no output.  The arguments after a command name go straight to
+that command's parser; the top-level parser runs only for help, usage
+errors and unknown commands, and reports leftover arguments as a whole
+parse would.  Importing this module builds nothing, and `sweep
 --jobs N` loads the process pool only when it actually splits the
 stream across workers.
 
@@ -365,8 +368,8 @@ def _add_io_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The pgl argument parser, built once per process on first use."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The pgl argument parser and its command parsers by name, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="pgl",
         description="exact perfect-graph toolkit: parameters, constructions, certificates, sweeps",
@@ -426,14 +429,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--to", choices=sorted(EMIT_FORMATS), required=True)
     sub.set_defaults(handler=_cmd_convert)
 
-    return parser
+    return parser, commands.choices
 
 
 def run_command(argv: Sequence[str]) -> int:
     """Dispatch argv and return the process exit status."""
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(list(argv))
+        if argv and argv[0] in commands:
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

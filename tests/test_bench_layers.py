@@ -85,6 +85,7 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_berge_replication.json",
         "BENCH_certify_io.json",
         "BENCH_walk_step.json",
+        "BENCH_cli_dispatch.json",
     } <= layer_files
 
 
@@ -214,6 +215,20 @@ def _certify_io(case, graphs):
     return _digest(pgl.cover_to_coloring(pgl.complement(G), cert.clique_cover))
 
 
+def _cli_dispatch(case, graphs):
+    """The exit status and stdout of each command of a run_command case.
+
+    certify writes its certificate to a file, and verify accepts it: the
+    certified families are perfect.
+    """
+    from pgl import cli
+
+    (G,) = graphs
+    if case.call == bench._RUN_ANALYZE:
+        return _digest([(0, cli._analyze_line(G))])
+    return _digest([(0, ""), (0, "certificate ok\n")])
+
+
 # Each committed parent-vs-change file, the case names it holds, its row
 # count per tree, and what a row of a case with graphs must read (each
 # sweep case reads every labelled graph on n vertices and no counterexample).
@@ -249,6 +264,7 @@ COMMITTED = {
         84,
         _walk_step,
     ),
+    "BENCH_cli_dispatch.json": ({"run_command"}, 5, _cli_dispatch),
 }
 
 

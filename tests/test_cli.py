@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import argparse
 import json
 import random
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from pgl import cli, enumerate_graphs, graph_parameters, invariants, is_perfect, make_graph, parse_graph, GraphDocument
+from pgl.errors import GraphError, ParseError
 from pgl.cli import run_command
 from pgl.invariants import _walk
 
@@ -569,6 +571,141 @@ def test_the_parser_is_built_once_and_answers_like_a_fresh_one(tmp_path, capsys)
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(order) - 1)
     assert {code for code, _, _ in fresh} == {0, 1, 2}
+
+
+def _whole_parse(argv):
+    """run_command as the top-level parser alone would run it: parse_args on all of argv, then the handler."""
+    parser, _ = cli._build_parser()
+    try:
+        args = parser.parse_args(list(argv))
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.handler(args)
+    except ParseError as exc:
+        sys.stderr.write(f"parse error: {exc}\n")
+        return 2
+    except (GraphError, ValueError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except OSError as exc:
+        sys.stderr.write(f"io error: {exc}\n")
+        return 2
+    except RecursionError:
+        sys.stderr.write("error: input too deep for the recursive search (Python recursion limit)\n")
+        return 2
+
+
+def _parity_battery(tmp_path):
+    house = tmp_path / "house.el"
+    house.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n2 4\n")
+    c5 = tmp_path / "c5.g6"
+    c5.write_text("Dhc\n")
+    bad = tmp_path / "bad.col"
+    bad.write_text("p edge 2\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"alpha": 2, "stable_set": [1, 3], "clique_cover": [[1, 5], [2, 3, 4]],
+                                "complement_coloring": {"1": 0, "2": 1, "3": 1, "4": 1, "5": 0}}))
+    house, c5, bad, cert = map(str, (house, c5, bad, cert))
+    out = str(tmp_path / "out.json")
+    return [
+        # One valid call per command.
+        ["analyze", "--in", house],
+        ["certify", "--in", house],
+        ["verify", "--in", house, "--cert", cert],
+        ["replicate", "--in", c5, "--vertex", "2", "--to", "edgelist"],
+        ["expand", "--in", house, "--mult", "1:2,2:1"],
+        ["separate", "--in", c5],
+        ["iso", "--in", c5, "--other", c5],
+        ["sweep", "--prop", "wpgt", "--n", "3"],
+        ["convert", "--in", house, "--to", "dimacs"],
+        # Top-level help, usage errors and unknown commands.
+        [],
+        ["--help"],
+        ["--he"],
+        ["-h"],
+        ["-h", "analyze", "x"],
+        ["--help", "analyze"],
+        ["bogus"],
+        ["bogus", "--in", house],
+        ["Analyze", "--in", house],
+        ["-x", "analyze"],
+        ["--", "analyze", "--in", house],
+        # Help and unknown options after a command.
+        ["analyze", "-x"],
+        ["analyze", "-hx"],
+        ["analyze", "--help", "--in", house],
+        ["certify", "--help"],
+        # Spellings of one option.
+        ["analyze", f"--in={house}"],
+        ["analyze", "--i", house],
+        ["analyze", "--in", house, "--fo", "edgelist"],
+        ["verify", "--in", house, "--c", cert],
+        ["iso", "--in", c5, "--other", c5, "--other-f", "graph6"],
+        ["expand", "--in", house, "--mult=1:2"],
+        ["analyze", "--in", c5, "--in", house],
+        # Leftover arguments.
+        ["analyze", "--", "--in", house],
+        ["analyze", "--in", house, "--"],
+        ["analyze", "--in", house, "x", "y"],
+        ["analyze", "x", "--in", house],
+        ["analyze", "--in", house, "-"],
+        ["replicate", "--in", c5, "--vertex", "2", "-1"],
+        ["verify", "--in", house, "--cert", cert, "--zz", "q"],
+        ["sweep", "--prop", "wpgt", "--n", "3", "--bogus"],
+        # Missing and bad values.
+        ["verify", "--in", house],
+        ["convert", "--in", house],
+        ["analyze", "--in", house, "--format", "nope"],
+        ["analyze", "--in"],
+        ["analyze", "--in", "--format"],
+        ["sweep", "--prop", "wpgt", "--n", "3", "--mode", "nope"],
+        ["sweep", "--prop", "wpgt", "--n", "x"],
+        ["sweep", "--prop", "wpgt", "--n", "3", "--json"],
+        ["replicate", "--in", c5, "--vertex", "-1"],
+        # Errors the handlers report, and a command that reads stdin.
+        ["analyze", "--in", bad],
+        ["analyze", "--in", str(tmp_path / "missing.g6")],
+        ["certify", "--in", c5],
+        ["certify", "--in", house, "--out", out],
+        ["analyze"],
+    ]
+
+
+def test_run_command_answers_like_the_whole_top_level_parse(tmp_path, monkeypatch, capsys):
+    battery = _parity_battery(tmp_path)
+    assert len(battery) >= 40
+    codes = set()
+    with open("/dev/null") as devnull:
+        monkeypatch.setattr(sys, "stdin", devnull)
+        for argv in battery:
+            reference = (_whole_parse(argv), *capsys.readouterr())
+            assert _outcome(argv, capsys) == reference, argv
+            codes.add(reference[0])
+    assert codes == {0, 1, 2}
+
+
+def test_a_valid_command_is_parsed_once(tmp_path, monkeypatch, capsys):
+    analyze, _, verify = _parity_battery(tmp_path)[:3]
+    parses = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv, expected in [
+        (analyze, ["pgl analyze"]),
+        (verify, ["pgl verify"]),
+        # Top-level help and a command after an unknown option still go through the top-level parser.
+        (["--help"], ["pgl"]),
+        (["-x", *analyze], ["pgl", "pgl analyze"]),
+    ]:
+        parses.clear()
+        run_command(argv)
+        capsys.readouterr()
+        assert parses == expected, argv
 
 
 @pytest.mark.parametrize("built", [False, True])

@@ -67,6 +67,7 @@ files come from these case sets:
 - BENCH_walk_step.json: --case is_perfect --case imperfection_witness
   --case analyze --case sweep-replication --case oracle_parameters
   --case is_perfect_by_definition
+- BENCH_cli_dispatch.json: --case run_command
 
 Standard library only.
 """
@@ -216,6 +217,12 @@ _PARSE = "partial(pgl.parse_graph, pgl.emit_graph(G, {!r}))"
 _CERTIFICATE_JSON = 'partial(__import__("pgl.cli", fromlist=["cli"])._certificate_json, pgl.wpgt_certificate(G))'
 _COVER_COLORING = "partial(pgl.cover_to_coloring, pgl.complement(G), pgl.wpgt_certificate(G).clique_cover)"
 _CERTIFIED = (("bipartite", 20), ("split", 20), ("interval", 20), ("matching", 16))
+# `pgl analyze`, and `pgl certify` then `pgl verify`, as one process runs
+# them: run_command on a graph6 file of G (see run_commands in _CHILD).
+_RUN_ANALYZE = "run_commands([['analyze', '--in', 'g.g6']], G)"
+_RUN_CERTIFY = (
+    "run_commands([['certify', '--in', 'g.g6', '--out', 'cert.json'], ['verify', '--in', 'g.g6', '--cert', 'cert.json']], G)"
+)
 # Perfection by definition is not exported by pgl; it lives in pgl.oracles.
 _DEFINITION = "__import__('pgl.oracles', fromlist=['oracles']).is_perfect_by_definition"
 
@@ -297,6 +304,8 @@ CASES = [
     ),
     *(Case("certificate-json", _CERTIFICATE_JSON, family, n) for family, n in _CERTIFIED),
     *(Case("cover_to_coloring", _COVER_COLORING, family, n) for family, n in _CERTIFIED),
+    *(Case("run_command", _RUN_ANALYZE, family, n) for family, n in (("gnp", 7), ("bipartite", 12), ("bipartite", 20))),
+    *(Case("run_command", _RUN_CERTIFY, family, 16) for family in ("bipartite", "matching")),
 ]
 
 
@@ -309,11 +318,30 @@ def edge_lists(case: Case) -> list[Edges]:
 
 
 _CHILD = r"""
-import hashlib, json, resource, statistics, sys, time
+import atexit, contextlib, hashlib, io, json, os, resource, statistics, sys, tempfile, time
 from functools import partial
 src, call, n, edge_lists, min_s = json.load(sys.stdin)
 sys.path.insert(0, src)
 import pgl
+# A call that runs each argv through pgl.cli.run_command and returns its
+# exit status and stdout.  The call runs in a fresh directory, removed when
+# the child exits, that holds g.g6, G in graph6, written here before the
+# timing starts.
+def run_commands(argvs, G):
+    from pgl.cli import run_command
+    where = tempfile.TemporaryDirectory()
+    atexit.register(where.cleanup)
+    os.chdir(where.name)
+    with open("g.g6", "w") as fh:
+        fh.write(pgl.emit_graph(G, "graph6").payload + "\n")
+    def run():
+        done = []
+        for argv in argvs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                done.append((run_command(argv), out.getvalue()))
+        return done
+    return run
 graphs = [pgl.make_graph(range(n), [tuple(e) for e in edges]) for edges in edge_lists]
 G = graphs[0] if graphs else None
 work = eval(call)
