@@ -26,7 +26,9 @@ alpha(G) and omega(G); `pgl analyze` reads them there and takes
 chi = omega on a perfect graph, and only an imperfect graph goes
 through graph_parameters.  A walk's merged tables extend by one
 trailing vertex through the same step, so the replication sweep walks
-G once and decides each replica G + a' by one step.
+G once and decides each replica G + a' by one step.  All walks share one
+table of size levels, grown a vertex at a time to the deepest step taken
+(1.3 MiB kept after a walk at 20 vertices, about 24 MiB at 24).
 """
 
 from __future__ import annotations
@@ -332,20 +334,17 @@ def is_nice(G: Graph) -> bool:
 # among them alone: a walk starts from _PREFIXES, filled on first use.
 
 
-def _next_sizes(P: tuple[int, ...], t: int) -> tuple[int, ...]:
-    """The size levels P over the first t + 1 vertices, from those over t."""
-    half = 1 << t
-    return ((1 << 2 * half) - 1, *(P[r] | P[r - 1] << half for r in range(1, t + 1)), P[t] << half)
-
-
-# P depends on t alone.  _SIZES[t] holds it over the first t vertices for
-# t <= _SHARED_T (16 KB in all); past that it is grown per call.
-_SHARED_T = 12
 # Shifting by _BITS[i] moves bit S of a level to bit S | {i}.
 _BITS = tuple(1 << i for i in range(PERFECTION_MAX_N))
-_SIZES: list[tuple[int, ...]] = [(1,)]
-for _t in range(_SHARED_T):
-    _SIZES.append(_next_sizes(_SIZES[-1], _t))
+# P over the first T = len(_SIZES) - 2 vertices, T the deepest step taken,
+# then a 0 level: step t <= T reads it cut to 2^t bits, by an AND.
+_SIZES = [1, 0]
+
+
+def _next_sizes() -> None:
+    """Grow _SIZES from the first T vertices to the first T + 1."""
+    half = 1 << (len(_SIZES) - 2)
+    _SIZES[:] = [(1 << 2 * half) - 1, *(z | y << half for z, y in zip(_SIZES[1:], _SIZES)), 0]
 
 
 def _grown(levels: Sequence[int], keep: int, spread: list[int], first: int, ones: int) -> list[int]:
@@ -368,11 +367,11 @@ def _grown(levels: Sequence[int], keep: int, spread: list[int], first: int, ones
     return new
 
 
-def _violations(W: list[int], A: list[int], size: tuple[int, ...], t: int) -> int:
+def _violations(W: list[int], A: list[int], t: int) -> int:
     """The S whose S | {t} has more than alpha * omega vertices.
 
-    W and A are the levels of the sets S | {t}, and size[r] marks the S
-    with |S| + 1 >= r.  omega = 1 or alpha = 1 makes S | {t} a stable set
+    W and A are the levels of the sets S | {t}, and _SIZES[r] marks the
+    S with |S| >= r.  omega = 1 or alpha = 1 makes S | {t} a stable set
     or a clique, which never breaks the bound.
     """
     bad = 0
@@ -383,18 +382,21 @@ def _violations(W: list[int], A: list[int], size: tuple[int, ...], t: int) -> in
             if w * a > t:
                 break
             exact_a = A[a] ^ A[a + 1] if a < top_a else A[a]
-            bad |= exact_w & exact_a & size[w * a + 1]
+            bad |= exact_w & exact_a & _SIZES[w * a]
     return bad
 
 
-def _halves(W: Sequence[int], A: Sequence[int], P: Sequence[int], t: int, row: int) -> tuple[list[int], list[int], int]:
+def _halves(W: Sequence[int], A: Sequence[int], t: int, row: int) -> tuple[list[int], list[int], int]:
     """The step for vertex t: the new halves of W and A, and the S whose S | {t} breaks the bound.
 
-    W, A and P are merged over the vertices before t, and bit i < t of row
+    W and A are merged over the vertices before t, and bit i < t of row
     marks a neighbour of t.  The third value is 0 before t = 4, as no set
     of fewer than five vertices breaks the bound.  The walk, the prefix
-    tables and the replica check (_breaks_bound) all take this one step.
+    tables and the replica check (_breaks_bound) all take this one step,
+    which first grows _SIZES to the first t vertices.
     """
+    while len(_SIZES) < t + 2:
+        _next_sizes()
     near, far = [], []
     # The subsets of the neighbours, and of the non-neighbours.
     keep_w = keep_a = 1
@@ -405,10 +407,10 @@ def _halves(W: Sequence[int], A: Sequence[int], P: Sequence[int], t: int, row: i
         else:
             far.append(shift)
             keep_a |= keep_a << shift
-    ones = P[0]
+    ones = (1 << (1 << t)) - 1
     new_w = _grown(W, keep_w, far, ones ^ keep_a, ones)
     new_a = _grown(A, keep_a, near, ones ^ keep_w, ones)
-    return new_w, new_a, _violations(new_w, new_a, (ones, *P, 0), t) if t >= 4 else 0
+    return new_w, new_a, _violations(new_w, new_a, t) if t >= 4 else 0
 
 
 def _merge(levels: list[int], new: list[int], half: int) -> None:
@@ -420,8 +422,8 @@ def _merge(levels: list[int], new: list[int], half: int) -> None:
 
 
 _Tables = tuple[tuple[int, ...], tuple[int, ...]]
-# W, A and P of a walk, merged over its first len(P) - 1 vertices.
-_Walked = tuple[list[int], list[int], tuple[int, ...]]
+# W and A of a walk, merged over its first t vertices, and t.
+_Walked = tuple[list[int], list[int], int]
 # W and A merged over the first len(rows) <= 4 vertices, keyed by rows,
 # each vertex's row cut to its earlier neighbours: at most 1 + 2 + 8 + 64.
 _PREFIXES: dict[tuple[int, ...], _Tables] = {}
@@ -437,7 +439,7 @@ def _prefix_tables(rows: tuple[int, ...]) -> _Tables:
     if tables is None:
         t = len(rows) - 1
         W, A = map(list, _prefix_tables(rows[:t]))
-        new_w, new_a, _ = _halves(W, A, _SIZES[t], t, rows[t])
+        new_w, new_a, _ = _halves(W, A, t, rows[t])
         _merge(W, new_w, 1 << t)
         _merge(A, new_a, 1 << t)
         tables = _PREFIXES[rows] = tuple(W), tuple(A)
@@ -453,31 +455,29 @@ def _walk(G: Graph, early: bool, whole: bool) -> tuple[int, int | None, int | No
     holds a violating set.  alpha and omega are read off the last half,
     whose top bit is the whole vertex set; they are None only when an
     early walk stops before that half.  With whole set, a walk that does
-    not stop early merges the last half too, so the tables W, A and P it
+    not stop early merges the last half too, so the tables W and A it
     returns cover all n vertices; otherwise they cover the vertices before
-    the last half it built.
+    the last half it built.  The tables end with that vertex count.
     """
     n = G.n
     if n > PERFECTION_MAX_N:
         raise TooLargeError(f"perfection check capped at {PERFECTION_MAX_N} vertices")
     if n == 0:
-        return 0, 0, 0, ([1], [1], _SIZES[0])
+        return 0, 0, 0, ([1], [1], 0)
     adj = G.bit_adjacency
     start = min(4, n - 1)
     W, A = map(list, _prefix_tables(tuple(map(and_, adj, _EARLIER[:start]))))
-    P = _SIZES[start]
     best_size, best_mask = n + 1, 0
     alpha = omega = None
     for t in range(start, n):
         half = 1 << t
         # Bit S of level k of the new half: S | {t} reaches k.
-        new_w, new_a, bad = _halves(W, A, P, t, adj[t])
+        new_w, new_a, bad = _halves(W, A, t, adj[t])
         if bad:
             # Halves come in increasing mask order: a later half wins only
-            # with a strictly smaller set.
-            size = (P[0], *P, 0)
+            # with a strictly smaller set.  found: the S | {t} of r vertices.
             for r in range(5, best_size):
-                found = bad & (size[r] ^ size[r + 1])
+                found = bad & _SIZES[r - 1] ^ bad & _SIZES[r]
                 if found:
                     best_size, best_mask = r, half | ((found & -found).bit_length() - 1)
                     break
@@ -494,27 +494,27 @@ def _walk(G: Graph, early: bool, whole: bool) -> tuple[int, int | None, int | No
             break
         _merge(W, new_w, half)
         _merge(A, new_a, half)
-        # This half is merged; drop it (size holds the old P) before the
-        # next vertex builds twice as much.
-        new_w = new_a = size = bad = None
-        P = _SIZES[t + 1] if t < _SHARED_T else _next_sizes(P, t)
-    return best_mask, alpha, omega, (W, A, P)
+        # This half is merged; drop it before the next vertex builds twice
+        # as much.
+        new_w = new_a = bad = None
+    else:
+        t = n
+    return best_mask, alpha, omega, (W, A, t)
 
 
 def _breaks_bound(tables: _Walked, row: int) -> bool:
     """True when a vertex t appended to the graph of tables completes a set that breaks the bound.
 
-    tables are W, A and P of a whole walk that found no violating set, so
+    tables are W, A and t of a whole walk that found no violating set, so
     merged over vertices 0..t-1, and bit i < t of row marks a neighbour of
     t.  This is the step the walk of the graph with t appended takes for
     t, on the same tables, so it decides that graph as is_perfect does;
     past PERFECTION_MAX_N it raises TooLargeError, as is_perfect does.
     """
-    W, A, P = tables
-    t = len(P) - 1
+    W, A, t = tables
     if t >= PERFECTION_MAX_N:
         raise TooLargeError(f"perfection check capped at {PERFECTION_MAX_N} vertices")
-    return _halves(W, A, P, t, row)[2] != 0
+    return _halves(W, A, t, row)[2] != 0
 
 
 def imperfection_witness(G: Graph) -> VertexSet | None:

@@ -86,6 +86,7 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_certify_io.json",
         "BENCH_walk_step.json",
         "BENCH_cli_dispatch.json",
+        "BENCH_size_table.json",
     } <= layer_files
 
 
@@ -265,6 +266,7 @@ COMMITTED = {
         _walk_step,
     ),
     "BENCH_cli_dispatch.json": ({"run_command"}, 5, _cli_dispatch),
+    "BENCH_size_table.json": ({"is_perfect", "imperfection_witness", "analyze", "sweep-replication"}, 56, _walk),
 }
 
 

@@ -50,13 +50,13 @@ CAPS = [
         "oracle_parameters",
         lambda: oracle_parameters(make_graph(range(ORACLE_MAX_N + 1))),
         "pgl.oracles._stable_indicator",
-        "subset enumeration capped at 20 vertices",
+        f"subset enumeration capped at {ORACLE_MAX_N} vertices",
     ),
     (
         "find_odd_hole_or_antihole",
         lambda: find_odd_hole_or_antihole(make_graph(range(ORACLE_MAX_N + 1))),
         "pgl.oracles._subset_masks",
-        "subset enumeration capped at 20 vertices",
+        f"subset enumeration capped at {ORACLE_MAX_N} vertices",
     ),
     (
         "enumerate_graphs",
@@ -74,19 +74,19 @@ CAPS = [
         "is_perfect_by_definition",
         lambda: is_perfect_by_definition(make_graph(range(ORACLE_MAX_N + 1))),
         "pgl.oracles._subset_masks",
-        "subset enumeration capped at 20 vertices",
+        f"subset enumeration capped at {ORACLE_MAX_N} vertices",
     ),
     (
         "is_perfect",
         lambda: is_perfect(make_graph(range(PERFECTION_MAX_N + 1))),
         "pgl.invariants._grown",
-        "perfection check capped at 20 vertices",
+        f"perfection check capped at {PERFECTION_MAX_N} vertices",
     ),
     (
         "imperfection_witness",
         lambda: imperfection_witness(make_graph(range(PERFECTION_MAX_N + 1))),
         "pgl.invariants._grown",
-        "perfection check capped at 20 vertices",
+        f"perfection check capped at {PERFECTION_MAX_N} vertices",
     ),
     (
         # 29 * 113 = 3,277 maximum stable sets of size 5: 16,385 copies.
@@ -122,7 +122,7 @@ def test_a_walk_past_the_perfection_cap_neither_reads_nor_fills_the_prefix_table
     with pytest.raises(AssertionError, match="^the prefix table was used$"):
         is_perfect(make_graph(range(PERFECTION_MAX_N)))
     for check in (is_perfect, imperfection_witness):
-        with pytest.raises(TooLargeError, match="^perfection check capped at 20 vertices$"):
+        with pytest.raises(TooLargeError, match=f"^perfection check capped at {PERFECTION_MAX_N} vertices$"):
             check(make_graph(range(PERFECTION_MAX_N + 1)))
 
 
@@ -135,13 +135,14 @@ def test_the_cheap_searches_run_at_their_cap():
 @pytest.mark.parametrize("sizes", [[3] * 6 + [2], [2] * 10], ids=["6K3+K2", "10K2"])
 def test_the_subset_enumerations_answer_many_maximal_stable_sets_at_their_cap(sizes):
     # Six triangles and an edge have 1,458 maximal stable sets, ten edges
-    # 1,024; each is masked out of the previous chi level in turn.
-    g = _disjoint_cliques(sizes)
+    # 1,024; each is masked out of the previous chi level in turn.  Isolated
+    # vertices fill a cap past 20 and keep those counts.
+    g = _disjoint_cliques(sizes + [1] * (ORACLE_MAX_N - sum(sizes)))
     assert g.n == ORACLE_MAX_N
     started = time.perf_counter()
     p = oracle_parameters(g)
     assert time.perf_counter() - started < 2.0
-    assert (p.alpha, p.omega, p.chi) == (len(sizes), max(sizes), max(sizes))
+    assert (p.alpha, p.omega, p.chi) == (len(sizes) + ORACLE_MAX_N - sum(sizes), max(sizes), max(sizes))
     started = time.perf_counter()
     assert is_perfect_by_definition(g)
     assert time.perf_counter() - started < 2.0

@@ -10,7 +10,7 @@ import pytest
 from pgl import cli, enumerate_graphs, graph_parameters, invariants, is_perfect, make_graph, parse_graph, GraphDocument
 from pgl.errors import GraphError, ParseError
 from pgl.cli import run_command
-from pgl.invariants import _walk
+from pgl.invariants import PERFECTION_MAX_N, _walk
 
 from conftest import run_fresh
 
@@ -345,17 +345,23 @@ def test_convert_round_trip_bytes(house_file, capsys):
     assert capsys.readouterr().out == first
 
 
+def _bipartite_past_the_cap(tmp_path):
+    """An edge-list file of a complete bipartite graph one vertex past the perfection cap."""
+    n = PERFECTION_MAX_N + 1
+    path = tmp_path / f"bipartite{n}.el"
+    path.write_text("".join(f"{u} {v}\n" for u in range(1, n // 2 + 1) for v in range(n // 2 + 1, n + 1)))
+    return path
+
+
 def test_analyze_past_the_perfection_cap_fails_before_searching(tmp_path, monkeypatch, capsys):
     def no_search(G):
         raise AssertionError("graph_parameters ran past the perfection cap")
 
     monkeypatch.setattr("pgl.cli.graph_parameters", no_search)
-    big = tmp_path / "bipartite24.el"
-    big.write_text("".join(f"{u} {v}\n" for u in range(1, 13) for v in range(13, 25)))
-    assert run_command(["analyze", "--in", str(big)]) == 2
+    assert run_command(["analyze", "--in", str(_bipartite_past_the_cap(tmp_path))]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: perfection check capped at 20 vertices\n"
+    assert captured.err == f"error: perfection check capped at {PERFECTION_MAX_N} vertices\n"
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -718,10 +724,8 @@ def test_handlers_see_patched_names_whether_or_not_the_parser_was_built(built, t
         raise AssertionError("graph_parameters ran past the perfection cap")
 
     monkeypatch.setattr("pgl.cli.graph_parameters", no_search)
-    big = tmp_path / "bipartite24.el"
-    big.write_text("".join(f"{u} {v}\n" for u in range(1, 13) for v in range(13, 25)))
-    assert _outcome(["analyze", "--in", str(big)], capsys) == (
-        2, "", "error: perfection check capped at 20 vertices\n"
+    assert _outcome(["analyze", "--in", str(_bipartite_past_the_cap(tmp_path))], capsys) == (
+        2, "", f"error: perfection check capped at {PERFECTION_MAX_N} vertices\n"
     )
 
 

@@ -523,9 +523,9 @@ def test_is_perfect_stops_at_the_first_violating_vertex_prefix(monkeypatch):
     checked = []
     real = invariants._violations
 
-    def violations(W, A, size, t):
+    def violations(W, A, t):
         checked.append(t)
-        return real(W, A, size, t)
+        return real(W, A, t)
 
     monkeypatch.setattr(invariants, "_violations", violations)
     rng = random.Random(23)
@@ -575,20 +575,27 @@ def test_the_bound_is_checked_only_in_the_step_and_the_step_taken_only_by_its_th
     }
 
 
-def test_perfection_cap(monkeypatch):
+def test_perfection_cap():
+    from pgl.invariants import PERFECTION_MAX_N
+
+    # The documented cap; every other test reads it from PERFECTION_MAX_N.
+    assert PERFECTION_MAX_N == 20
+
+
+def test_the_walk_answers_at_the_perfection_cap_and_refuses_past_it(monkeypatch):
     from pgl import invariants
     from pgl.invariants import PERFECTION_MAX_N
 
-    halves = [(u, v) for u in range(10) for v in range(10, 20) if (u * v) % 3 != 1]
+    n = PERFECTION_MAX_N
+    halves = [(u, v) for u in range(n // 2) for v in range(n // 2, n) if (u * v) % 3 != 1]
     rng = random.Random(24)
-    assert PERFECTION_MAX_N == 20
-    assert is_perfect(make_graph(range(20), halves))
-    assert is_perfect(complement(make_graph(range(20), halves)))
-    assert is_perfect(_split(rng, 20))
-    only_hole = _top_vertex_hole(rng, 20)
-    assert is_perfect(induced_subgraph(only_hole, range(19)))
+    assert is_perfect(make_graph(range(n), halves))
+    assert is_perfect(complement(make_graph(range(n), halves)))
+    assert is_perfect(_split(rng, n))
+    only_hole = _top_vertex_hole(rng, n)
+    assert is_perfect(induced_subgraph(only_hole, range(n - 1)))
     assert not is_perfect(only_hole)
-    assert imperfection_witness(only_hole) == (0, 1, 2, 3, 19)
+    assert imperfection_witness(only_hole) == (0, 1, 2, 3, n - 1)
 
     def no_table(*args):
         raise AssertionError("a level table was built past the cap")
@@ -598,10 +605,10 @@ def test_perfection_cap(monkeypatch):
     # At the cap the walk starts from the prefix table; one past it, it
     # neither reads nor fills that table.
     with pytest.raises(AssertionError, match="^the prefix table was used$"):
-        is_perfect(edgeless(20))
+        is_perfect(edgeless(n))
     for check in (is_perfect, imperfection_witness):
-        with pytest.raises(TooLargeError, match="^perfection check capped at 20 vertices$"):
-            check(edgeless(21))
+        with pytest.raises(TooLargeError, match=f"^perfection check capped at {n} vertices$"):
+            check(edgeless(n + 1))
 
 
 def test_one_step_on_the_merged_tables_decides_each_graph_with_one_more_vertex():
@@ -629,7 +636,7 @@ def test_the_merged_tables_refuse_a_vertex_past_the_cap():
     tables = _walk(edgeless(PERFECTION_MAX_N - 1), early=True, whole=True)[3]
     assert _breaks_bound(tables, 0) is False
     tables = _walk(edgeless(PERFECTION_MAX_N), early=True, whole=True)[3]
-    with pytest.raises(TooLargeError, match="^perfection check capped at 20 vertices$"):
+    with pytest.raises(TooLargeError, match=f"^perfection check capped at {PERFECTION_MAX_N} vertices$"):
         _breaks_bound(tables, 0)
 
 
@@ -661,13 +668,56 @@ def test_the_prefix_table_holds_every_prefix_of_at_most_four_vertices_as_the_ste
     for rows, tables in invariants._PREFIXES.items():
         W, A = [1], [1]
         for t, row in enumerate(rows):
-            new_w, new_a, bad = invariants._halves(W, A, invariants._SIZES[t], t, row)
+            new_w, new_a, bad = invariants._halves(W, A, t, row)
             assert bad == 0
             invariants._merge(W, new_w, 1 << t)
             invariants._merge(A, new_a, 1 << t)
         assert tables == (tuple(W), tuple(A)), rows
         g = make_graph(range(len(rows)), [(i, t) for t, row in enumerate(rows) for i in range(t) if row >> i & 1])
         assert tables == _levels_by_definition(g), rows
+
+
+def test_a_walk_grows_the_size_table_only_to_its_last_step(monkeypatch):
+    from pgl import invariants
+
+    monkeypatch.setattr(invariants, "_SIZES", [1, 0])
+    rng = random.Random(26)
+    # The hole on vertices 0..4 stops the walk at step 4, the first that
+    # checks the bound.
+    assert not is_perfect(_with_hole(_bipartite(rng, 20), range(5)))
+    assert len(invariants._SIZES) - 2 == 4
+    assert not is_perfect(_top_vertex_hole(rng, 12))
+    assert len(invariants._SIZES) - 2 == 11
+    # Level r marks the sets of at least r of the first 11 vertices.
+    assert invariants._SIZES == [sum(1 << S for S in range(1 << 11) if S.bit_count() >= r) for r in range(13)]
+
+
+def test_a_walk_at_twenty_vertices_peaks_as_before_and_keeps_only_the_size_table(monkeypatch):
+    import tracemalloc
+
+    from pgl import invariants
+
+    monkeypatch.setattr(invariants, "_SIZES", [1, 0])
+    rng = random.Random(27)
+    small = [_random_graph(rng, 7, rng.choice((0.3, 0.5, 0.7))) for _ in range(200)]
+    answers = [(is_perfect(g), imperfection_witness(g)) for g in small]
+    assert answers == [(w is None, w) for w in map(_reference_witness, small)]
+    g = make_graph(range(20), [(u, v) for u in range(10) for v in range(10, 20) if (u * v) % 3 != 1])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert is_perfect(g)
+        kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # 3.20 MiB was this walk's peak when each walk grew its own size
+    # levels; it keeps the shared table over 19 vertices, 20 levels of
+    # 2^19 bits (1.25 MiB).
+    assert peak <= 3.3 * 2**20
+    assert kept <= 1.4 * 2**20
+    assert len(invariants._SIZES) - 2 == 19
+    # Walks at 7 vertices read the deep table cut to its low 2^t bits.
+    assert [(is_perfect(g), imperfection_witness(g)) for g in small] == answers
 
 
 def test_perfection_is_hereditary():

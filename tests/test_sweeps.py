@@ -101,7 +101,7 @@ def test_separation_sweep_refuses_past_the_subset_cap():
     from pgl.oracles import ORACLE_MAX_N
 
     assert sweep("separation", ORACLE_MAX_N, "random", count=1).ok
-    with pytest.raises(TooLargeError, match="subset enumeration capped at 20 vertices"):
+    with pytest.raises(TooLargeError, match=f"subset enumeration capped at {ORACLE_MAX_N} vertices"):
         sweep("separation", ORACLE_MAX_N + 1, "random", count=1)
 
 
@@ -112,7 +112,7 @@ def test_wpgt_and_oracle_agreement_sweeps_run_at_the_subset_cap():
 
     assert sweep(("wpgt", "oracle-agreement"), ORACLE_MAX_N, "random", count=3).ok
     for prop in ("wpgt", "oracle-agreement"):
-        with pytest.raises(TooLargeError, match="subset enumeration capped at 20 vertices"):
+        with pytest.raises(TooLargeError, match=f"subset enumeration capped at {ORACLE_MAX_N} vertices"):
             sweep(prop, ORACLE_MAX_N + 1, "random", count=1)
 
 
@@ -338,6 +338,7 @@ def test_expansion_check_builds_and_checks_each_expansion_once(monkeypatch):
 
 def test_expansion_check_refuses_a_host_past_the_cap_after_one_expand(monkeypatch):
     from pgl import TooLargeError, sweeps
+    from pgl.invariants import PERFECTION_MAX_N
 
     calls = []
 
@@ -346,10 +347,12 @@ def test_expansion_check_refuses_a_host_past_the_cap_after_one_expand(monkeypatc
         return expand(*args)
 
     monkeypatch.setattr(sweeps, "expand", counted)
-    G = make_graph(range(7), [(u, u + 1) for u in range(6)])
+    # A path on k vertices whose all-3 host, of 3k vertices, is past the cap.
+    k = PERFECTION_MAX_N // 3 + 1
+    G = make_graph(range(k), [(u, u + 1) for u in range(k - 1)])
     assert is_perfect(G)
-    # The all-3 host has 21 vertices; nothing else is built before it is refused.
-    with pytest.raises(TooLargeError, match="perfection check capped at 20 vertices"):
+    # Nothing else is built before the host is refused.
+    with pytest.raises(TooLargeError, match=f"perfection check capped at {PERFECTION_MAX_N} vertices"):
         _check_expansion(G)
     assert len(calls) == 1
 

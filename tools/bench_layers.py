@@ -68,6 +68,8 @@ files come from these case sets:
   --case analyze --case sweep-replication --case oracle_parameters
   --case is_perfect_by_definition
 - BENCH_cli_dispatch.json: --case run_command
+- BENCH_size_table.json: --case is_perfect --case imperfection_witness
+  --case analyze --case sweep-replication
 
 Standard library only.
 """
