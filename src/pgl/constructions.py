@@ -71,22 +71,24 @@ def verify_replication(G: Graph, w: ReplicationWitness, H: Graph) -> bool:
     a, clone = w.base, w.clone
     if not G.has_node(a) or G.has_node(clone):
         return False
-    if H.nodes != vertex_set(G.nodes + (clone,)):
+    if type(clone) is int and clone > G.nodes[-1]:
+        # The shape replicate builds, which vertex_set would sort to itself.
+        if H.nodes != G.nodes + (clone,):
+            return False
+    elif H.nodes != vertex_set(G.nodes + (clone,)):
         return False
     c = H.index[clone]
-    below = (1 << c) - 1
-
-    def lift(row: int) -> int:
-        return (row & below) | (row >> c << (c + 1))
-
+    bit = 1 << c
+    lifted = G.bit_adjacency
+    if c < G.n:
+        # Past the clone's position, G's columns move up one place.
+        lifted = [(row & bit - 1) | (row >> c << (c + 1)) for row in lifted]
     rows = H.bit_adjacency
     # Rows of the source nodes sit at their G position, one further past c.
-    if any(
-        rows[i + (i >= c)] & ~(1 << c) != lift(row) for i, row in enumerate(G.bit_adjacency)
-    ):
+    if any(h & ~bit != g for h, g in zip(rows[:c] + rows[c + 1 :], lifted)):
         return False
     # Symmetry of H makes the clone's column agree with this row.
-    return rows[c] == lift(G.bit_adjacency[G.index[a]]) | (1 << H.index[a])
+    return rows[c] == lifted[G.index[a]] | (1 << H.index[a])
 
 
 @dataclass(frozen=True)

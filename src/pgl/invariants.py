@@ -16,13 +16,17 @@ and is_perfect stops at the first vertex that completes a violating
 set; graphs past PERFECTION_MAX_N vertices raise TooLargeError.  A new
 vertex gathers each level at its neighbours by one AND with the table
 of their subsets, then one shift-OR per non-neighbour (the other way
-round for alpha).  One step adds a vertex: it builds both new halves
+round for alpha); a vertex t <= _SMALL_T spreads by one product with
+the table of the non-neighbours' subsets instead, from masks built once
+per step and row.  One step adds a vertex: it builds both new halves
 and returns the sets they complete that break the bound, none before
-the fifth vertex.  So a walk starts from the tables of its first four
-vertices, kept in a module-level table keyed by the six adjacency bits
-among them and built by that step.  A walk that finds no violating set
-has built the tables of the whole vertex set too, so it also yields
-alpha(G) and omega(G); `pgl analyze` reads them there and takes
+the fifth vertex and only a C5 at it.  So a walk starts from the tables
+of its first five vertices (four when they are a C5), kept in a
+module-level table keyed by the adjacency bits among them and built by
+that step.  Filled, the prefix tables keep 580 KiB and the step masks
+134 KiB (tracemalloc).  A walk that finds no violating set has built
+the tables of the whole vertex set too, so it also yields alpha(G) and
+omega(G); `pgl analyze` reads them there and takes
 chi = omega on a perfect graph, and only an imperfect graph goes
 through graph_parameters.  A walk's merged tables extend by one
 trailing vertex through the same step, so the replication sweep walks
@@ -329,9 +333,11 @@ def is_nice(G: Graph) -> bool:
 # neither: S & N is nonempty exactly when S is no subset of the
 # non-neighbours, so it gathers to ones ^ (the subsets of those).
 #
-# No set of fewer than five vertices breaks the bound, and the merged
-# tables of the first four vertices depend on the six adjacency bits
-# among them alone: a walk starts from _PREFIXES, filled on first use.
+# No set of fewer than five vertices breaks the bound, and a five-vertex
+# set breaks it only as a C5.  The merged tables of the first five
+# vertices depend on the ten adjacency bits among them alone: a walk
+# starts from _PREFIXES, filled on first use, after four vertices when
+# the first five are a C5, so that its step 4 finds that set.
 
 
 # Shifting by _BITS[i] moves bit S of a level to bit S | {i}.
@@ -339,6 +345,11 @@ _BITS = tuple(1 << i for i in range(PERFECTION_MAX_N))
 # P over the first T = len(_SIZES) - 2 vertices, T the deepest step taken,
 # then a 0 level: step t <= T reads it cut to 2^t bits, by an AND.
 _SIZES = [1, 0]
+# Steps t <= _SMALL_T read their masks from _STEPS, keyed by t and row cut
+# to its t bits (at most 511 keys, 134 KiB), and spread by one product;
+# past t = 8 the product of 2^t-bit ints costs more than the shift-ORs.
+_SMALL_T = 8
+_STEPS: dict[tuple[int, int], tuple[int, int, int]] = {}
 
 
 def _next_sizes() -> None:
@@ -347,21 +358,26 @@ def _next_sizes() -> None:
     _SIZES[:] = [(1 << 2 * half) - 1, *(z | y << half for z, y in zip(_SIZES[1:], _SIZES)), 0]
 
 
-def _grown(levels: Sequence[int], keep: int, spread: list[int], first: int, ones: int) -> list[int]:
+def _grown(levels: Sequence[int], keep: int, spread: list[int] | int, first: int, ones: int) -> list[int]:
     """Levels of S | {t}, from the levels over S.
 
     New level k + 1 is levels[k + 1] or levels[k] gathered: the AND with
-    keep, then a shift-OR by each shift in spread.  first is level 1
-    gathered, which needs neither.
+    keep, then a shift-OR by each shift in spread, or, when spread is the
+    table of the subsets those shifts make, one product with it.  first
+    is level 1 gathered, which needs neither.
     """
     new = [ones, ones]
     z = first
-    for k in range(2, len(levels)):
-        y = levels[k]
-        new.append(z | y)
-        z = y & keep
-        for shift in spread:
-            z |= z << shift
+    if type(spread) is int:
+        for y in levels[2:]:
+            new.append(z | y)
+            z = (y & keep) * spread
+    else:
+        for y in levels[2:]:
+            new.append(z | y)
+            z = y & keep
+            for shift in spread:
+                z |= z << shift
     if z:
         new.append(z)
     return new
@@ -386,6 +402,20 @@ def _violations(W: list[int], A: list[int], t: int) -> int:
     return bad
 
 
+def _step_masks(t: int, row: int) -> tuple[int, int, int, list[int], list[int]]:
+    """The tables of the subsets of t's earlier neighbours and non-neighbours, ones, and their shifts."""
+    near, far = [], []
+    keep_w = keep_a = 1
+    for shift in _BITS[:t]:
+        if row & shift:
+            near.append(shift)
+            keep_w |= keep_w << shift
+        else:
+            far.append(shift)
+            keep_a |= keep_a << shift
+    return keep_w, keep_a, (1 << (1 << t)) - 1, near, far
+
+
 def _halves(W: Sequence[int], A: Sequence[int], t: int, row: int) -> tuple[list[int], list[int], int]:
     """The step for vertex t: the new halves of W and A, and the S whose S | {t} breaks the bound.
 
@@ -397,17 +427,17 @@ def _halves(W: Sequence[int], A: Sequence[int], t: int, row: int) -> tuple[list[
     """
     while len(_SIZES) < t + 2:
         _next_sizes()
-    near, far = [], []
-    # The subsets of the neighbours, and of the non-neighbours.
-    keep_w = keep_a = 1
-    for shift in _BITS[:t]:
-        if row & shift:
-            near.append(shift)
-            keep_w |= keep_w << shift
-        else:
-            far.append(shift)
-            keep_a |= keep_a << shift
-    ones = (1 << (1 << t)) - 1
+    if t > _SMALL_T:
+        keep_w, keep_a, ones, near, far = _step_masks(t, row)
+    else:
+        key = t, row & (_BITS[t] - 1)
+        masks = _STEPS.get(key)
+        if masks is None:
+            masks = _STEPS[key] = _step_masks(t, row)[:3]
+        # A gathered level spreads by one product with the other side's
+        # subsets: no two products of their bits share a bit, so none carries.
+        keep_w, keep_a, ones = masks
+        near, far = keep_w, keep_a
     new_w = _grown(W, keep_w, far, ones ^ keep_a, ones)
     new_a = _grown(A, keep_a, near, ones ^ keep_w, ones)
     return new_w, new_a, _violations(new_w, new_a, t) if t >= 4 else 0
@@ -424,32 +454,32 @@ def _merge(levels: list[int], new: list[int], half: int) -> None:
 _Tables = tuple[tuple[int, ...], tuple[int, ...]]
 # W and A of a walk, merged over its first t vertices, and t.
 _Walked = tuple[list[int], list[int], int]
-# W and A merged over the first len(rows) <= 4 vertices, keyed by rows,
-# each vertex's row cut to its earlier neighbours: at most 1 + 2 + 8 + 64.
-_PREFIXES: dict[tuple[int, ...], _Tables] = {}
+# W and A merged over the first len(rows) <= 5 vertices, keyed by rows,
+# each vertex's row cut to its earlier neighbours: at most 1 + 2 + 8 + 64 +
+# 1,024 keys (580 KiB).  The 12 five-row keys of a C5 map to None.
+_PREFIXES: dict[tuple[int, ...], _Tables | None] = {}
 # _EARLIER[t] marks the vertices before t.
-_EARLIER = (0, 1, 3, 7)
+_EARLIER = (0, 1, 3, 7, 15)
 
 
-def _prefix_tables(rows: tuple[int, ...]) -> _Tables:
-    """W and A merged over the vertices of rows, built by the walk's own step."""
+def _prefix_tables(rows: tuple[int, ...]) -> _Tables | None:
+    """W and A merged over the vertices of rows, built by the walk's own step; None when they break the bound."""
     if not rows:
         return (1,), (1,)
-    tables = _PREFIXES.get(rows)
-    if tables is None:
+    if rows not in _PREFIXES:
         t = len(rows) - 1
         W, A = map(list, _prefix_tables(rows[:t]))
-        new_w, new_a, _ = _halves(W, A, t, rows[t])
+        new_w, new_a, bad = _halves(W, A, t, rows[t])
         _merge(W, new_w, 1 << t)
         _merge(A, new_a, 1 << t)
-        tables = _PREFIXES[rows] = tuple(W), tuple(A)
-    return tables
+        _PREFIXES[rows] = None if bad else (tuple(W), tuple(A))
+    return _PREFIXES[rows]
 
 
 def _walk(G: Graph, early: bool, whole: bool) -> tuple[int, int | None, int | None, _Walked]:
     """The least violating set's mask (0 when none), alpha(G), omega(G) and the walk's tables.
 
-    Starts from the prefix tables of the first min(4, n - 1) vertices,
+    Starts from the prefix tables of the first min(5, n - 1) vertices,
     adds the others one at a time and checks each new half of the level
     tables as it is built.  With early set, stops at the first half that
     holds a violating set.  alpha and omega are read off the last half,
@@ -465,8 +495,14 @@ def _walk(G: Graph, early: bool, whole: bool) -> tuple[int, int | None, int | No
     if n == 0:
         return 0, 0, 0, ([1], [1], 0)
     adj = G.bit_adjacency
-    start = min(4, n - 1)
-    W, A = map(list, _prefix_tables(tuple(map(and_, adj, _EARLIER[:start]))))
+    start = min(5, n - 1)
+    rows = tuple(map(and_, adj, _EARLIER[:start]))
+    tables = _prefix_tables(rows)
+    if tables is None:
+        # The first five vertices are a C5: step 4 finds it.
+        start = 4
+        tables = _prefix_tables(rows[:4])
+    W, A = map(list, tables)
     best_size, best_mask = n + 1, 0
     alpha = omega = None
     for t in range(start, n):

@@ -15,7 +15,7 @@ import pgl
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(pgl.__file__)))
-ROW_FIELDS = {"case", "family", "n", "graphs", "result", "median_ms", "repeats", "peak_rss_kib"}
+ROW_FIELDS = {"case", "family", "n", "graphs", "result", "median_ms", "child_ms", "repeats", "peak_rss_kib"}
 
 _spec = importlib.util.spec_from_file_location("bench_layers", os.path.join(ROOT, "tools", "bench_layers.py"))
 bench = importlib.util.module_from_spec(_spec)
@@ -87,6 +87,7 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_walk_step.json",
         "BENCH_cli_dispatch.json",
         "BENCH_size_table.json",
+        "BENCH_small_steps.json",
     } <= layer_files
 
 
@@ -132,12 +133,13 @@ def test_each_pair_runs_in_three_children_that_alternate_the_trees(tmp_path, mon
         assert [(row["n"], row["result"], row["median_ms"], row["repeats"], row["peak_rss_kib"]) for row in rows] == [
             (n, 7, 3.0, 6, 30) for n in (40, 44, 48)
         ]
+        assert [row["child_ms"] for row in rows] == [[5.0, 1.0, 3.0]] * 3
 
 
 def test_a_pair_whose_children_disagree_reads_as_an_error():
     rows = [{"case": "c", "result": r, "median_ms": 1.0, "repeats": 1, "peak_rss_kib": 0} for r in (1, 1, 2)]
     assert bench.merged(rows) == {"case": "c", "result": "error: the children disagree",
-                                  "median_ms": None, "repeats": None, "peak_rss_kib": None}
+                                  "median_ms": None, "child_ms": None, "repeats": None, "peak_rss_kib": None}
 
 
 def test_the_committed_perfection_results_are_reproduced_up_to_twelve_vertices():
@@ -267,6 +269,12 @@ COMMITTED = {
     ),
     "BENCH_cli_dispatch.json": ({"run_command"}, 5, _cli_dispatch),
     "BENCH_size_table.json": ({"is_perfect", "imperfection_witness", "analyze", "sweep-replication"}, 56, _walk),
+    "BENCH_small_steps.json": (
+        {"is_perfect", "imperfection_witness", "analyze", "sweep-berge", "sweep-iso", "sweep-replication",
+         "run_command"},
+        64,
+        lambda case, graphs: (_cli_dispatch if case.name == "run_command" else _walk)(case, graphs),
+    ),
 }
 
 
@@ -305,5 +313,5 @@ def test_a_raising_case_is_recorded_and_the_run_goes_on(tmp_path, monkeypatch):
     assert [(row["case"], row["n"]) for row in rows] == [("clique_number", 40), ("boom", 3), ("clique_number", 44)]
     assert all(set(row) == ROW_FIELDS for row in rows)
     assert rows[1]["result"] == "error: ZeroDivisionError: integer division or modulo by zero"
-    assert rows[1]["median_ms"] is rows[1]["repeats"] is rows[1]["peak_rss_kib"] is None
+    assert rows[1]["median_ms"] is rows[1]["child_ms"] is rows[1]["repeats"] is rows[1]["peak_rss_kib"] is None
     assert [row["repeats"] for row in rows[::2]] == [bench.CHILDREN, bench.CHILDREN]

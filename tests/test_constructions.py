@@ -489,6 +489,14 @@ def _pairwise_verify_replication(g, w, h):
     return all(x == a or g.adjacent(x, a) == h.adjacent(x, clone) for x in g.nodes)
 
 
+def _outcome(check, *args):
+    """What check returns on args, or the name of the exception it raises."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc).__name__
+
+
 def test_bitmask_verify_replication_matches_the_pairwise_definition():
     import random
     from itertools import combinations
@@ -508,6 +516,8 @@ def test_bitmask_verify_replication_matches_the_pairwise_definition():
         x, y = rng.sample(moved.nodes, 2)
         flipped = make_graph(moved.nodes, set(moved.edges) ^ {(min(x, y), max(x, y))})
         other = rng.choice(ids)
+        # A free id below the largest, when there is one.
+        below = next((v for v in range(ids[-1]) if v not in ids), clone)
         cases = [
             (w, h),
             (ReplicationWitness(a, clone), moved),
@@ -516,12 +526,17 @@ def test_bitmask_verify_replication_matches_the_pairwise_definition():
             (ReplicationWitness(a, ids[0]), h),
             (ReplicationWitness(ids[-1] + 5, clone), moved),
             (ReplicationWitness(a, clone), h),
+            (ReplicationWitness(a, below), h),
+            (ReplicationWitness(a, True), h),
+            (ReplicationWitness(a, -1), h),
         ]
         for cw, ch in cases:
-            expected = _pairwise_verify_replication(g, cw, ch)
-            assert verify_replication(g, cw, ch) == expected, (g, cw, ch)
+            expected = _outcome(_pairwise_verify_replication, g, cw, ch)
+            assert _outcome(verify_replication, g, cw, ch) == expected, (g, cw, ch)
             outcomes.append(expected)
     assert outcomes.count(True) > 400 and outcomes.count(False) > 400
+    # A bool or negative clone that is no node is refused as an id.
+    assert outcomes.count("ValueError") > 400
 
 
 def test_expand_checks_itself_under_python_O():

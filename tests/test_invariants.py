@@ -528,18 +528,27 @@ def test_is_perfect_stops_at_the_first_violating_vertex_prefix(monkeypatch):
         return real(W, A, t)
 
     monkeypatch.setattr(invariants, "_violations", violations)
+    monkeypatch.setattr(invariants, "_PREFIXES", {})
     rng = random.Random(23)
     early = _with_hole(_bipartite(rng, 20), range(5))
+    # Tabling the five-vertex prefix checks step 4; as it is a C5, the
+    # walk then starts after four vertices and checks step 4 again.
+    assert not is_perfect(early)
+    assert checked == [4, 4]
+    checked.clear()
     assert not is_perfect(early)
     assert checked == [4]
     checked.clear()
     assert imperfection_witness(early) == (0, 1, 2, 3, 4)
     assert checked == list(range(4, 20))
     late = _top_vertex_hole(rng, 20)
+    checked.clear()
     assert is_perfect(induced_subgraph(late, range(19)))
+    assert checked == list(range(4, 19))
+    # Once tabled, a prefix that is no C5 starts the walk after five vertices.
     checked.clear()
     assert not is_perfect(late)
-    assert checked == list(range(4, 20))
+    assert checked == list(range(5, 20))
 
 
 def test_the_bound_is_checked_only_in_the_step_and_the_step_taken_only_by_its_three_callers():
@@ -650,31 +659,92 @@ def _levels_by_definition(g):
     return levels(lambda p: p.omega), levels(lambda p: p.alpha)
 
 
-def test_the_prefix_table_holds_every_prefix_of_at_most_four_vertices_as_the_step_builds_it(monkeypatch):
+def _c5_prefixes():
+    """The rows of the twelve labelled five-cycles on vertices 0..4, each row cut to its earlier neighbours."""
+    from itertools import permutations
+
+    cycles = {frozenset(frozenset((p[i - 1], p[i])) for i in range(5)) for p in permutations(range(5))}
+    return {tuple(sum(1 << i for i in range(t) if frozenset((i, t)) in c) for t in range(5)) for c in cycles}
+
+
+def test_the_prefix_table_holds_every_prefix_of_at_most_five_vertices_as_the_step_builds_it(monkeypatch):
     from pgl import invariants
 
     monkeypatch.setattr(invariants, "_PREFIXES", {})
-    # A walk on n <= 4 vertices starts after its first n - 1; a fifth
-    # vertex makes it start after all four.
-    for n in range(5):
+    # A walk on n <= 5 vertices starts after its first n - 1; a sixth
+    # vertex makes it start after all five.
+    for n in range(6):
         for g in enumerate_graphs(n):
             invariants._walk(g, early=False, whole=False)
-            if n == 4:
-                invariants._walk(make_graph(range(1, 6), [*g.edges, (1, 5)]), early=True, whole=False)
+            if n == 5:
+                invariants._walk(make_graph(range(1, 7), [*g.edges, (1, 6)]), early=True, whole=False)
     # Row t of a prefix keeps its t bits below t.
-    expected = {rows for m in range(1, 5) for rows in product(*(range(1 << t) for t in range(m)))}
-    assert len(expected) == 1 + 2 + 8 + 64
+    expected = {rows for m in range(1, 6) for rows in product(*(range(1 << t) for t in range(m)))}
+    assert len(expected) == 1 + 2 + 8 + 64 + 1024
     assert set(invariants._PREFIXES) == expected
+    c5 = _c5_prefixes()
+    assert len(c5) == 12
+    assert {rows for rows, tables in invariants._PREFIXES.items() if tables is None} == c5
     for rows, tables in invariants._PREFIXES.items():
         W, A = [1], [1]
         for t, row in enumerate(rows):
             new_w, new_a, bad = invariants._halves(W, A, t, row)
-            assert bad == 0
+            # Bit S of bad marks S | {4}: only S = {0, 1, 2, 3} can break the bound.
+            assert bad == (1 << 0b1111 if rows in c5 and t == 4 else 0), rows
             invariants._merge(W, new_w, 1 << t)
             invariants._merge(A, new_a, 1 << t)
-        assert tables == (tuple(W), tuple(A)), rows
         g = make_graph(range(len(rows)), [(i, t) for t, row in enumerate(rows) for i in range(t) if row >> i & 1])
-        assert tables == _levels_by_definition(g), rows
+        if rows not in c5:
+            assert tables == (tuple(W), tuple(A)) == _levels_by_definition(g), rows
+
+
+def test_a_walk_whose_first_five_vertices_are_a_c5_starts_after_four(monkeypatch):
+    from pgl import invariants
+
+    monkeypatch.setattr(invariants, "_PREFIXES", {})
+    rng = random.Random(28)
+    for rows in sorted(_c5_prefixes()):
+        ring = [(i, t) for t, row in enumerate(rows) for i in range(t) if row >> i & 1]
+        n = rng.randint(6, 8)
+        g = make_graph(range(n), ring + [(u, v) for v in range(5, n) for u in range(v) if rng.random() < 0.5])
+        p = graph_parameters(g)
+        # The tables cover the vertices before the last half built: 0..3
+        # when the walk stops at step 4, all but the last otherwise.
+        def tables(t):
+            return (*map(list, _levels_by_definition(induced_subgraph(g, range(t)))), t)
+
+        stopped = (0b11111, None, None, tables(4))
+        done = (0b11111, p.alpha, p.omega, tables(n - 1))
+        # The first walk tables the prefix, the second reads it.
+        for _ in range(2):
+            assert invariants._walk(g, early=True, whole=False) == stopped
+            assert invariants._walk(g, early=True, whole=True) == stopped
+            assert invariants._walk(g, early=False, whole=False) == done
+            assert imperfection_witness(g) == (0, 1, 2, 3, 4)
+        assert invariants._PREFIXES[rows] is None
+
+
+def test_one_product_spreads_a_small_step_as_its_shift_ors_do():
+    from pgl import invariants
+
+    rng = random.Random(29)
+    for t in range(invariants._SMALL_T + 1):
+        for row in range(1 << t):
+            keep_w, keep_a, ones, near, far = invariants._step_masks(t, row)
+            for _ in range(3):
+                levels = [ones, ones, *(rng.getrandbits(1 << t) for _ in range(rng.randint(0, 4)))]
+                first = rng.getrandbits(1 << t)
+                assert invariants._grown(levels, keep_w, keep_a, first, ones) == invariants._grown(
+                    levels, keep_w, far, first, ones
+                ), (t, row)
+                assert invariants._grown(levels, keep_a, keep_w, first, ones) == invariants._grown(
+                    levels, keep_a, near, first, ones
+                ), (t, row)
+    # Walks read the cached masks of each small step by its row cut to t bits.
+    for n in (7, 12, 20):
+        is_perfect(_random_graph(rng, n, 0.5))
+    assert all(t <= invariants._SMALL_T and row < 1 << t for t, row in invariants._STEPS)
+    assert all(masks == invariants._step_masks(t, row)[:3] for (t, row), masks in invariants._STEPS.items())
 
 
 def test_a_walk_grows_the_size_table_only_to_its_last_step(monkeypatch):

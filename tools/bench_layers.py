@@ -16,8 +16,10 @@ and tree:
   16 hex digits of the sha256 of its repr, so that trees which disagree
   show it; a pair whose children fail, or disagree, reads "error: " and
   the last line of a failing child's stderr (or "the children disagree"),
-  and its three timing fields are null, so the run goes on;
+  and its timing fields are null, so the run goes on;
 - median_ms: the median of the children's median times of one call;
+- child_ms: the three children's median times, in the order they ran,
+  so that a pair whose fresh processes read at two levels shows it;
 - repeats: the calls made by the children in all;
 - peak_rss_kib: the median of the children's `ru_maxrss` (KiB on Linux)
   above its level before the first call, as of the end of that call.
@@ -70,6 +72,9 @@ files come from these case sets:
 - BENCH_cli_dispatch.json: --case run_command
 - BENCH_size_table.json: --case is_perfect --case imperfection_witness
   --case analyze --case sweep-replication
+- BENCH_small_steps.json: --case is_perfect --case imperfection_witness
+  --case analyze --case sweep-berge --case sweep-iso
+  --case sweep-replication --case run_command
 
 Standard library only.
 """
@@ -394,10 +399,11 @@ def merged(rows: list[dict]) -> dict:
     failed = [row for row in rows if row["median_ms"] is None]
     if failed or any(row["result"] != rows[0]["result"] for row in rows):
         result = failed[0]["result"] if failed else "error: the children disagree"
-        return {**rows[0], "result": result, "median_ms": None, "repeats": None, "peak_rss_kib": None}
+        return {**rows[0], "result": result, "median_ms": None, "child_ms": None, "repeats": None, "peak_rss_kib": None}
     return {
         **rows[0],
         "median_ms": statistics.median(row["median_ms"] for row in rows),
+        "child_ms": [row["median_ms"] for row in rows],
         "repeats": sum(row["repeats"] for row in rows),
         "peak_rss_kib": statistics.median(row["peak_rss_kib"] for row in rows),
     }
