@@ -19,6 +19,18 @@ levels with the omega levels, level k of omega marking the subsets
 holding no (k + 1)-clique.  The maximum stable sets the separation sweep
 compares and both level lists come off the same indicator.  One vertex
 cap, ORACLE_MAX_N, keeps every subset enumeration at desk scale.
+
+Up to _TABLE_MAX_N = 8 vertices three readers use subset tables, the
+table of a vertex set marking each of its subsets, in place of a loop
+over members or neighbours: a chi level is one product per maximal
+stable set s (the sets of the level before that miss s, times the
+subsets of s), the 2-regular indicator one product per vertex (the
+pairs of its neighbours, times the subsets of its non-neighbours) and
+the stable-set indicator one AND per vertex (the sets so far that miss
+its neighbours).  The two factors of each product mark subsets of
+disjoint vertex sets, so each pair of set bits lands on its own bit,
+the union of the two subsets, and nothing carries.  The tables are the
+oracle's own: the alpha * omega walk it is compared with keeps others.
 """
 
 from __future__ import annotations
@@ -88,10 +100,20 @@ def _cycle_order(G: Graph, S: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(order) if len(order) == len(S) else None
 
 
-def _two_regular_indicator(rows: Sequence[int], clear: tuple[int, ...]) -> int:
-    """The subsets in which every member has exactly two neighbours; clear as in _subset_masks."""
-    full = (1 << (1 << len(clear))) - 1
+def _two_regular_indicator(rows: Sequence[int], masks: _Masks) -> int:
+    """The subsets in which every member has exactly two neighbours; masks as in _subset_masks."""
+    clear, size = masks
+    n = len(clear)
+    full = (1 << (1 << n)) - 1
     ind = full
+    # Below two vertices there is no pair to table, and no size[2].
+    if 2 <= n <= _TABLE_MAX_N:
+        every = (1 << n) - 1
+        for i, row in enumerate(rows):
+            # The pairs of i's neighbours, each joined with every subset of
+            # the other vertices: the subsets meeting N(i) in exactly two.
+            ind &= clear[i] | (_table(row) & size[2]) * _table(every ^ row)
+        return ind
     for i, row in enumerate(rows):
         # e0, e1, e2: the subsets holding none, one, or exactly two of i's
         # neighbours seen so far.
@@ -119,7 +141,7 @@ def _find_odd_induced_cycle(G: Graph, masks: _Masks, shortest: int = 5) -> tuple
     """
     clear, size = masks
     nodes = G.nodes
-    ind = _two_regular_indicator(G.bit_adjacency, clear)
+    ind = _two_regular_indicator(G.bit_adjacency, masks)
     for length in range(shortest, G.n + 1, 2):
         marked = ind & size[length]
         # Equal-size subsets in combinations order are in the order of their
@@ -183,6 +205,29 @@ def _subset_masks(n: int) -> _Masks:
     return masks
 
 
+# Subset tables: _table(mask) marks the subsets of the vertex set mask.
+# The readers use them at n <= _TABLE_MAX_N, which bounds the cache at
+# 256 keys, 18 KiB in all.  There a product by a table costs less than
+# a reader's loop over members or neighbours; from n = 12 on G(n, 1/2)
+# the chi products cost more.
+_TABLE_MAX_N = 8
+_TABLES: dict[int, int] = {}
+
+
+def _table(mask: int) -> int:
+    """Bit S set for every subset S of the vertex set mask."""
+    table = _TABLES.get(mask)
+    if table is None:
+        table, rest = 1, mask
+        while rest:
+            low = rest & -rest
+            # The subsets so far, and each of them with the vertex at bit low.
+            table |= table << low
+            rest ^= low
+        _TABLES[mask] = table
+    return table
+
+
 def _capped_masks(n: int) -> _Masks:
     """The subset masks of n vertices; TooLargeError past ORACLE_MAX_N, before any is built."""
     if n > ORACLE_MAX_N:
@@ -193,6 +238,12 @@ def _capped_masks(n: int) -> _Masks:
 def _stable_indicator(rows: Sequence[int], clear: tuple[int, ...]) -> int:
     """The subsets that hold no edge of the graph with these adjacency rows; clear as in _subset_masks."""
     ind = 1
+    if len(rows) <= _TABLE_MAX_N:
+        every = (1 << len(rows)) - 1
+        for t, row in enumerate(rows):
+            # The stable sets so far that miss the neighbours of t take t on.
+            ind |= (ind & _table(every ^ row)) << (1 << t)
+        return ind
     for t, row in enumerate(rows):
         # The stable sets that avoid the earlier neighbours of t take t on.
         z = ind
@@ -270,11 +321,27 @@ def _chi_levels(sets: Sequence[int], clear: tuple[int, ...]) -> list[int]:
     downward: chi <= k is hereditary, so the union over all stable s
     equals the downward closure of the union over the maximal ones.  Each
     set is masked out of the previous level as it comes, so no mask per
-    set is held.  The list stops at the level that holds every subset.
+    set is held.  Up to _TABLE_MAX_N vertices each s takes one product
+    instead: the sets of level k - 1 that miss s, times the table of s,
+    mark every m | t with t a subset of s, and the union of these needs
+    no closing, since a set X with chi <= k is X - s, of chi <= k - 1,
+    joined with the part in s, for s a maximal stable set holding one
+    colour class of X.  The list stops at the level that holds every
+    subset.
     """
-    full = (1 << (1 << len(clear))) - 1
-    members = [(s, _members(s)) for s in sets]
+    n = len(clear)
+    full = (1 << (1 << n)) - 1
     chi = [1]
+    if n <= _TABLE_MAX_N:
+        every = (1 << n) - 1
+        tables = [(_table(every ^ s), _table(s)) for s in sets]
+        while chi[-1] != full:
+            z = 0
+            for outside, inside in tables:
+                z |= (chi[-1] & outside) * inside
+            chi.append(z)
+        return chi
+    members = [(s, _members(s)) for s in sets]
     while chi[-1] != full:
         z = 0
         for s, vertices in members:

@@ -18,8 +18,10 @@ from typing import Callable, Sequence
 
 from .constructions import build_separated_graph, expand, replicate, verify_expansion, verify_replication
 from .core import Graph, make_graph, vertex_set
+from .errors import TooLargeError
 from .formats import relabel_graph
 from .invariants import (
+    PERFECTION_MAX_N,
     _breaks_bound,
     _walk,
     check_cover,
@@ -290,11 +292,15 @@ def sweep(
 
     jobs is clamped to the machine's CPU count.  An exhaustive stream past
     the EXHAUSTIVE_MAX_N cap raises TooLargeError before any graph is
-    checked or any worker starts.
+    checked or any worker starts, and so does an expansion sweep whose
+    all-max hosts, of EXPANSION_MAX_MULTIPLICITY * n vertices, would pass
+    the perfection cap.
     """
     names = _resolve(properties)
     jobs = _worker_count(jobs, os.cpu_count())
     total = stream_size(n, mode, count)
+    if "expansion" in names and EXPANSION_MAX_MULTIPLICITY * n > PERFECTION_MAX_N:
+        raise TooLargeError(f"expansion sweep capped at {PERFECTION_MAX_N // EXPANSION_MAX_MULTIPLICITY} vertices")
     started = time.perf_counter()
     if jobs <= 1 or total < 2 * jobs:
         counterexamples = _run_slice(names, n, mode, seed, count, 0, total)

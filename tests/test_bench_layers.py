@@ -88,6 +88,7 @@ def test_every_committed_row_names_a_registry_case():
         "BENCH_cli_dispatch.json",
         "BENCH_size_table.json",
         "BENCH_small_steps.json",
+        "BENCH_oracle_tables.json",
     } <= layer_files
 
 
@@ -202,6 +203,15 @@ def _walk_step(case, graphs):
     return _walk(case, graphs)
 
 
+def _oracle_tables(case, graphs):
+    if case.name != "find_odd_hole_or_antihole":
+        return _walk_step(case, graphs)
+    found = [pgl.find_odd_hole_or_antihole(H) for H in graphs]
+    if case.graphs > 1:
+        return _digest(found)
+    return None if found[0] is None else _digest(found[0])
+
+
 def _certify_io(case, graphs):
     from pgl import cli
 
@@ -274,6 +284,12 @@ COMMITTED = {
          "run_command"},
         64,
         lambda case, graphs: (_cli_dispatch if case.name == "run_command" else _walk)(case, graphs),
+    ),
+    "BENCH_oracle_tables.json": (
+        {"oracle_parameters", "find_odd_hole_or_antihole", "is_perfect_by_definition", "sweep-wpgt", "sweep-berge",
+         "sweep-oracle-agreement", "sweep-separation"},
+        40,
+        _oracle_tables,
     ),
 }
 

@@ -316,6 +316,16 @@ def test_sweep_past_the_exhaustive_cap_fails_fast(capsys):
     assert capsys.readouterr().out == "2 graphs, 0 counterexamples\n"
 
 
+def test_expansion_sweep_past_its_cap_fails_fast(capsys):
+    argv = ["sweep", "--prop", "berge,expansion", "--mode", "random", "--seed", "3", "--count", "20"]
+    assert run_command(argv + ["--n", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expansion sweep capped at 6 vertices\n"
+    assert run_command(argv + ["--n", "6"]) == 0
+    assert capsys.readouterr().out == "20 graphs, 0 counterexamples\n"
+
+
 def test_sweep_json_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run_command(

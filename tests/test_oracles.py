@@ -291,6 +291,69 @@ def test_no_subset_masks_past_sixteen_vertices_stay_after_a_call():
     assert sorted(oracles._SHARED_MASKS)[-1] == 16
 
 
+def test_each_subset_table_marks_exactly_the_subsets_of_its_mask():
+    from pgl import oracles
+
+    for mask in range(1 << 8):
+        assert oracles._table(mask) == sum(1 << s for s in range(1 << 8) if s & mask == s), mask
+
+
+def _gate_graphs():
+    """Every graph with n <= 6, then 300 seeded G(n, 1/2) for each n = 7..10."""
+    for n in range(7):
+        yield from enumerate_graphs(n)
+    for n in range(7, 11):
+        yield from enumerate_graphs(n, "random", seed=33, count=300)
+
+
+def _table_gated_answers(monkeypatch, table_max_n):
+    """The indicators, levels, parameters and Berge answers of the gate graphs with the tables used up to table_max_n."""
+    from pgl import oracles
+    from pgl.core import _complement_rows
+
+    monkeypatch.setattr(oracles, "_TABLE_MAX_N", table_max_n)
+    monkeypatch.setattr(oracles, "_TABLES", {})
+    answers = []
+    for g in _gate_graphs():
+        masks = oracles._subset_masks(g.n)
+        both = (g.bit_adjacency, _complement_rows(g.bit_adjacency))
+        answers.append((
+            [oracles._stable_indicator(rows, masks[0]) for rows in both],
+            [oracles._two_regular_indicator(rows, masks) for rows in both],
+            list(oracles._definition_levels(g)),
+            oracle_parameters(g),
+            find_odd_hole_or_antihole(g),
+        ))
+    return answers
+
+
+def test_the_subset_tables_give_the_answers_of_the_loops(monkeypatch):
+    # With the gate at 0 every reader runs its loops; at 10 every graph
+    # here goes through the tables.
+    loops = _table_gated_answers(monkeypatch, 0)
+    tables = _table_gated_answers(monkeypatch, 10)
+    assert len(loops) == 33_868 + 4 * 300
+    for a, b in zip(loops, tables, strict=True):
+        assert a == b
+
+
+def test_the_subset_tables_stay_within_their_bound_after_sweeps(monkeypatch):
+    from pgl import oracles
+    from pgl.sweeps import sweep
+
+    monkeypatch.setattr(oracles, "_TABLES", {})
+    props = ("wpgt", "berge", "oracle-agreement", "separation")
+    for n in range(oracles._TABLE_MAX_N + 1):
+        assert sweep(props, n, "random", seed=n, count=20).ok
+    kept = dict(oracles._TABLES)
+    assert oracles._TABLE_MAX_N == 8
+    assert 0 < len(kept) <= 1 << oracles._TABLE_MAX_N
+    assert all(0 <= mask < 1 << oracles._TABLE_MAX_N for mask in kept)
+    # Past the gate the loops run, and no table is added.
+    assert sweep(props, oracles._TABLE_MAX_N + 1, "random", count=20).ok
+    assert oracles._TABLES == kept
+
+
 def test_complement_levels_come_off_the_swapped_indicators():
     # The wpgt sweep reads the complement's levels off G's own indicators.
     from pgl.oracles import _definition_levels

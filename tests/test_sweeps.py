@@ -357,6 +357,37 @@ def test_expansion_check_refuses_a_host_past_the_cap_after_one_expand(monkeypatc
     assert len(calls) == 1
 
 
+def test_expansion_sweep_past_its_cap_raises_before_any_check(monkeypatch):
+    # A random stream at n = 7 used to fail at its first perfect graph,
+    # whose all-3 host has 21 vertices, after checking the graphs before it.
+    from pgl import TooLargeError
+    from pgl.invariants import PERFECTION_MAX_N
+
+    cap = PERFECTION_MAX_N // EXPANSION_MAX_MULTIPLICITY
+    assert cap == 6
+    called = []
+    for name in ("berge", "expansion"):
+        monkeypatch.setitem(PROPERTIES, name, called.append)
+
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", no_workers)
+    for jobs in (1, 2):
+        with pytest.raises(TooLargeError, match=f"^expansion sweep capped at {cap} vertices$"):
+            sweep(("berge", "expansion"), cap + 1, "random", seed=3, count=20, jobs=jobs)
+    assert called == []
+    # The other properties are not bound by it.
+    assert sweep("berge", cap + 1, "random", seed=3, count=20).graphs_checked == 20
+    assert len(called) == 20
+
+
+def test_expansion_sweep_runs_at_its_cap_and_at_the_benchmark_size():
+    assert sweep(("berge", "expansion"), 6, "random", seed=3, count=20).ok
+    report = sweep("expansion", 4)
+    assert report.graphs_checked == 64 and report.ok
+
+
 def test_repeated_properties_are_checked_once_in_first_seen_order(monkeypatch):
     from pgl.sweeps import _resolve
 

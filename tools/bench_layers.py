@@ -75,6 +75,10 @@ files come from these case sets:
 - BENCH_small_steps.json: --case is_perfect --case imperfection_witness
   --case analyze --case sweep-berge --case sweep-iso
   --case sweep-replication --case run_command
+- BENCH_oracle_tables.json: --case oracle_parameters
+  --case find_odd_hole_or_antihole --case is_perfect_by_definition
+  --case sweep-wpgt --case sweep-berge --case sweep-oracle-agreement
+  --case sweep-separation
 
 Standard library only.
 """
@@ -255,7 +259,10 @@ CASES = [
             ("berge", 5), ("berge", 6),
         )
     ),
-    Case("find_odd_hole_or_antihole", "lambda: [pgl.find_odd_hole_or_antihole(H) for H in graphs]", "gnp", 7, 88),
+    *(
+        Case("find_odd_hole_or_antihole", "lambda: [pgl.find_odd_hole_or_antihole(H) for H in graphs]", "gnp", n, 88)
+        for n in (7, 8)
+    ),
     *(
         on_graph("find_odd_hole_or_antihole", family, n)
         for family, n in (
@@ -298,6 +305,7 @@ CASES = [
     *(Case("analyze", _ANALYZE, family, n) for n in (12, 15, 20) for family in ("bipartite", "split", "interval")),
     *(Case("analyze", _ANALYZE, "planted-hole", n) for n in (14, 18, 20)),
     Case("is_perfect_by_definition", f"(lambda d: lambda: [d(H) for H in graphs])({_DEFINITION})", "gnp", 7, 100),
+    Case("is_perfect_by_definition", f"(lambda d: lambda: [d(H) for H in graphs])({_DEFINITION})", "gnp", 8, 88),
     *(
         Case("is_perfect_by_definition", f"partial({_DEFINITION}, G)", family, n)
         for family in ("edgeless", "complete", "disjoint-triangles")
