@@ -28,6 +28,9 @@ handlers import their engine when they run:
     iso                         + iso
     sweep                       + constructions, iso, oracles, pipeline, sweeps
 
+The json module is imported the same way, by verify, separate, iso and
+sweep --json alone; certify writes its certificate without it.
+
 analyze computes each exponential quantity once.  The perfection walk
 runs first; on a perfect graph its subset tables give alpha and omega,
 and chi = omega by perfection.  Only an imperfect graph runs the clique
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -150,6 +152,8 @@ def _vertex_key(key: str) -> int:
 
 
 def _certificate_from_json(text: str) -> WpgtCertificate:
+    import json
+
     from .pipeline import WpgtCertificate
 
     try:
@@ -282,6 +286,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_separate(args: argparse.Namespace) -> int:
+    import json
+
     from .constructions import build_separated_graph
 
     G, _ = _load_graph(args)
@@ -298,6 +304,8 @@ def _cmd_separate(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
+    import json
+
     from .iso import find_isomorphism
 
     G, _ = _load_graph(args)
@@ -331,6 +339,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.json:
+        import json
+
         doc = {
             "properties": list(report.properties),
             "n": report.n,

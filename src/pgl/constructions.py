@@ -15,7 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .core import Cover, Graph, _is_morphism, _node_positions, _refuse_aliasing_keys, induced_subgraph, union_over, vertex_set
+from .core import (
+    Cover,
+    Graph,
+    _compacted_rows,
+    _is_morphism,
+    _mask_vertices,
+    _node_positions,
+    _refuse_aliasing_keys,
+    union_over,
+    vertex_set,
+)
 from .errors import (
     EmptyGraphError,
     PartialMapError,
@@ -23,7 +33,7 @@ from .errors import (
     VertexNotFoundError,
     ZeroMultiplicityError,
 )
-from .invariants import max_stable_sets
+from .invariants import _max_stable_listing
 
 # One copy per maximum stable set and member, each with a row as wide as
 # the separated graph: a perfect matching on 2k vertices gives k * 2^k
@@ -229,23 +239,34 @@ def build_separated_graph(G: Graph) -> Separation:
     Raises TooLargeError, before any copy is made, when the separated
     graph would have more than SEPARATION_MAX_VERTICES vertices; the
     stable-set listing stops as soon as its sets pass that count.
+
+    Everything is read off the listing's position masks: base is G's
+    rows compacted to their union, and the fresh ids, parts and back map
+    follow mk_disj's rule from the set sizes alone.  Each part holds α
+    consecutive ids, part i those from first + i·α, first being one past
+    the largest covered vertex, and copy j of part i stands for the j-th
+    member of set i in id order.
     """
     if G.n == 0:
         raise EmptyGraphError("separation requires a nonempty graph")
-    stables = max_stable_sets(G, SEPARATION_MAX_VERTICES)
-    if len(stables) * len(stables[0]) > SEPARATION_MAX_VERTICES:
+    masks = _max_stable_listing(G, SEPARATION_MAX_VERTICES)
+    alpha = masks[0].bit_count()
+    size = len(masks) * alpha
+    if size > SEPARATION_MAX_VERTICES:
         raise TooLargeError(f"separated graph capped at {SEPARATION_MAX_VERTICES} vertices")
-    base = induced_subgraph(G, union_over(stables))
-    parts, tags = mk_disj(stables)
-    # mk_disj hands out consecutive ids, so fresh is in id order and a
-    # copy's position is its distance from the first id.  Copies of one
-    # origin sit in distinct parts, so the tag rule makes them a clique:
-    # separated is the expansion of base with these copy groups.
-    fresh = tuple(tags)
-    first = fresh[0]
+    union = 0
+    for m in masks:
+        union |= m
+    base = Graph(_mask_vertices(G, union), _compacted_rows(G.bit_adjacency, union))
+    stables = tuple(_mask_vertices(G, m) for m in masks)
+    first = G.nodes[union.bit_length() - 1] + 1
+    fresh = tuple(range(first, first + size))
+    origins = [v for part in stables for v in part]
+    # Copies of one origin sit in distinct parts, so the tag rule makes
+    # them a clique: separated is the expansion of base with these groups.
     groups = dict.fromkeys(base.nodes, 0)
-    for x, (origin, _) in tags.items():
-        groups[origin] |= 1 << (x - first)
-    separated = Graph(fresh, tuple(_copy_rows(base, groups, len(fresh))))
-    back = {x: t[0] for x, t in tags.items()}
-    return Separation(base, separated, back, stables, parts)
+    for x, v in enumerate(origins):
+        groups[v] |= 1 << x
+    separated = Graph(fresh, tuple(_copy_rows(base, groups, size)))
+    parts = tuple(fresh[i : i + alpha] for i in range(0, size, alpha))
+    return Separation(base, separated, dict(zip(fresh, origins)), stables, parts)

@@ -9,8 +9,7 @@ workers, and every operation here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DanglingEdgeError, NotSubsetError, SelfLoopError
@@ -35,7 +34,27 @@ def vertex_set(vertices: Iterable[int]) -> VertexSet:
     return out
 
 
-@dataclass(frozen=True)
+class _Once:
+    """A field computed on its first read and stored in the instance's __dict__.
+
+    Later reads find the stored value before this descriptor, which
+    defines no __set__.  Unlike functools.cached_property it takes no
+    lock, which on Python 3.11 costs an RLock round trip per first read;
+    a race can only compute the same value twice.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class Graph:
     """A finite simple undirected graph in canonical form.
 
@@ -43,10 +62,39 @@ class Graph:
     compare equal exactly when their node tuples and rows match.  The
     constructor validates nothing: build graphs from input through
     :func:`make_graph`, which checks it.
+
+    The two fields sit in slots, set once by the constructor; assigning
+    or deleting any attribute raises FrozenInstanceError, as on a frozen
+    dataclass.  edges and index are computed on first read, once per
+    graph, and a pickle carries only the two fields.
     """
+
+    __slots__ = ("nodes", "bit_adjacency", "__dict__")
+    __match_args__ = ("nodes", "bit_adjacency")
 
     nodes: VertexSet
     bit_adjacency: tuple[int, ...]
+
+    def __init__(self, nodes: VertexSet, bit_adjacency: tuple[int, ...]) -> None:
+        _set_nodes(self, nodes)
+        _set_rows(self, bit_adjacency)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nodes == other.nodes and self.bit_adjacency == other.bit_adjacency
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.bit_adjacency))
+
+    def __reduce__(self):
+        return Graph, (self.nodes, self.bit_adjacency)
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.nodes!r}, edges={self.edges!r})"
@@ -59,7 +107,7 @@ class Graph:
     def m(self) -> int:
         return sum(row.bit_count() for row in self.bit_adjacency) // 2
 
-    @cached_property
+    @_Once
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted (low, high) edge pairs, read off the upper triangle row by row."""
         nodes = self.nodes
@@ -73,7 +121,7 @@ class Graph:
                 upper ^= low
         return tuple(out)
 
-    @cached_property
+    @_Once
     def index(self) -> dict[int, int]:
         """Position of each vertex in the sorted node tuple."""
         return {v: i for i, v in enumerate(self.nodes)}
@@ -96,6 +144,11 @@ class Graph:
     def degree(self, v: int) -> int:
         i = self.index.get(v)
         return 0 if i is None else self.bit_adjacency[i].bit_count()
+
+
+# The slot setters, which the constructor calls past Graph.__setattr__.
+_set_nodes = Graph.nodes.__set__
+_set_rows = Graph.bit_adjacency.__set__
 
 
 def _mask_vertices(G: Graph, mask: int) -> VertexSet:
@@ -226,19 +279,30 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> Graph:
     missing = [v for v in sub if v not in idx]
     if missing:
         raise NotSubsetError(f"vertices {missing} not in graph")
-    # Bit idx[v] of a row of G moves to bit k, the position of v in sub.
-    moved = {1 << idx[v]: 1 << k for k, v in enumerate(sub)}
-    keep = sum(moved)
-    rows = []
+    return Graph(sub, _compacted_rows(G.bit_adjacency, sum(1 << idx[v] for v in sub)))
+
+
+def _compacted_rows(rows: Sequence[int], keep: int) -> tuple[int, ...]:
+    """The rows at keep's set bits, each cut to keep's columns: the rows induced on keep.
+
+    Bit p of keep moves to bit k, its rank among keep's set bits.
+    """
+    moved = {}
+    rest = keep
+    while rest:
+        low = rest & -rest
+        moved[low] = 1 << len(moved)
+        rest ^= low
+    out = []
     for bit in moved:
-        old = G.bit_adjacency[bit.bit_length() - 1] & keep
+        old = rows[bit.bit_length() - 1] & keep
         row = 0
         while old:
             low = old & -old
             row |= moved[low]
             old ^= low
-        rows.append(row)
-    return Graph(sub, tuple(rows))
+        out.append(row)
+    return tuple(out)
 
 
 def complement(G: Graph) -> Graph:

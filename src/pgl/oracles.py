@@ -385,31 +385,48 @@ def labeled_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(1, n + 1), 2))
 
 
-@lru_cache(maxsize=16)
-def _pair_positions(n: int) -> tuple[tuple[int, int], ...]:
-    """Row positions (i, j) of the pair that bit k of an n-vertex edge bitmask refers to.
+_Chunks = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, tuple[int, ...]]
 
-    Built on first use for each n; a stream asks for one n throughout.
+
+@lru_cache(maxsize=16)
+def _chunk_tables(n: int) -> _Chunks:
+    """Per-chunk row tables of an n-vertex edge bitmask, its row shifts, row mask and node tuple.
+
+    The rows sit packed in one int, row i at bits n*i to n*i + n - 1.
+    Table c maps the 7 bits of chunk c, the mask's bits 7c to 7c + 6,
+    to the packed rows of the edges those bits name, so a graph's rows
+    are the OR of one entry per chunk.  A last chunk with fewer than 7
+    pairs has its table repeated up to 128 entries, so the bits past the
+    last pair pick equal entries.  Built on first use for each n; a
+    stream asks for one n throughout.
     """
-    return tuple(combinations(range(n), 2))
+    pairs = list(combinations(range(n), 2))
+    tables = []
+    for first in range(0, len(pairs), 7):
+        chunk = pairs[first : first + 7]
+        table = [0]
+        for i, j in chunk:
+            edge = 1 << (n * i + j) | 1 << (n * j + i)
+            table += [rows | edge for rows in table]
+        tables.append(tuple(table * (1 << (7 - len(chunk)))))
+    return tuple(tables), tuple(n * i for i in range(n)), (1 << n) - 1, tuple(range(1, n + 1))
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
     """The graph on {1..n} whose edges are the pairs of labeled_pairs(n) at mask's set bits.
 
-    Bits past the last pair are ignored.  Each set bit k becomes bits i
-    and j of the rows, (i, j) being the positions of pair k.
+    Bits past the last pair are ignored.  The rows are the OR of one
+    entry per 7-bit chunk of mask from _chunk_tables(n), cut apart by
+    shifts: at n = 7, three tables of 128 packed rows (about 15 KiB);
+    at n = 20, 28 tables of 128 (about 260 KiB).  They grow as n^4, to
+    about 80 MiB at n = 100.
     """
-    pairs = _pair_positions(n)
-    mask &= (1 << len(pairs)) - 1
-    rows = [0] * n
-    while mask:
-        low = mask & -mask
-        i, j = pairs[low.bit_length() - 1]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-        mask ^= low
-    return Graph(tuple(range(1, n + 1)), tuple(rows))
+    tables, shifts, row, nodes = _chunk_tables(n)
+    packed = 0
+    for table in tables:
+        packed |= table[mask & 127]
+        mask >>= 7
+    return Graph(nodes, tuple([packed >> s & row for s in shifts]))
 
 
 def check_exhaustive_cap(n: int) -> None:

@@ -92,7 +92,7 @@ CAPS = [
         # 29 * 113 = 3,277 maximum stable sets of size 5: 16,385 copies.
         "build_separated_graph",
         lambda: build_separated_graph(_disjoint_cliques([29, 113, 1, 1, 1])),
-        "pgl.constructions.mk_disj",
+        "pgl.constructions._copy_rows",
         "separated graph capped at 16384 vertices",
     ),
     (

@@ -566,3 +566,93 @@ def test_verify_expansion_success_path_reads_only_rows(monkeypatch):
     monkeypatch.setattr(Graph, "adjacent", refuse)
     assert verify_expansion(g, h, w.back)
     assert not verify_expansion(g, h, {**w.back, h.nodes[0]: 3})
+
+
+def _separation_by_vertex_tuples(g):
+    """build_separated_graph by its vertex-tuple route: max_stable_sets, union_over, induced_subgraph, mk_disj.
+
+    Each copy's row holds the other copies of its origin and every copy of
+    the origin's base neighbours.
+    """
+    from pgl import Graph, max_stable_sets
+    from pgl.constructions import Separation
+
+    stables = max_stable_sets(g)
+    base = induced_subgraph(g, union_over(stables))
+    parts, tags = mk_disj(stables)
+    fresh = tuple(tags)
+    copies = dict.fromkeys(base.nodes, 0)
+    for k, x in enumerate(fresh):
+        copies[tags[x][0]] |= 1 << k
+    closed = {v: copies[v] | sum(copies[u] for u in base.neighbors(v)) for v in base.nodes}
+    rows = tuple(closed[tags[x][0]] & ~(1 << k) for k, x in enumerate(fresh))
+    return Separation(base, Graph(fresh, rows), {x: t[0] for x, t in tags.items()}, stables, parts)
+
+
+def _separation_graphs():
+    """Every graph with 1 <= n <= 5, 300 seeded G(7, p), and the separation cases of tools/bench_layers.py."""
+    import importlib.util
+    import os
+    import random
+
+    from pgl import enumerate_graphs
+
+    for n in range(1, 6):
+        yield from enumerate_graphs(n)
+    rng = random.Random(34)
+    for k in range(300):
+        p = (0.2, 0.5, 0.8)[k % 3]
+        yield make_graph(range(7), [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < p])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("bench_layers", os.path.join(root, "tools", "bench_layers.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for case in bench.CASES:
+        if case.name == "build_separated_graph" and case.family in ("matching", "sparse-bipartite"):
+            (edges,) = bench.edge_lists(case)
+            yield make_graph(range(case.n), edges)
+
+
+def test_mask_built_separation_matches_the_vertex_tuple_route():
+    sizes = []
+    for g in _separation_graphs():
+        sep = build_separated_graph(g)
+        ref = _separation_by_vertex_tuples(g)
+        assert sep == ref, g
+        assert sep.separated.bit_adjacency == ref.separated.bit_adjacency, g
+        assert list(sep.back) == list(ref.back), g
+        sizes.append(sep.separated.n)
+    assert len(sizes) == 1099 + 300 + 3
+    assert sizes[-3:] == [2048, 10240, 1400]
+
+
+def test_separate_writes_what_the_vertex_tuple_route_gives(tmp_path, capsys):
+    import json
+
+    from pgl import emit_graph, parse_graph
+    from pgl.cli import run_command
+
+    def graph_json(g):
+        return {"nodes": list(g.nodes), "edges": [list(e) for e in g.edges]}
+
+    path = tmp_path / "g.col"
+    checked = 0
+    for g in _separation_graphs():
+        # Five million edges of JSON for the ten-edge matching: the
+        # constructions are compared on it above.
+        if g.n == 20:
+            continue
+        payload = emit_graph(g, "dimacs").payload
+        path.write_text(payload)
+        ref = _separation_by_vertex_tuples(parse_graph(emit_graph(g, "dimacs")))
+        doc = {
+            "base": graph_json(ref.base),
+            "separated": graph_json(ref.separated),
+            "back": {str(x): origin for x, origin in sorted(ref.back.items())},
+            "stable_sets": [list(part) for part in ref.stable_sets],
+            "disjoint_parts": [list(part) for part in ref.disjoint_parts],
+        }
+        assert run_command(["separate", "--in", str(path)]) == 0
+        assert capsys.readouterr() == (json.dumps(doc, indent=2) + "\n", ""), g
+        checked += 1
+    assert checked == 1099 + 300 + 2

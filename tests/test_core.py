@@ -269,3 +269,50 @@ def test_row_built_graph_matches_edge_lists_on_sparse_ids():
                 nodes = tuple(sorted(rng.sample(range(3, 4 * n + 3), n)))
                 picked = [(u, v) for u, v in combinations(nodes, 2) if rng.random() < density]
                 _check_against_edge_lists(nodes, picked, rng)
+
+
+def test_graphs_refuse_assignment_and_deletion():
+    from dataclasses import FrozenInstanceError
+
+    g = house()
+    g.edges, g.index
+    for name in ("nodes", "bit_adjacency", "edges", "index", "other"):
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(g, name, ())
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(g, name)
+    assert g == house() and g.edges == house().edges
+
+
+def test_graphs_compare_hash_and_print_by_their_fields():
+    g = Graph((1, 2, 3), (2, 1, 0))
+    twin = make_graph([3, 2, 1], [(2, 1)])
+    assert g == twin and not g != twin and hash(g) == hash(twin) == hash(((1, 2, 3), (2, 1, 0)))
+    assert g != Graph((1, 2, 3), (0, 0, 0)) and g != Graph((0, 1, 2), (2, 1, 0))
+    assert g != ((1, 2, 3), (2, 1, 0)) and g.__eq__("graph") is NotImplemented
+    assert len({g, twin, complement(g)}) == 2
+    assert repr(g) == "Graph(nodes=(1, 2, 3), edges=((1, 2),))"
+
+
+def test_edges_and_index_are_computed_once_per_graph():
+    g = cycle(5)
+    edges, index = g.edges, g.index
+    assert g.edges is edges and g.index is index
+    assert edges == ((1, 2), (1, 5), (2, 3), (3, 4), (4, 5)) and index == {v: v - 1 for v in range(1, 6)}
+    # An equal graph computes its own.
+    twin = cycle(5)
+    assert twin.edges == edges and twin.edges is not edges
+
+
+def test_graphs_survive_pickling_and_copying():
+    import copy
+    import pickle
+
+    g = house()
+    g.edges, g.index
+    for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert twin == g and hash(twin) == hash(g) and twin.edges == g.edges and twin.index == g.index
+        with pytest.raises(AttributeError):
+            twin.nodes = ()
+    # A pickle carries the two fields, not the fields computed from them.
+    assert len(pickle.dumps(g)) == len(pickle.dumps(Graph(g.nodes, g.bit_adjacency)))

@@ -59,6 +59,26 @@ def _loaded_after(source: str) -> list[str]:
     return json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "argv, loads_json", [(["analyze"], False), (["certify"], False), (["verify"], True)], ids=["analyze", "certify", "verify"]
+)
+def test_json_is_imported_only_by_the_commands_that_read_or_write_it(tmp_path, argv, loads_json):
+    graph = tmp_path / "path.el"
+    graph.write_text("1 2\n2 3\n")
+    cert = tmp_path / "path.json"
+    assert run_command(["certify", "--in", str(graph), "--out", str(cert)]) == 0
+    argv = argv + ["--in", str(graph)] + (["--cert", str(cert)] if argv == ["verify"] else [])
+    # sys.modules is read before anything else imports json.
+    out = run_fresh(
+        "import contextlib, io, sys\n"
+        "from pgl.cli import run_command\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = run_command({argv!r})\n"
+        "print(code, 'json' in sys.modules)\n"
+    )
+    assert out == f"0 {loads_json}\n"
+
+
 def test_a_bare_import_loads_only_the_package():
     assert _loaded_after("import pgl") == ["pgl"]
 

@@ -539,11 +539,14 @@ def test_row_built_stream_graphs_match_the_make_graph_route():
 
     from pgl.oracles import graph_from_mask
 
+    spare = random.Random(34)
     for n in range(7):
         bits = n * (n - 1) // 2
         refs = [_pairwise_graph_from_mask(n, mask) for mask in range(1 << bits)]
         for mask, ref in enumerate(refs):
             _assert_same_graph(graph_from_mask(n, mask), ref)
+            # Bits past the last pair, in the last 7-bit chunk and beyond it, are ignored.
+            _assert_same_graph(graph_from_mask(n, mask | spare.getrandbits(16) << bits), ref)
         for g, ref in zip(enumerate_graphs(n), refs, strict=True):
             _assert_same_graph(g, ref)
     rng = random.Random(7)

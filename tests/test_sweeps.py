@@ -148,6 +148,12 @@ def test_parallel_sweep_matches_sequential(monkeypatch):
     assert len(seq.counterexamples) > 64
     assert seq.counterexamples == par.counterexamples
     assert all(isinstance(c, Counterexample) for c in par.counterexamples)
+    # The workers' graphs come back whole: same hash, repr and index, still immutable.
+    for mine, theirs in zip(seq.counterexamples, par.counterexamples):
+        g = theirs.graph
+        assert hash(g) == hash(mine.graph) and repr(g) == repr(mine.graph) and g.index == mine.graph.index
+        with pytest.raises(AttributeError):
+            del g.bit_adjacency
 
 
 def test_worker_count_is_clamped_to_the_cpus():

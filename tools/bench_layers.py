@@ -10,7 +10,8 @@ the graphs, and then calls the case until it has spent the timing budget
 or made 200 calls (at least once).  The script records one row per case
 and tree:
 
-- case, family, n, graphs: the case (graphs is None for a sweep);
+- case, family, n, graphs: the case (family and graphs are None for a
+  sweep or a stream, which build no graphs here);
 - result: bool, None, int and int tuples verbatim, a `SweepReport` as
   [graphs_checked, number of counterexamples], anything else as the first
   16 hex digits of the sha256 of its repr, so that trees which disagree
@@ -79,6 +80,8 @@ files come from these case sets:
   --case find_odd_hole_or_antihole --case is_perfect_by_definition
   --case sweep-wpgt --case sweep-berge --case sweep-oracle-agreement
   --case sweep-separation
+- BENCH_graph_values.json: --case enumerate_graphs --case build_separated_graph
+  --case sweep-separation --case sweep-iso
 
 Standard library only.
 """
@@ -256,9 +259,12 @@ CASES = [
         for prop, n in (
             ("oracle-agreement", 6), ("expansion", 4), ("expansion", 5), ("iso", 5), ("duality", 6),
             ("separation", 5), ("pipeline", 5), ("wpgt", 6), ("replication", 5), ("replication", 6),
-            ("berge", 5), ("berge", 6),
+            ("berge", 5), ("berge", 6), ("separation", 6), ("iso", 6),
         )
     ),
+    # About as many G(7, 1/2) as one pass of perfbench's sweep workload decodes.
+    Case("enumerate_graphs", "lambda: list(pgl.enumerate_graphs(n, 'random', count=3600))", None, 7, None),
+    Case("build_separated_graph", "lambda: [pgl.build_separated_graph(H) for H in graphs]", "gnp", 7, 88),
     *(
         Case("find_odd_hole_or_antihole", "lambda: [pgl.find_odd_hole_or_antihole(H) for H in graphs]", "gnp", n, 88)
         for n in (7, 8)
