@@ -13,11 +13,12 @@ every construction is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     Cover,
     Graph,
+    VertexSet,
     _compacted_rows,
     _is_morphism,
     _mask_vertices,
@@ -33,7 +34,7 @@ from .errors import (
     VertexNotFoundError,
     ZeroMultiplicityError,
 )
-from .invariants import _max_stable_listing
+from .invariants import max_stable_sets
 
 # One copy per maximum stable set and member, each with a row as wide as
 # the separated graph: a perfect matching on 2k vertices gives k * 2^k
@@ -205,17 +206,23 @@ def mk_disj(C: Cover) -> tuple[Cover, dict[int, tuple[int, int]]]:
     mapping records each fresh vertex's (origin, part index) tag.
     """
     base = union_over(C)
-    nxt = base[-1] + 1 if base else 0
-    tags: dict[int, tuple[int, int]] = {}
-    parts: list[tuple[int, ...]] = []
-    for i, part in enumerate(C):
-        fresh = []
-        for v in vertex_set(part):
-            tags[nxt] = (v, i)
-            fresh.append(nxt)
-            nxt += 1
-        parts.append(tuple(fresh))
-    return tuple(parts), tags
+    parts, origins = _fresh_copies([vertex_set(part) for part in C], base[-1] + 1 if base else 0)
+    origin = iter(origins)
+    return parts, {x: (next(origin), i) for i, part in enumerate(parts) for x in part}
+
+
+def _fresh_copies(C: Sequence[VertexSet], first: int) -> tuple[Cover, list[int]]:
+    """mk_disj's ids for parts already sorted and deduplicated.
+
+    Part i takes the next len(C[i]) ids, from first on, one per member
+    in order.  Returns the fresh parts and each fresh id's origin, in id
+    order.
+    """
+    parts = []
+    for part in C:
+        parts.append(tuple(range(first, first + len(part))))
+        first += len(part)
+    return tuple(parts), [v for part in C for v in part]
 
 
 class Separation(NamedTuple):
@@ -240,33 +247,27 @@ def build_separated_graph(G: Graph) -> Separation:
     graph would have more than SEPARATION_MAX_VERTICES vertices; the
     stable-set listing stops as soon as its sets pass that count.
 
-    Everything is read off the listing's position masks: base is G's
-    rows compacted to their union, and the fresh ids, parts and back map
-    follow mk_disj's rule from the set sizes alone.  Each part holds α
-    consecutive ids, part i those from first + i·α, first being one past
-    the largest covered vertex, and copy j of part i stands for the j-th
-    member of set i in id order.
+    base is G's rows compacted to the sets' union, and the fresh ids,
+    parts and back map are mk_disj's, each set being listed in id order.
     """
     if G.n == 0:
         raise EmptyGraphError("separation requires a nonempty graph")
-    masks = _max_stable_listing(G, SEPARATION_MAX_VERTICES)
-    alpha = masks[0].bit_count()
-    size = len(masks) * alpha
+    stables = max_stable_sets(G, SEPARATION_MAX_VERTICES)
+    size = len(stables) * len(stables[0])
     if size > SEPARATION_MAX_VERTICES:
         raise TooLargeError(f"separated graph capped at {SEPARATION_MAX_VERTICES} vertices")
+    idx = G.index
     union = 0
-    for m in masks:
-        union |= m
+    for part in stables:
+        for v in part:
+            union |= 1 << idx[v]
     base = Graph(_mask_vertices(G, union), _compacted_rows(G.bit_adjacency, union))
-    stables = tuple(_mask_vertices(G, m) for m in masks)
-    first = G.nodes[union.bit_length() - 1] + 1
-    fresh = tuple(range(first, first + size))
-    origins = [v for part in stables for v in part]
+    parts, origins = _fresh_copies(stables, base.nodes[-1] + 1)
+    fresh = tuple(range(parts[0][0], parts[0][0] + size))
     # Copies of one origin sit in distinct parts, so the tag rule makes
     # them a clique: separated is the expansion of base with these groups.
     groups = dict.fromkeys(base.nodes, 0)
     for x, v in enumerate(origins):
         groups[v] |= 1 << x
     separated = Graph(fresh, tuple(_copy_rows(base, groups, size)))
-    parts = tuple(fresh[i : i + alpha] for i in range(0, size, alpha))
     return Separation(base, separated, dict(zip(fresh, origins)), stables, parts)

@@ -65,11 +65,12 @@ class Graph:
 
     The two fields sit in slots, set once by the constructor; assigning
     or deleting any attribute raises FrozenInstanceError, as on a frozen
-    dataclass.  edges and index are computed on first read, once per
-    graph, and a pickle carries only the two fields.
+    dataclass, though Graph is no longer one.  edges and index are
+    computed on first read, once per graph.  A pickle carries only the
+    two fields; one written when Graph was a dataclass still loads.
     """
 
-    __slots__ = ("nodes", "bit_adjacency", "__dict__")
+    __slots__ = ("nodes", "bit_adjacency", "__dict__", "__weakref__")
     __match_args__ = ("nodes", "bit_adjacency")
 
     nodes: VertexSet
@@ -95,6 +96,11 @@ class Graph:
 
     def __reduce__(self):
         return Graph, (self.nodes, self.bit_adjacency)
+
+    def __setstate__(self, state: dict) -> None:
+        # Only a dataclass-era pickle has state: its instance dict.
+        _set_nodes(self, state["nodes"])
+        _set_rows(self, state["bit_adjacency"])
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.nodes!r}, edges={self.edges!r})"

@@ -298,18 +298,13 @@ def max_stable_sets(G: Graph, max_total: int | None = None) -> Cover:
     first max_total // α + 1 sets, enough for a caller to refuse the
     input without listing the rest.
     """
-    return tuple(_mask_vertices(G, m) for m in _max_stable_listing(G, max_total))
-
-
-def _max_stable_listing(G: Graph, max_total: int | None = None) -> list[int]:
-    """The sets of max_stable_sets(G, max_total) as position masks of G."""
     if G.n == 0:
-        return []
+        return ()
     co = _complement_rows(G.bit_adjacency)
     full = (1 << G.n) - 1
     alpha = _max_clique(co, full)[0]
     limit = None if max_total is None else max_total // alpha
-    return _max_stable_masks(co, full, alpha, limit)
+    return tuple(_mask_vertices(G, m) for m in _max_stable_masks(co, full, alpha, limit))
 
 
 def is_nice(G: Graph) -> bool:

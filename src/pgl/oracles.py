@@ -385,47 +385,70 @@ def labeled_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(1, n + 1), 2))
 
 
-_Chunks = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, tuple[int, ...]]
+_Pieces = tuple[
+    tuple[int, ...],
+    tuple[tuple[int, int, int], ...],
+    tuple[int, ...],
+    tuple[tuple[int, int, int, int], ...],
+    tuple[int, ...],
+    int,
+    tuple[int, ...],
+]
 
 
 @lru_cache(maxsize=16)
-def _chunk_tables(n: int) -> _Chunks:
-    """Per-chunk row tables of an n-vertex edge bitmask, its row shifts, row mask and node tuple.
+def _row_pieces(n: int) -> _Pieces:
+    """The tables that turn an n-vertex edge bitmask into packed rows, 7 bits at a time.
 
     The rows sit packed in one int, row i at bits n*i to n*i + n - 1.
-    Table c maps the 7 bits of chunk c, the mask's bits 7c to 7c + 6,
-    to the packed rows of the edges those bits name, so a graph's rows
-    are the OR of one entry per chunk.  A last chunk with fewer than 7
-    pairs has its table repeated up to 128 entries, so the bits past the
-    last pair pick equal entries.  Built on first use for each n; a
-    stream asks for one n throughout.
+    The mask's pairs (i, j), j > i, are cut into pieces of at most 7
+    consecutive columns of one row i, the first piece starting at
+    column i + 1.  Piece bits b at columns j.. set the upper bits b <<
+    (n*i + j) and the lower bits spread[b] << (n*j + i), spread[b] moving
+    bit t of b to bit n*t.  A row's first piece is one lookup, first[b]
+    << (n*i + i + 1), first[b] holding both parts; later pieces, at
+    n >= 9, take both shifts.  Returns first, the first pieces as
+    (start, keep, shift), spread, the later pieces as (start, keep,
+    upper, lower), the row shifts, the row mask and the node tuple;
+    start is a piece's first mask bit and keep its width mask.  The two
+    tables hold 128 ints of at most 7n bits and there are about n^2/14
+    pieces, so the whole grows as n^2, as the graph does.  Built on
+    first use for each n; a stream asks for one n throughout.
     """
-    pairs = list(combinations(range(n), 2))
-    tables = []
-    for first in range(0, len(pairs), 7):
-        chunk = pairs[first : first + 7]
-        table = [0]
-        for i, j in chunk:
-            edge = 1 << (n * i + j) | 1 << (n * j + i)
-            table += [rows | edge for rows in table]
-        tables.append(tuple(table * (1 << (7 - len(chunk)))))
-    return tuple(tables), tuple(n * i for i in range(n)), (1 << n) - 1, tuple(range(1, n + 1))
+    spread = [0]
+    for t in range(7):
+        spread += [bits | 1 << (n * t) for bits in spread]
+    first = tuple(b | lower << max(n - 1, 0) for b, lower in enumerate(spread))
+    firsts, later = [], []
+    start = 0
+    for i in range(n - 1):
+        for j in range(i + 1, n, 7):
+            width = min(7, n - j)
+            if j == i + 1:
+                firsts.append((start, (1 << width) - 1, n * i + j))
+            else:
+                later.append((start, (1 << width) - 1, n * i + j, n * j + i))
+            start += width
+    shifts = tuple(n * i for i in range(n))
+    return first, tuple(firsts), tuple(spread), tuple(later), shifts, (1 << n) - 1, tuple(range(1, n + 1))
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
     """The graph on {1..n} whose edges are the pairs of labeled_pairs(n) at mask's set bits.
 
-    Bits past the last pair are ignored.  The rows are the OR of one
-    entry per 7-bit chunk of mask from _chunk_tables(n), cut apart by
-    shifts: at n = 7, three tables of 128 packed rows (about 15 KiB);
-    at n = 20, 28 tables of 128 (about 260 KiB).  They grow as n^4, to
-    about 80 MiB at n = 100.
+    Bits past the last pair are ignored.  The rows are built packed in
+    one int, one table lookup per row piece of _row_pieces(n), and cut
+    apart by shifts.  At n = 7 that is six lookups, one per row, from
+    two tables of 128 ints (about 10 KiB); at n = 20, 36 lookups from
+    the same two tables, then of ints up to 140 bits (about 12 KiB).
     """
-    tables, shifts, row, nodes = _chunk_tables(n)
+    first, firsts, spread, later, shifts, row, nodes = _row_pieces(n)
     packed = 0
-    for table in tables:
-        packed |= table[mask & 127]
-        mask >>= 7
+    for start, keep, shift in firsts:
+        packed |= first[mask >> start & keep] << shift
+    for start, keep, upper, lower in later:
+        bits = mask >> start & keep
+        packed |= bits << upper | spread[bits] << lower
     return Graph(nodes, tuple([packed >> s & row for s in shifts]))
 
 

@@ -158,6 +158,8 @@ def test_mk_disj_tags_and_parts():
     assert parts == ((4, 5), (6, 7))
     assert tags == {4: (1, 0), 5: (2, 0), 6: (2, 1), 7: (3, 1)}
     assert mk_disj(()) == ((), {})
+    # Parts are sorted and deduplicated first; an empty part takes no ids.
+    assert mk_disj(((3, 1, 3), (), (0,))) == (((4, 5), (), (6,)), {4: (1, 0), 5: (3, 0), 6: (0, 2)})
 
 
 def test_mk_disj_separates_pentagon_stable_sets():
@@ -624,6 +626,19 @@ def test_mask_built_separation_matches_the_vertex_tuple_route():
         sizes.append(sep.separated.n)
     assert len(sizes) == 1099 + 300 + 3
     assert sizes[-3:] == [2048, 10240, 1400]
+
+
+def test_separation_lists_its_stable_sets_through_max_stable_sets(monkeypatch):
+    # A tracer that rebinds the public functions in every pgl namespace
+    # sees the separation's listing, as it sees the sweeps' own.
+    import pgl.constructions
+    from pgl import max_stable_sets
+    from pgl.constructions import SEPARATION_MAX_VERTICES
+
+    calls = []
+    monkeypatch.setattr(pgl.constructions, "max_stable_sets", lambda *args: calls.append(args) or max_stable_sets(*args))
+    assert build_separated_graph(cycle(5)).stable_sets == max_stable_sets(cycle(5))
+    assert calls == [(cycle(5), SEPARATION_MAX_VERTICES)]
 
 
 def test_separate_writes_what_the_vertex_tuple_route_gives(tmp_path, capsys):

@@ -316,3 +316,24 @@ def test_graphs_survive_pickling_and_copying():
             twin.nodes = ()
     # A pickle carries the two fields, not the fields computed from them.
     assert len(pickle.dumps(g)) == len(pickle.dumps(Graph(g.nodes, g.bit_adjacency)))
+
+
+def test_graphs_pickled_as_dataclasses_still_load():
+    import pickle
+    import weakref
+
+    # Graph(nodes=(1, 2, 3, 5), edges=((1, 2), (2, 5))) with edges and index
+    # read, pickled with protocols 2 and 4 when Graph was a frozen dataclass.
+    old = [
+        b"\x80\x02cpgl.core\nGraph\nq\x00)\x81q\x01}q\x02(X\x05\x00\x00\x00nodesq\x03(K\x01K\x02K\x03K\x05tq\x04"
+        b"X\r\x00\x00\x00bit_adjacencyq\x05(K\x02K\tK\x00K\x02tq\x06X\x05\x00\x00\x00edgesq\x07K\x01K\x02\x86q\x08"
+        b"K\x02K\x05\x86q\t\x86q\nX\x05\x00\x00\x00indexq\x0b}q\x0c(K\x01K\x00K\x02K\x01K\x03K\x02K\x05K\x03uub.",
+        b"\x80\x04\x95~\x00\x00\x00\x00\x00\x00\x00\x8c\x08pgl.core\x94\x8c\x05Graph\x94\x93\x94)\x81\x94}\x94("
+        b"\x8c\x05nodes\x94(K\x01K\x02K\x03K\x05t\x94\x8c\rbit_adjacency\x94(K\x02K\tK\x00K\x02t\x94\x8c\x05edges"
+        b"\x94K\x01K\x02\x86\x94K\x02K\x05\x86\x94\x86\x94\x8c\x05index\x94}\x94(K\x01K\x00K\x02K\x01K\x03K\x02K\x05K\x03uub.",
+    ]
+    g = make_graph([1, 2, 3, 5], [(1, 2), (2, 5)])
+    for data in old:
+        twin = pickle.loads(data)
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g) and twin.index == g.index
+        assert weakref.ref(twin)() is twin

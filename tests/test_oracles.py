@@ -564,6 +564,25 @@ def test_row_built_stream_graphs_match_the_make_graph_route():
                 _assert_same_graph(g, _pairwise_graph_from_mask(n, draws.getrandbits(bits)))
 
 
+def test_stream_tables_grow_as_the_graph_does():
+    # Two 128-entry tables and one tuple per row piece: about 0.6 MB at
+    # n = 200, where packed rows per 7-bit mask chunk took about 1.8 GB.
+    import random
+    import sys
+
+    from pgl.oracles import _row_pieces, graph_from_mask
+
+    def size(obj):
+        return sys.getsizeof(obj) + (sum(size(x) for x in obj) if isinstance(obj, tuple) else 0)
+
+    assert size(_row_pieces(200)) < 1 << 20
+    rng = random.Random(200)
+    for n in (20, 30, 200):
+        bits = n * (n - 1) // 2
+        for mask in (0, (1 << bits) - 1, rng.getrandbits(bits), rng.getrandbits(bits + 7)):
+            _assert_same_graph(graph_from_mask(n, mask), _pairwise_graph_from_mask(n, mask))
+
+
 def test_oracle_answers_a_dense_graph_the_coloring_walk_gave_up_on():
     # The product-order walk this chi replaced passed its node budget of
     # 200,000 on this graph, and ran for more than 30 s without one.
